@@ -259,7 +259,7 @@ def cmd_profile(args: argparse.Namespace, options: dict) -> int:
     config = _td_config({k: v for k, v in options.items() if k != "cutoff_year"})
     buckets = bucket_by_spread(dataset, config.min_samples)
     if not buckets:
-        largest = max((len(v) for v in _spread_counts(dataset).values()), default=0)
+        largest = max((len(b) for b in bucket_by_spread(dataset, 1)), default=0)
         print(
             f"error: no spread has {config.min_samples} samples "
             f"(largest group has {largest}); lower --min-samples",
@@ -312,13 +312,6 @@ def cmd_profile(args: argparse.Namespace, options: dict) -> int:
         )
     print(f"wrote {len(buckets)} histogram/density pairs to {out_dir}")
     return 0
-
-
-def _spread_counts(dataset: Dataset) -> dict[float, list[int]]:
-    groups: dict[float, list[int]] = {}
-    for record in dataset:
-        groups.setdefault(record.spread, []).append(record.outcome)
-    return groups
 
 
 def _run_and_write(command: str, report: EvaluationReport, args) -> int:

@@ -104,12 +104,13 @@ def parse_games(source: Iterable[str]) -> Dataset:
     (``date,home_team,visitor_team,home_score,visitor_score,spread``) in
     any order; extra columns are ignored. Dates are ISO-8601; scores are
     non-negative integers; spreads are finite numbers, rounded to one
-    decimal place on input because they are half-point market quotes.
-    Blank lines and ``#`` comment lines are skipped. Row order is
-    preserved.
+    decimal place on input because they are half-point market quotes
+    (``-0`` reads as ``0``). Blank lines and ``#`` comment lines are
+    skipped. Row order is preserved.
 
-    Raises SchemaError when the header is absent or incomplete, and
-    ParseError (carrying the offending line number) for malformed rows.
+    Raises SchemaError when the header is absent, incomplete, or repeats
+    a required column, and ParseError (carrying the offending line
+    number) for malformed rows.
     """
     numbered = [
         (n, line)
@@ -124,6 +125,9 @@ def parse_games(source: Iterable[str]) -> Dataset:
     missing = [c for c in REQUIRED_COLUMNS if c not in header]
     if missing:
         raise SchemaError(f"missing required column(s): {', '.join(missing)}")
+    repeated = [c for c in REQUIRED_COLUMNS if header.count(c) > 1]
+    if repeated:
+        raise SchemaError(f"repeated required column(s): {', '.join(repeated)}")
     col = {name: header.index(name) for name in REQUIRED_COLUMNS}
 
     records = []
@@ -177,7 +181,8 @@ def _parse_row(fields: list[str], col: dict[str, int], line_num: int) -> GameRec
         visitor_team=raw["visitor_team"],
         home_score=scores["home_score"],
         visitor_score=scores["visitor_score"],
-        spread=round(spread, 1),
+        # Adding 0.0 turns -0.0 into 0.0, so a pick'em spread gets one label.
+        spread=round(spread, 1) + 0.0,
     )
 
 

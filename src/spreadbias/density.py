@@ -77,6 +77,43 @@ def _kernel_matrix(lo: int, hi: int, bandwidth: float, kernel: str) -> np.ndarra
     raise ValueError(f"unknown kernel {kernel!r}; expected one of {KERNELS}")
 
 
+def outcome_counts(outcomes, grid: OutcomeGrid) -> np.ndarray:
+    """Histogram of integer outcomes over the grid points, one row of
+    counts per row of a 2-D input. Outcomes off the grid are clamped to
+    the nearest bound."""
+    values = np.clip(np.atleast_2d(np.asarray(outcomes, dtype=np.int64)), grid.lo, grid.hi)
+    rows, width = len(values), len(grid)
+    flat = (values - grid.lo + width * np.arange(rows)[:, None]).ravel()
+    return np.bincount(flat, minlength=rows * width).reshape(rows, width)
+
+
+def densities(
+    counts: np.ndarray, bandwidth: float, grid: OutcomeGrid, kernel: str
+) -> np.ndarray:
+    """Kernel density estimates from a (rows x grid) array of outcome counts.
+
+    Each row is smoothed with its own kernel-matrix-vector product: a
+    single matrix-matrix product over all rows sums in a different order
+    and drifts in the last bits, which would change reported values.
+    """
+    weights = _kernel_matrix(grid.lo, grid.hi, float(bandwidth), kernel)
+    mass = np.empty(np.shape(counts), dtype=np.float64)
+    for out, row in zip(mass, np.asarray(counts, dtype=np.float64)):
+        # Relative frequencies keep the estimate exactly invariant to
+        # duplicating the whole sample (n identical points == one point).
+        smoothed = weights @ (row / row.sum())
+        out[:] = smoothed / smoothed.sum()
+    return mass
+
+
+def cover_probabilities(mass: np.ndarray, grid: OutcomeGrid, spreads) -> np.ndarray:
+    """Home cover probability of each row of ``mass`` at its spread: the
+    mass at grid points <= spread, as a sequential prefix sum."""
+    idx = np.searchsorted(grid.points, spreads, side="right")
+    cumulative = np.cumsum(mass, axis=-1)
+    return np.where(idx > 0, cumulative[np.arange(len(idx)), idx - 1], 0.0)
+
+
 def estimate_density(
     outcomes,
     bandwidth: float = DEFAULT_BANDWIDTH,
@@ -109,14 +146,9 @@ def estimate_density(
     if not bandwidth > 0:
         raise ValueError(f"bandwidth must be positive, got {bandwidth}")
 
-    clamped = np.clip(values, grid.lo, grid.hi)
-    n_clamped = int(np.count_nonzero(clamped != values))
-    counts = np.bincount(clamped - grid.lo, minlength=len(grid)).astype(np.float64)
-    # Relative frequencies keep the estimate exactly invariant to
-    # duplicating the whole sample (n identical points == one point).
-    frequencies = counts / counts.sum()
-    mass = _kernel_matrix(grid.lo, grid.hi, float(bandwidth), kernel) @ frequencies
-    return OutcomeDensity(grid=grid, mass=mass / mass.sum(), n_clamped=n_clamped)
+    n_clamped = int(np.count_nonzero((values < grid.lo) | (values > grid.hi)))
+    mass = densities(outcome_counts(values, grid), bandwidth, grid, kernel)[0]
+    return OutcomeDensity(grid=grid, mass=mass, n_clamped=n_clamped)
 
 
 def home_cover_probability(density: OutcomeDensity, spread: float) -> float:
@@ -127,7 +159,4 @@ def home_cover_probability(density: OutcomeDensity, spread: float) -> float:
     give 0.0 and spreads at or above the top give the full mass. The
     visitor probability is defined as one minus this value.
     """
-    idx = int(np.searchsorted(density.grid.points, spread, side="right"))
-    if idx == 0:
-        return 0.0
-    return float(np.cumsum(density.mass)[idx - 1])
+    return float(cover_probabilities(density.mass[None], density.grid, [spread])[0])

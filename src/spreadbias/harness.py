@@ -25,38 +25,38 @@ import numpy as np
 from .bias import (
     DEFAULT_ENTROPY_THRESHOLD,
     BiasProfile,
+    binary_entropy,
     build_profile,
     _bias_rank,
 )
-from .data import Dataset, GameRecord, SpreadBucket, bucket_by_spread, split_by_date
+from .data import Dataset, GameRecord, bucket_by_spread, split_by_date
 from .density import (
     DEFAULT_BANDWIDTH,
     DEFAULT_GRID_HI,
     DEFAULT_GRID_LO,
     KERNELS,
     OutcomeGrid,
+    cover_probabilities,
+    densities,
+    outcome_counts,
 )
 from .models import (
     MODEL_K_LOWEST,
     MODEL_MAX_PROB,
     MODEL_MIN_ENTROPY,
+    MODEL_NAMES,
     MODEL_RANDOM,
     AtsResult,
     predict_max_prob,
     predict_random,
     score_ats,
+    settle_ats,
 )
 
 # Stream tags keep the holdout sampler and the coin-flip model on
 # non-overlapping deterministic substreams of the config seed.
 _HOLDOUT_STREAM = 0
 _GUESS_STREAM = 1
-
-#: Biased spreads re-selected from each simulation's own training data.
-SELECTION_PER_SIMULATION = "per_simulation"
-#: Biased spreads selected once from entropies averaged across simulations.
-SELECTION_MEAN_ENTROPY = "mean_entropy"
-SELECTION_SCOPES = (SELECTION_PER_SIMULATION, SELECTION_MEAN_ENTROPY)
 
 
 def _stream(*key: int) -> np.random.Generator:
@@ -76,7 +76,6 @@ class TiConfig:
     grid_hi: int = DEFAULT_GRID_HI
     kernel: str = "gaussian"
     seed: int = 0
-    selection_scope: str = SELECTION_PER_SIMULATION
 
     def __post_init__(self):
         if self.n_simulations < 1:
@@ -87,11 +86,6 @@ class TiConfig:
             raise ValueError(
                 "min_samples must exceed holdout_per_spread so each valid "
                 "spread keeps at least one training sample"
-            )
-        if self.selection_scope not in SELECTION_SCOPES:
-            raise ValueError(
-                f"selection_scope must be one of {SELECTION_SCOPES}, "
-                f"got {self.selection_scope!r}"
             )
         _validate_shared(self)
 
@@ -194,10 +188,16 @@ class _Tally:
 
     __slots__ = ("wins", "losses", "pushes")
 
-    def __init__(self):
-        self.wins = 0
-        self.losses = 0
-        self.pushes = 0
+    def __init__(self, wins: int = 0, losses: int = 0, pushes: int = 0):
+        self.wins = wins
+        self.losses = losses
+        self.pushes = pushes
+
+    @classmethod
+    def of(cls, results: np.ndarray) -> _Tally:
+        """Count an array of ``settle_ats`` results."""
+        losses, pushes, wins = np.bincount(results.ravel() + 1, minlength=3).tolist()
+        return cls(wins, losses, pushes)
 
     def add(self, result: AtsResult) -> None:
         if result is AtsResult.WIN:
@@ -238,10 +238,6 @@ def summarize(per_simulation_win_pcts: Sequence[float]) -> tuple[float, float | 
     return mean, float(np.std(values, ddof=1) / math.sqrt(len(values)))
 
 
-def _ranked_indices(profile: BiasProfile) -> list[int]:
-    return sorted(range(len(profile.entries)), key=lambda j: _bias_rank(profile.entries[j]))
-
-
 def _threshold_k(profile: BiasProfile) -> int:
     return sum(1 for e in profile.entries if e.entropy_bits < profile.threshold)
 
@@ -255,6 +251,10 @@ def run_ti(dataset: Dataset, config: TiConfig) -> EvaluationReport:
     spread index), fits the bias profile on the remainder, and settles
     every strategy's wagers on the held-out outcomes. Win percentages are
     aggregated across simulations as mean and SEM.
+
+    A simulation works on one (spreads x grid) block: each spread's
+    training histogram is its full-bucket histogram minus that of its
+    holdouts, and all spreads are smoothed and settled together.
     """
     grid = config.grid()
     buckets = bucket_by_spread(dataset, config.min_samples)
@@ -268,139 +268,95 @@ def run_ti(dataset: Dataset, config: TiConfig) -> EvaluationReport:
                 f"spread {bucket.spread:g} has {len(bucket)} samples, too few "
                 f"to hold out {config.holdout_per_spread} and still train"
             )
-    spreads = [b.spread for b in buckets]
+    spreads = np.array([b.spread for b in buckets])
     n_spreads = len(buckets)
-    bucket_arrays = [np.asarray(b.outcomes, dtype=np.int64) for b in buckets]
+    n_sims = config.n_simulations
+    holdout = config.holdout_per_spread
+    sizes = [len(b) for b in buckets]
+    starts = np.cumsum([0] + sizes[:-1])[:, None]
+    all_outcomes = np.concatenate([np.asarray(b.outcomes, dtype=np.int64) for b in buckets])
+    full_counts = np.vstack([outcome_counts(b.outcomes, grid) for b in buckets])
 
-    # Pass 1: per-simulation holdout splits and training profiles.
-    sim_profiles: list[BiasProfile] = []
-    sim_tests: list[list[np.ndarray]] = []
-    for sim in range(config.n_simulations):
-        train_buckets = []
-        test_sets = []
-        for j, outcomes in enumerate(bucket_arrays):
-            rng = _stream(config.seed, _HOLDOUT_STREAM, sim, j)
-            test_idx = np.sort(
-                rng.choice(outcomes.size, size=config.holdout_per_spread, replace=False)
-            )
-            mask = np.zeros(outcomes.size, dtype=bool)
-            mask[test_idx] = True
-            train_buckets.append(
-                SpreadBucket(spreads[j], tuple(int(v) for v in outcomes[~mask]))
-            )
-            test_sets.append(outcomes[mask])
-        sim_profiles.append(
-            build_profile(
-                train_buckets, config.bandwidth, grid, config.entropy_threshold, config.kernel
-            )
-        )
-        sim_tests.append(test_sets)
-
-    # Optional global selection from across-simulation mean entropies.
-    global_min_idx: int | None = None
-    global_selected: list[int] | None = None
-    if config.selection_scope == SELECTION_MEAN_ENTROPY:
-        mean_entropy = [
-            float(np.mean([p.entries[j].entropy_bits for p in sim_profiles]))
-            for j in range(n_spreads)
-        ]
-        order = sorted(
-            range(n_spreads), key=lambda j: (mean_entropy[j], abs(spreads[j]), spreads[j])
-        )
-        k_global = sum(1 for e in mean_entropy if e < config.entropy_threshold)
-        global_min_idx = order[0]
-        global_selected = order[:k_global]
-
-    # Pass 2: settle wagers per simulation.
-    model_names = (MODEL_RANDOM, MODEL_MAX_PROB, MODEL_MIN_ENTROPY, MODEL_K_LOWEST)
-    totals = {name: _Tally() for name in model_names}
-    sim_pcts: dict[str, list[float]] = {name: [] for name in model_names}
+    totals = {name: _Tally() for name in MODEL_NAMES}
+    sim_pcts: dict[str, list[float]] = {name: [] for name in MODEL_NAMES}
     selection_counter: Counter[float] = Counter()
     ks: list[int] = []
+    p_homes = np.empty((n_spreads, n_sims))
+    entropies = np.empty((n_spreads, n_sims))
 
-    for sim in range(config.n_simulations):
-        profile = sim_profiles[sim]
-        tests = sim_tests[sim]
-        tally = {name: _Tally() for name in model_names}
+    for sim in range(n_sims):
+        picks = np.array([
+            _stream(config.seed, _HOLDOUT_STREAM, sim, j).choice(size, holdout, replace=False)
+            for j, size in enumerate(sizes)
+        ])
+        # Holdouts in bucket order, so they pair with the coin flips below
+        # exactly as a per-outcome loop would.
+        tests = all_outcomes[starts + np.sort(picks, axis=1)]
+        mass = densities(
+            full_counts - outcome_counts(tests, grid), config.bandwidth, grid, config.kernel
+        )
+        p_home = cover_probabilities(mass, grid, spreads)
+        entropy = np.array([binary_entropy(p) for p in p_home.tolist()])
+        p_homes[:, sim] = p_home
+        entropies[:, sim] = entropy
 
-        guess_rng = _stream(config.seed, _GUESS_STREAM, sim)
-        for j, entry in enumerate(profile.entries):
-            mp_decision = predict_max_prob(entry)
-            for outcome in tests[j].tolist():
-                tally[MODEL_RANDOM].add(
-                    score_ats(predict_random(guess_rng), outcome, entry.spread)
-                )
-                tally[MODEL_MAX_PROB].add(score_ats(mp_decision, outcome, entry.spread))
-
-        if config.selection_scope == SELECTION_MEAN_ENTROPY:
-            min_idx = global_min_idx
-            selected = global_selected
-        else:
-            order = _ranked_indices(profile)
-            min_idx = order[0]
-            selected = order[: _threshold_k(profile)]
-
-        entry = profile.entries[min_idx]
-        decision = predict_max_prob(entry)
-        for outcome in tests[min_idx].tolist():
-            tally[MODEL_MIN_ENTROPY].add(score_ats(decision, outcome, entry.spread))
-
-        for j in selected:
-            entry = profile.entries[j]
-            decision = predict_max_prob(entry)
-            for outcome in tests[j].tolist():
-                tally[MODEL_K_LOWEST].add(score_ats(decision, outcome, entry.spread))
+        # Coin flips in spread-then-holdout order; Visitor below 0.5, as
+        # in predict_random.
+        flips = _stream(config.seed, _GUESS_STREAM, sim).random(n_spreads * holdout)
+        random_results = settle_ats(
+            flips.reshape(n_spreads, holdout) < 0.5, tests, spreads[:, None]
+        )
+        # Max-prob side as in predict_max_prob: Visitor only on a strict edge.
+        results = settle_ats((1.0 - p_home > p_home)[:, None], tests, spreads[:, None])
+        # Same order as bias._bias_rank: entropy, then |spread|, then spread.
+        order = np.lexsort((spreads, np.abs(spreads), entropy))
+        selected = order[: np.count_nonzero(entropy < config.entropy_threshold)]
         ks.append(len(selected))
-        selection_counter.update(spreads[j] for j in selected)
+        selection_counter.update(spreads[selected].tolist())
 
-        for name in model_names:
-            totals[name].merge(tally[name])
-            pct = tally[name].pct
-            if pct is not None:
-                sim_pcts[name].append(pct)
+        sim_results = {
+            MODEL_RANDOM: random_results,
+            MODEL_MAX_PROB: results,
+            MODEL_MIN_ENTROPY: results[order[0]],
+            MODEL_K_LOWEST: results[selected],
+        }
+        for name, model_results in sim_results.items():
+            tally = _Tally.of(model_results)
+            totals[name].merge(tally)
+            if tally.pct is not None:
+                sim_pcts[name].append(tally.pct)
 
-    summaries = []
-    for name in model_names:
-        pcts = sim_pcts[name]
-        mean, sem = summarize(pcts) if pcts else (None, None)
-        k: int | None = None
-        if name == MODEL_MIN_ENTROPY:
-            k = 1
-        elif name == MODEL_K_LOWEST:
-            k = _modal_k(ks)
-        summaries.append(
-            ModelSummary(
-                model=name,
-                ats_win_pct=mean,
-                sem=sem,
-                n_test=totals[name].settled,
-                n_push=totals[name].pushes,
-                n_wins=totals[name].wins,
-                k=k,
-            )
+    model_k = {MODEL_MIN_ENTROPY: 1, MODEL_K_LOWEST: _modal_k(ks)}
+    summaries = tuple(
+        ModelSummary(
+            name,
+            *(summarize(sim_pcts[name]) if sim_pcts[name] else (None, None)),
+            n_test=totals[name].settled,
+            n_push=totals[name].pushes,
+            n_wins=totals[name].wins,
+            k=model_k.get(name),
         )
+        for name in MODEL_NAMES
+    )
 
-    profile_rows = []
-    for j in range(n_spreads):
-        entropies = [p.entries[j].entropy_bits for p in sim_profiles]
-        p_homes = [p.entries[j].p_home for p in sim_profiles]
-        profile_rows.append(
-            {
-                "spread": spreads[j],
-                "p_home": float(np.mean(p_homes)),
-                "entropy_bits": float(np.mean(entropies)),
-                "entropy_sd": float(np.std(entropies, ddof=1)) if len(entropies) > 1 else None,
-                "n_train": len(buckets[j]) - config.holdout_per_spread,
-            }
-        )
+    profile_rows = tuple(
+        {
+            "spread": bucket.spread,
+            "p_home": float(np.mean(p_homes[j])),
+            "entropy_bits": float(np.mean(entropies[j])),
+            "entropy_sd": float(np.std(entropies[j], ddof=1)) if n_sims > 1 else None,
+            "n_train": len(bucket) - holdout,
+        }
+        for j, bucket in enumerate(buckets)
+    )
 
     return EvaluationReport(
         protocol="ti",
         config=asdict(config),
-        valid_spreads=tuple(spreads),
-        n_test_samples=config.n_simulations * config.holdout_per_spread * n_spreads,
-        models=tuple(summaries),
-        profile=tuple(profile_rows),
+        valid_spreads=tuple(b.spread for b in buckets),
+        n_test_samples=n_sims * holdout * n_spreads,
+        models=summaries,
+        profile=profile_rows,
         selection_counts=dict(selection_counter),
     )
 

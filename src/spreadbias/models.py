@@ -5,6 +5,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bias import BiasProfile, SpreadBias, k_lowest_spreads, min_entropy_spread
 
 
@@ -77,3 +79,16 @@ def score_ats(decision: Decision, outcome: int, spread: float) -> AtsResult:
         return AtsResult.PUSH
     covering = Decision.HOME if outcome < spread else Decision.VISITOR
     return AtsResult.WIN if decision is covering else AtsResult.LOSS
+
+
+def settle_ats(backs_visitor, outcomes, spreads) -> np.ndarray:
+    """Array form of ``score_ats``, element-wise over broadcast inputs.
+
+    ``backs_visitor`` is True where a wager backs the visitor and False
+    where it backs home. Returns 1 for a win, -1 for a loss and 0 for a
+    push.
+    """
+    outcomes = np.asarray(outcomes)
+    spreads = np.asarray(spreads)
+    won = (outcomes > spreads) == backs_visitor
+    return np.where(outcomes == spreads, 0, np.where(won, 1, -1))

@@ -128,6 +128,20 @@ class TestProfile:
         rows = read_csv_rows(out_dir / "hist_-2.5.csv")
         assert sum(int(r["count"]) for r in rows) == 36
 
+    @pytest.mark.parametrize("first", ["-0.0", "0"])
+    def test_pickem_files_labelled_zero_in_either_row_order(self, tmp_path, first):
+        second = "0" if first == "-0.0" else "-0.0"
+        lines = ["date,home_team,visitor_team,home_score,visitor_score,spread\n"]
+        for i in range(30):
+            spread = first if i == 0 else second
+            lines.append(f"2016-01-{i % 28 + 1:02d},H{i},V{i},20,{10 + i},{spread}\n")
+        games = tmp_path / "pickem.csv"
+        games.write_text("".join(lines), encoding="utf-8")
+        out_dir = tmp_path / "out"
+        assert main(["profile", "--input", str(games), "--out-dir", str(out_dir)]) == 0
+        assert [r["spread"] for r in read_csv_rows(out_dir / "profile.csv")] == ["0"]
+        assert sorted(p.name for p in out_dir.glob("*_*.csv")) == ["hist_0.0.csv", "pdf_0.0.csv"]
+
     def test_min_samples_too_large_fails(self, games_csv, tmp_path, capsys):
         code = main(
             ["profile", "--input", str(games_csv), "--out-dir", str(tmp_path / "o"),

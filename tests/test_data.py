@@ -94,6 +94,25 @@ class TestParseGames:
         ds = parse(HEADER + "2017-09-10,NE,KC,27,42,-2.5000001\n")
         assert ds.records[0].spread == -2.5
 
+    def test_repeated_required_column_is_schema_error(self):
+        with pytest.raises(SchemaError, match="repeated.*spread"):
+            parse(
+                "date,home_team,visitor_team,home_score,visitor_score,spread,spread\n"
+                "2017-09-10,NE,KC,27,42,-9.0,3.0\n"
+            )
+
+    @pytest.mark.parametrize("first,second", [("-0.0", "0"), ("0", "-0.0")])
+    def test_pickem_spread_label_is_zero_in_either_row_order(self, first, second):
+        ds = parse(
+            HEADER
+            + f"2017-09-10,NE,KC,27,42,{first}\n"
+            + f"2017-09-11,GB,SEA,20,17,{second}\n"
+        )
+        [bucket] = bucket_by_spread(ds, 1)
+        assert len(bucket) == 2
+        assert f"{bucket.spread:g}" == "0"
+        assert f"{bucket.spread:.1f}" == "0.0"
+
     def test_row_order_preserved(self):
         ds = parse(
             HEADER

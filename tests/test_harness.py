@@ -16,7 +16,6 @@ from spreadbias import (
 )
 from spreadbias.bias import build_profile
 from spreadbias.data import bucket_by_spread
-from spreadbias.harness import SELECTION_MEAN_ENTROPY
 from spreadbias.models import (
     MODEL_K_LOWEST,
     MODEL_MAX_PROB,
@@ -135,22 +134,6 @@ class TestRunTi:
         assert report.selection_counts == {}
         for row in report.profile:
             assert row["entropy_bits"] > 0.99
-
-    def test_mean_entropy_selection_scope(self):
-        ds = synthetic_spread_dataset(
-            HALF_SPREADS, 40, cover_probs={-2.5: 0.9}, seed=13
-        )
-        config = TiConfig(n_simulations=6, seed=4, selection_scope=SELECTION_MEAN_ENTROPY)
-        report = run_ti(ds, config)
-        # Global selection: each selected spread is picked in every
-        # simulation or in none.
-        for count in report.selection_counts.values():
-            assert count == config.n_simulations
-        assert -2.5 in report.selection_counts
-
-    def test_invalid_selection_scope(self):
-        with pytest.raises(ValueError):
-            TiConfig(selection_scope="sometimes")
 
     def test_holdout_split_disjoint_and_exhaustive(self):
         # With all-distinct outcomes the train/test multiset split is

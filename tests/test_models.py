@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spreadbias import (
     AtsResult,
@@ -15,6 +17,7 @@ from spreadbias import (
     predict_random,
     score_ats,
 )
+from spreadbias.models import settle_ats
 
 
 class QueuedRng:
@@ -134,3 +137,40 @@ class TestScoreAts:
             spread = float(rng.integers(-20, 20)) + 0.5
             decision = Decision.HOME if rng.random() < 0.5 else Decision.VISITOR
             assert score_ats(decision, outcome, spread) is not AtsResult.PUSH
+
+
+ATS_CODES = {AtsResult.WIN: 1, AtsResult.LOSS: -1, AtsResult.PUSH: 0}
+#: Whole- and half-point spreads, plus arbitrary tenths, on the input scale.
+SPREADS = st.one_of(
+    st.integers(-30, 30).map(float),
+    st.integers(-30, 29).map(lambda v: v + 0.5),
+    st.integers(-300, 300).map(lambda v: round(v / 10, 1) + 0.0),
+)
+
+
+class TestSettleAts:
+    @given(
+        st.lists(
+            st.tuples(st.booleans(), st.integers(-60, 60), SPREADS), min_size=1, max_size=40
+        )
+    )
+    def test_equals_score_ats_elementwise(self, wagers):
+        visitor, outcomes, spreads = map(np.array, zip(*wagers))
+        expected = [
+            ATS_CODES[score_ats(Decision.VISITOR if v else Decision.HOME, o, s)]
+            for v, o, s in wagers
+        ]
+        assert settle_ats(visitor, outcomes, spreads).tolist() == expected
+
+    @given(st.integers(-30, 30), st.booleans())
+    def test_integer_spread_pushes_at_equal_margin(self, spread, visitor):
+        assert settle_ats(visitor, [spread], [float(spread)]).tolist() == [0]
+
+    def test_broadcasts_one_side_per_row(self):
+        outcomes = np.array([[-7, 0, -3], [5, 2, 1]])
+        spreads = np.array([[-3.0], [1.5]])
+        backs_visitor = np.array([[False], [True]])
+        assert settle_ats(backs_visitor, outcomes, spreads).tolist() == [
+            [1, -1, 0],
+            [1, 1, -1],
+        ]
