@@ -6,16 +6,7 @@ import csv
 import datetime as dt
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
-
-REQUIRED_COLUMNS = (
-    "date",
-    "home_team",
-    "visitor_team",
-    "home_score",
-    "visitor_score",
-    "spread",
-)
+from typing import Iterable, Iterator, NamedTuple
 
 #: Lines starting with this prefix are treated as comments (run manifests
 #: embedded in emitted CSVs use it) and skipped by the parser.
@@ -47,9 +38,8 @@ class DuplicateConflictError(ValueError):
         self.second = second
 
 
-@dataclass(frozen=True)
-class GameRecord:
-    """One completed game with its closing spread.
+class GameRecord(NamedTuple):
+    """One completed game with its closing spread, as an immutable named tuple.
 
     The spread is quoted on the (visitor - home) scale: negative values
     mean the home team is favored.
@@ -70,7 +60,11 @@ class GameRecord:
     @property
     def key(self) -> tuple[dt.date, str, str]:
         """Identity of the game: (date, home_team, visitor_team)."""
-        return (self.date, self.home_team, self.visitor_team)
+        return self[:3]
+
+
+#: The input header must name every record field, in any order.
+REQUIRED_COLUMNS = GameRecord._fields
 
 
 @dataclass(frozen=True)
@@ -106,7 +100,7 @@ def parse_games(source: Iterable[str]) -> Dataset:
     non-negative integers; spreads are finite numbers, rounded to one
     decimal place on input because they are half-point market quotes
     (``-0`` reads as ``0``). Blank lines and ``#`` comment lines are
-    skipped. Row order is preserved.
+    skipped. A quoted field may not span lines. Row order is preserved.
 
     Raises SchemaError when the header is absent, incomplete, or repeats
     a required column, and ParseError (carrying the offending line
@@ -120,70 +114,67 @@ def parse_games(source: Iterable[str]) -> Dataset:
     if not numbered:
         raise SchemaError("empty input: a header row is required")
 
-    _, header_line = numbered[0]
-    header = [name.strip() for name in next(csv.reader([header_line]))]
-    missing = [c for c in REQUIRED_COLUMNS if c not in header]
-    if missing:
-        raise SchemaError(f"missing required column(s): {', '.join(missing)}")
-    repeated = [c for c in REQUIRED_COLUMNS if header.count(c) > 1]
-    if repeated:
-        raise SchemaError(f"repeated required column(s): {', '.join(repeated)}")
-    col = {name: header.index(name) for name in REQUIRED_COLUMNS}
+    # One reader over the kept lines: reader.line_num counts kept lines, so
+    # row i (the header is row 0) starts on physical line line_nums[i], and
+    # it spans lines if the reader has consumed more than i + 1 of them.
+    line_nums = [n for n, _ in numbered]
+    reader = csv.reader([line for _, line in numbered])
+    try:
+        header = [name.strip() for name in next(reader)]
+        if reader.line_num != 1:
+            raise ParseError(line_nums[0], "quoted field spans lines")
+        missing = [c for c in REQUIRED_COLUMNS if c not in header]
+        if missing:
+            raise SchemaError(f"missing required column(s): {', '.join(missing)}")
+        repeated = [c for c in REQUIRED_COLUMNS if header.count(c) > 1]
+        if repeated:
+            raise SchemaError(f"repeated required column(s): {', '.join(repeated)}")
+        n_fields = len(header)
+        i_date, i_home, i_visitor, i_hs, i_vs, i_spread = map(header.index, REQUIRED_COLUMNS)
 
-    records = []
-    for line_num, line in numbered[1:]:
-        fields = next(csv.reader([line]))
-        if len(fields) != len(header):
-            raise ParseError(
-                line_num, f"expected {len(header)} fields, found {len(fields)}"
-            )
-        records.append(_parse_row(fields, col, line_num))
+        records = []
+        for i, fields in enumerate(reader, start=1):
+            line_num = line_nums[i]
+            if reader.line_num != i + 1:
+                raise ParseError(line_num, "quoted field spans lines")
+            if len(fields) != n_fields:
+                raise ParseError(line_num, f"expected {n_fields} fields, found {len(fields)}")
+            raw = fields[i_date].strip()
+            try:
+                date = dt.date.fromisoformat(raw)
+            except ValueError:
+                raise ParseError(line_num, f"invalid date {raw!r} (expected YYYY-MM-DD)") from None
+            home_team = fields[i_home].strip()
+            if not home_team:
+                raise ParseError(line_num, "empty home_team")
+            visitor_team = fields[i_visitor].strip()
+            if not visitor_team:
+                raise ParseError(line_num, "empty visitor_team")
+            home_score = _score(fields[i_hs].strip(), "home_score", line_num)
+            visitor_score = _score(fields[i_vs].strip(), "visitor_score", line_num)
+            raw = fields[i_spread].strip()
+            try:
+                spread = float(raw)
+            except ValueError:
+                raise ParseError(line_num, f"non-numeric spread {raw!r}") from None
+            if not math.isfinite(spread):
+                raise ParseError(line_num, f"non-finite spread {raw!r}")
+            # Adding 0.0 turns -0.0 into 0.0, so a pick'em spread gets one label.
+            records.append(GameRecord(date, home_team, visitor_team, home_score,
+                                      visitor_score, round(spread, 1) + 0.0))
+    except csv.Error as exc:
+        raise ParseError(line_nums[reader.line_num - 1], f"unreadable CSV: {exc}") from None
     return Dataset(tuple(records))
 
 
-def _parse_row(fields: list[str], col: dict[str, int], line_num: int) -> GameRecord:
-    raw = {name: fields[idx].strip() for name, idx in col.items()}
-
+def _score(raw: str, name: str, line_num: int) -> int:
     try:
-        date = dt.date.fromisoformat(raw["date"])
+        score = int(raw)
     except ValueError:
-        raise ParseError(
-            line_num, f"invalid date {raw['date']!r} (expected YYYY-MM-DD)"
-        ) from None
-
-    for team_field in ("home_team", "visitor_team"):
-        if not raw[team_field]:
-            raise ParseError(line_num, f"empty {team_field}")
-
-    scores = {}
-    for score_field in ("home_score", "visitor_score"):
-        try:
-            scores[score_field] = int(raw[score_field])
-        except ValueError:
-            raise ParseError(
-                line_num, f"non-integer {score_field} {raw[score_field]!r}"
-            ) from None
-        if scores[score_field] < 0:
-            raise ParseError(
-                line_num, f"negative {score_field} {raw[score_field]!r}"
-            )
-
-    try:
-        spread = float(raw["spread"])
-    except ValueError:
-        raise ParseError(line_num, f"non-numeric spread {raw['spread']!r}") from None
-    if not math.isfinite(spread):
-        raise ParseError(line_num, f"non-finite spread {raw['spread']!r}")
-
-    return GameRecord(
-        date=date,
-        home_team=raw["home_team"],
-        visitor_team=raw["visitor_team"],
-        home_score=scores["home_score"],
-        visitor_score=scores["visitor_score"],
-        # Adding 0.0 turns -0.0 into 0.0, so a pick'em spread gets one label.
-        spread=round(spread, 1) + 0.0,
-    )
+        raise ParseError(line_num, f"non-integer {name} {raw!r}") from None
+    if score < 0:
+        raise ParseError(line_num, f"negative {name} {raw!r}")
+    return score
 
 
 def deduplicate(dataset: Dataset) -> Dataset:
@@ -194,15 +185,12 @@ def deduplicate(dataset: Dataset) -> Dataset:
     DuplicateConflictError rather than silently picking a winner.
     """
     seen: dict[tuple[dt.date, str, str], GameRecord] = {}
-    kept = []
     for record in dataset:
-        prior = seen.get(record.key)
-        if prior is None:
-            seen[record.key] = record
-            kept.append(record)
-        elif prior != record:
+        prior = seen.setdefault(record.key, record)
+        if prior is not record and prior != record:
             raise DuplicateConflictError(prior, record)
-    return Dataset(tuple(kept))
+    # Dicts keep insertion order, so the values are the first occurrences.
+    return Dataset(tuple(seen.values()))
 
 
 def bucket_by_spread(dataset: Dataset, min_samples: int) -> list[SpreadBucket]:

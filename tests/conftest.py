@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import csv
 import datetime as dt
+import io
 import math
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from spreadbias import Dataset, GameRecord, deduplicate, parse_games
 
@@ -33,6 +36,23 @@ def make_record(
         visitor_score=visitor_score,
         spread=spread,
     )
+
+
+#: Team names as the parser returns them: no surrounding whitespace, no
+#: control characters (so no line breaks).
+TEAMS = st.text(st.characters(blacklist_categories=("Cc", "Cs")), min_size=1, max_size=12).filter(
+    lambda name: name == name.strip()
+)
+#: Any record the parser can return: spreads are canonical one-decimal floats.
+GAME_RECORDS = st.builds(
+    GameRecord,
+    date=st.dates(),
+    home_team=TEAMS,
+    visitor_team=TEAMS,
+    home_score=st.integers(0, 200),
+    visitor_score=st.integers(0, 200),
+    spread=st.integers(-300, 300).map(lambda tenths: round(tenths / 10, 1) + 0.0),
+)
 
 
 def synthetic_spread_dataset(
@@ -78,18 +98,21 @@ def synthetic_spread_dataset(
     return Dataset(tuple(records))
 
 
-def dataset_csv_lines(dataset: Dataset) -> list[str]:
-    lines = ["date,home_team,visitor_team,home_score,visitor_score,spread\n"]
-    for r in dataset:
-        lines.append(
-            f"{r.date.isoformat()},{r.home_team},{r.visitor_team},"
-            f"{r.home_score},{r.visitor_score},{r.spread}\n"
-        )
-    return lines
+def dataset_csv_text(dataset: Dataset) -> str:
+    """The dataset as input CSV, quoting team names where csv needs it."""
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(GameRecord._fields)
+    writer.writerows(
+        (r.date.isoformat(), r.home_team, r.visitor_team, r.home_score, r.visitor_score,
+         repr(r.spread))
+        for r in dataset
+    )
+    return text.getvalue()
 
 
 def write_dataset_csv(path: Path, dataset: Dataset) -> Path:
-    path.write_text("".join(dataset_csv_lines(dataset)), encoding="utf-8")
+    path.write_text(dataset_csv_text(dataset), encoding="utf-8")
     return path
 
 

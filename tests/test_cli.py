@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import csv
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from spreadbias import Dataset
 from spreadbias.cli import main
-from conftest import synthetic_spread_dataset, write_dataset_csv
+from conftest import GAME_RECORDS, synthetic_spread_dataset, write_dataset_csv
 
 SPREADS = [-6.5, -4.5, -2.5, 1.5, 3.5]
 
@@ -96,6 +100,32 @@ class TestIngest:
         code = main(["ingest", "--input", str(bad), "--out-dir", str(tmp_path / "o")])
         assert code == 1
         assert "line 3" in capsys.readouterr().err
+
+    def test_unreadable_csv_exit_code_and_diagnostics(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(
+            "date,home_team,visitor_team,home_score,visitor_score,spread\n"
+            "2017-09-10,NE,KC,27,42,-9.0\n"
+            f"2017-09-11,{'N' * 200_000},SEA,3,10,1.5\n"
+        )
+        code = main(["ingest", "--input", str(bad), "--out-dir", str(tmp_path / "o")])
+        assert code == 1
+        assert f"error: {bad}: line 3: " in capsys.readouterr().err
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(GAME_RECORDS, max_size=15, unique_by=lambda r: r.key))
+    def test_reingest_of_own_output_is_byte_identical(self, records):
+        with tempfile.TemporaryDirectory() as name:
+            tmp = Path(name)
+            first, second = tmp / "first" / "dataset.csv", tmp / "second" / "dataset.csv"
+            write_dataset_csv(tmp / "games.csv", Dataset(tuple(records)))
+            assert main(["ingest", "--input", str(tmp / "games.csv"),
+                         "--out-dir", str(first.parent)]) == 0
+            assert main(["ingest", "--input", str(first), "--out-dir", str(second.parent)]) == 0
+            first_lines = first.read_bytes().split(b"\n", 1)
+            second_lines = second.read_bytes().split(b"\n", 1)
+            assert first_lines[0].startswith(b"# manifest ")
+            assert first_lines[1] == second_lines[1]
 
 
 class TestProfile:

@@ -6,6 +6,8 @@ import datetime as dt
 import io
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spreadbias import (
     Dataset,
@@ -18,9 +20,10 @@ from spreadbias import (
     parse_games,
     split_by_date,
 )
-from conftest import make_record, synthetic_spread_dataset
+from conftest import GAME_RECORDS, dataset_csv_text, make_record, synthetic_spread_dataset
 
 HEADER = "date,home_team,visitor_team,home_score,visitor_score,spread\n"
+GOOD_ROW = "2017-09-10,NE,KC,27,42,-9.0\n"
 
 
 def parse(text: str) -> Dataset:
@@ -120,6 +123,87 @@ class TestParseGames:
             + "2014-12-07,DAL,PHI,38,27,3.0\n"
         )
         assert [r.home_team for r in ds] == ["NE", "DAL"]
+
+    # Each bad row also breaks every field checked after the one named, so
+    # the table pins the check order as well as the message.
+    @pytest.mark.parametrize(
+        "row,message",
+        [
+            ("10 Sep 2017,,,x,-1,nan", "invalid date '10 Sep 2017' (expected YYYY-MM-DD)"),
+            ("2017-09-11, ,,x,-1,nan", "empty home_team"),
+            ("2017-09-11,NE,,x,-1,nan", "empty visitor_team"),
+            ("2017-09-11,NE,KC,27.5,x,nan", "non-integer home_score '27.5'"),
+            ("2017-09-11,NE,KC,27,x,nan", "non-integer visitor_score 'x'"),
+            ("2017-09-11,NE,KC, -3 ,x,nan", "negative home_score '-3'"),
+            ("2017-09-11,NE,KC,27,-1,nan", "negative visitor_score '-1'"),
+            ("2017-09-11,NE,KC,27,42,pickem", "non-numeric spread 'pickem'"),
+            ("2017-09-11,NE,KC,27,42,-inf", "non-finite spread '-inf'"),
+            ("10 Sep 2017,,,x,-1", "expected 6 fields, found 5"),
+        ],
+    )
+    def test_bad_row_line_number_and_message(self, row, message):
+        # Physical line 5: a comment, the header, a good row and a blank line
+        # come first, all with CRLF endings.
+        text = "\r\n".join(
+            ["# manifest {}", HEADER.strip(), GOOD_ROW.strip(), "", row, ""]
+        )
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert exc.value.line_num == 5
+        assert str(exc.value) == f"line 5: {message}"
+
+    def test_field_over_csv_size_limit_reports_line_number(self):
+        with pytest.raises(ParseError) as exc:
+            parse(HEADER + GOOD_ROW + f"2017-09-11,{'N' * 200_000},KC,27,42,-9.0\n")
+        assert exc.value.line_num == 3
+        assert "field larger than field limit" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "text,line_num",
+        [
+            (HEADER + GOOD_ROW + '2017-09-11,"N\nE",KC,27,42,-9.0\n', 3),
+            (HEADER + GOOD_ROW + '2017-09-11,"NE,KC,27,42,-9.0\n' + GOOD_ROW, 3),
+            ('# manifest {}\ndate,"home_team\n",visitor_team,home_score,visitor_score,spread\n', 2),
+        ],
+        ids=["closed-on-next-line", "never-closed", "header"],
+    )
+    def test_quoted_field_spanning_lines_is_rejected(self, text, line_num):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert exc.value.line_num == line_num
+        assert str(exc.value) == f"line {line_num}: quoted field spans lines"
+
+    @given(st.integers(-40, 40).map(lambda halves: halves / 2))
+    def test_equivalent_spread_spellings_give_one_record(self, spread):
+        spellings = [f"{spread:g}", f"{spread:.1f}", f"{spread:.2f}", f" {spread:g} "]
+        if spread >= 0:
+            spellings.append(f"+{spread:g}")
+        if spread == 0:
+            spellings += ["-0", "-0.0"]
+        records = [
+            parse(HEADER + f"2017-09-10,NE,KC,27,42,{spelling}\n").records[0]
+            for spelling in spellings
+        ]
+        assert len(set(records)) == 1
+        assert len({(f"{r.spread:g}", f"{r.spread:.1f}") for r in records}) == 1
+
+    @given(st.lists(GAME_RECORDS, max_size=20))
+    def test_written_records_parse_back_equal_in_order(self, records):
+        dataset = Dataset(tuple(records))
+        assert parse(dataset_csv_text(dataset)) == dataset
+
+
+class TestGameRecord:
+    def test_immutable_hashable_and_equal_by_value(self):
+        record = make_record()
+        assert record == make_record()
+        assert len({record, make_record()}) == 1
+        with pytest.raises(AttributeError):
+            record.spread = 1.0
+
+    def test_key_is_date_and_teams(self):
+        record = make_record()
+        assert record.key == (dt.date(2016, 10, 2), "AAA", "BBB")
 
 
 class TestDeduplicate:
