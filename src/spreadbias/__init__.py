@@ -15,6 +15,7 @@ from .bias import (
     build_profile,
     k_lowest_spreads,
     min_entropy_spread,
+    rank_spreads,
 )
 from .data import (
     Dataset,
@@ -49,10 +50,7 @@ from .harness import (
 from .models import (
     AtsResult,
     Decision,
-    Wager,
-    predict_k_lowest,
     predict_max_prob,
-    predict_min_entropy,
     predict_random,
     score_ats,
 )
@@ -76,7 +74,6 @@ __all__ = [
     "SpreadBucket",
     "TdConfig",
     "TiConfig",
-    "Wager",
     "DEFAULT_BANDWIDTH",
     "DEFAULT_ENTROPY_THRESHOLD",
     "KERNELS",
@@ -89,10 +86,9 @@ __all__ = [
     "k_lowest_spreads",
     "min_entropy_spread",
     "parse_games",
-    "predict_k_lowest",
     "predict_max_prob",
-    "predict_min_entropy",
     "predict_random",
+    "rank_spreads",
     "run_td",
     "run_ti",
     "score_ats",

@@ -10,11 +10,19 @@ wagering.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
+import numpy as np
+
 from .data import SpreadBucket
-from .density import DEFAULT_BANDWIDTH, OutcomeGrid, estimate_density, home_cover_probability
+from .density import (
+    DEFAULT_BANDWIDTH,
+    OutcomeGrid,
+    cover_probabilities,
+    densities,
+    outcome_counts,
+)
 
 DEFAULT_ENTROPY_THRESHOLD = 0.95
 
@@ -47,15 +55,35 @@ class SpreadBias:
 
 @dataclass(frozen=True)
 class BiasProfile:
-    """Per-spread bias entries, sorted by spread, plus the entropy threshold."""
+    """Per-spread bias entries, sorted by spread, plus the entropy threshold.
+
+    ``mass`` holds the estimated outcome density behind each entry, one
+    grid row per entry, when the profile came from ``build_profile``.
+    """
 
     entries: tuple[SpreadBias, ...]
     threshold: float = DEFAULT_ENTROPY_THRESHOLD
+    mass: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         spreads = [e.spread for e in self.entries]
         if len(set(spreads)) != len(spreads):
             raise ValueError("profile entries must have unique spreads")
+
+
+def profile_arrays(
+    counts: np.ndarray, spreads, bandwidth: float, grid: OutcomeGrid, kernel: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Densities, home cover probabilities and entropies of a
+    (spreads x grid) block of outcome counts, one row per spread.
+
+    A prefix sum over a mass row that sums to 1 can round to just above
+    1 (1.0000000000000002), so cover probabilities are capped at 1.0
+    before their entropy is taken.
+    """
+    mass = densities(counts, bandwidth, grid, kernel)
+    p_home = np.minimum(cover_probabilities(mass, grid, spreads), 1.0)
+    return mass, p_home, np.array([binary_entropy(p) for p in p_home.tolist()])
 
 
 def build_profile(
@@ -69,34 +97,39 @@ def build_profile(
 
     For each bucket: estimate the outcome density, integrate it up to the
     bucket's spread to get the home cover probability, and take the binary
-    entropy of that probability.
+    entropy of that probability. All buckets go through ``profile_arrays``
+    as one block, as in each TI simulation; the densities are kept as the
+    profile's ``mass``.
     """
-    entries = []
-    for bucket in sorted(buckets, key=lambda b: b.spread):
-        density = estimate_density(bucket.outcomes, bandwidth, grid, kernel)
-        p_home = home_cover_probability(density, bucket.spread)
-        entries.append(
-            SpreadBias(
-                spread=bucket.spread,
-                p_home=p_home,
-                p_visitor=1.0 - p_home,
-                entropy_bits=binary_entropy(p_home),
-                n_train=len(bucket),
-            )
-        )
-    return BiasProfile(tuple(entries), threshold)
+    buckets = sorted(buckets, key=lambda b: b.spread)
+    spreads = [b.spread for b in buckets]
+    counts = np.zeros((0, len(grid)))
+    if buckets:
+        counts = np.vstack([outcome_counts(b.outcomes, grid) for b in buckets])
+    mass, p_home, entropy = profile_arrays(counts, spreads, bandwidth, grid, kernel)
+    entries = tuple(
+        SpreadBias(spread, p, 1.0 - p, h, len(bucket))
+        for spread, p, h, bucket in zip(spreads, p_home.tolist(), entropy.tolist(), buckets)
+    )
+    return BiasProfile(entries, threshold, mass)
 
 
-def _bias_rank(entry: SpreadBias) -> tuple[float, float, float]:
-    # Deterministic ordering: entropy ascending, ties by |spread| then spread.
-    return (entry.entropy_bits, abs(entry.spread), entry.spread)
+def rank_spreads(entropy, spreads, threshold: float) -> tuple[np.ndarray, int]:
+    """Rank spreads from most to least biased, and count the biased ones.
+
+    ``order`` sorts by entropy ascending, ties by |spread| then spread;
+    ``k`` is the number of entropies strictly below ``threshold``
+    (possibly zero). The k-Lowest strategy wagers at ``order[:k]`` and
+    Min-Ent at ``order[0]``.
+    """
+    entropy = np.asarray(entropy, dtype=np.float64)
+    order = np.lexsort((spreads, np.abs(spreads), entropy))
+    return order, int(np.count_nonzero(entropy < threshold))
 
 
 def min_entropy_spread(profile: BiasProfile) -> SpreadBias:
     """The most biased entry: smallest entropy, ties by |spread| then spread."""
-    if not profile.entries:
-        raise ValueError("profile has no entries")
-    return min(profile.entries, key=_bias_rank)
+    return k_lowest_spreads(profile, 1)[0]
 
 
 def k_lowest_spreads(profile: BiasProfile, k: int | None = None) -> tuple[SpreadBias, ...]:
@@ -108,9 +141,13 @@ def k_lowest_spreads(profile: BiasProfile, k: int | None = None) -> tuple[Spread
     """
     if not profile.entries:
         raise ValueError("profile has no entries")
-    ranked = sorted(profile.entries, key=_bias_rank)
+    order, k_threshold = rank_spreads(
+        [e.entropy_bits for e in profile.entries],
+        [e.spread for e in profile.entries],
+        profile.threshold,
+    )
     if k is None:
-        k = sum(1 for e in profile.entries if e.entropy_bits < profile.threshold)
-    elif not 1 <= k <= len(ranked):
-        raise ValueError(f"k must lie in [1, {len(ranked)}], got {k}")
-    return tuple(ranked[:k])
+        k = k_threshold
+    elif not 1 <= k <= len(order):
+        raise ValueError(f"k must lie in [1, {len(order)}], got {k}")
+    return tuple(profile.entries[i] for i in order[:k].tolist())

@@ -31,7 +31,7 @@ from .data import (
     deduplicate,
     parse_games,
 )
-from .density import KERNELS, estimate_density
+from .density import KERNELS
 from .harness import EvaluationReport, TdConfig, TiConfig, run_td, run_ti
 from .models import MODEL_K_LOWEST, MODEL_MAX_PROB, MODEL_MIN_ENTROPY, MODEL_RANDOM
 
@@ -284,7 +284,8 @@ def cmd_profile(args: argparse.Namespace, options: dict) -> int:
             for e in profile.entries
         ),
     )
-    for bucket in buckets:
+    points = config.grid().points.tolist()
+    for bucket, mass in zip(buckets, profile.mass.tolist()):
         tag = _spread_tag(bucket.spread)
         counts: dict[int, int] = {}
         for outcome in bucket.outcomes:
@@ -295,15 +296,11 @@ def cmd_profile(args: argparse.Namespace, options: dict) -> int:
             ["outcome", "count"],
             ([str(v), str(c)] for v, c in sorted(counts.items())),
         )
-        density = estimate_density(bucket.outcomes, config.bandwidth, config.grid(), config.kernel)
         _write_csv(
             out_dir / f"pdf_{tag}.csv",
             manifest,
             ["grid_point", "mass"],
-            (
-                [str(int(p)), repr(float(m))]
-                for p, m in zip(density.grid.points, density.mass)
-            ),
+            ([str(p), repr(m)] for p, m in zip(points, mass)),
         )
     for entry in profile.entries:
         print(

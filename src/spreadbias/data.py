@@ -96,7 +96,7 @@ def parse_games(source: Iterable[str]) -> Dataset:
 
     The stream must begin with a header naming the six required columns
     (``date,home_team,visitor_team,home_score,visitor_score,spread``) in
-    any order; extra columns are ignored. Dates are ISO-8601; scores are
+    any order; extra columns are ignored. Dates are YYYY-MM-DD; scores are
     non-negative integers; spreads are finite numbers, rounded to one
     decimal place on input because they are half-point market quotes
     (``-0`` reads as ``0``). Blank lines and ``#`` comment lines are
@@ -141,6 +141,10 @@ def parse_games(source: Iterable[str]) -> Dataset:
                 raise ParseError(line_num, f"expected {n_fields} fields, found {len(fields)}")
             raw = fields[i_date].strip()
             try:
+                # fromisoformat also takes 20170910 and 2017-W36-7 on
+                # Python 3.11+, so the YYYY-MM-DD shape is checked first.
+                if len(raw) != 10 or raw[4] != "-" or raw[7] != "-":
+                    raise ValueError
                 date = dt.date.fromisoformat(raw)
             except ValueError:
                 raise ParseError(line_num, f"invalid date {raw!r} (expected YYYY-MM-DD)") from None

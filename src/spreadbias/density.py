@@ -95,13 +95,19 @@ def densities(
     Each row is smoothed with its own kernel-matrix-vector product: a
     single matrix-matrix product over all rows sums in a different order
     and drifts in the last bits, which would change reported values.
+    Raises ValueError for a non-positive bandwidth or an all-zero row.
     """
+    if not bandwidth > 0:
+        raise ValueError(f"bandwidth must be positive, got {bandwidth}")
     weights = _kernel_matrix(grid.lo, grid.hi, float(bandwidth), kernel)
     mass = np.empty(np.shape(counts), dtype=np.float64)
     for out, row in zip(mass, np.asarray(counts, dtype=np.float64)):
+        n = row.sum()
+        if not n:
+            raise ValueError("cannot estimate a density from zero outcomes")
         # Relative frequencies keep the estimate exactly invariant to
         # duplicating the whole sample (n identical points == one point).
-        smoothed = weights @ (row / row.sum())
+        smoothed = weights @ (row / n)
         out[:] = smoothed / smoothed.sum()
     return mass
 
@@ -141,11 +147,6 @@ def estimate_density(
         Mass renormalized to sum to 1 over the grid.
     """
     values = np.asarray(tuple(outcomes), dtype=np.int64)
-    if values.size == 0:
-        raise ValueError("cannot estimate a density from zero outcomes")
-    if not bandwidth > 0:
-        raise ValueError(f"bandwidth must be positive, got {bandwidth}")
-
     n_clamped = int(np.count_nonzero((values < grid.lo) | (values > grid.hi)))
     mass = densities(outcome_counts(values, grid), bandwidth, grid, kernel)[0]
     return OutcomeDensity(grid=grid, mass=mass, n_clamped=n_clamped)

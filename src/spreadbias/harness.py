@@ -18,16 +18,16 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .bias import (
     DEFAULT_ENTROPY_THRESHOLD,
     BiasProfile,
-    binary_entropy,
     build_profile,
-    _bias_rank,
+    profile_arrays,
+    rank_spreads,
 )
 from .data import Dataset, GameRecord, bucket_by_spread, split_by_date
 from .density import (
@@ -36,22 +36,9 @@ from .density import (
     DEFAULT_GRID_LO,
     KERNELS,
     OutcomeGrid,
-    cover_probabilities,
-    densities,
     outcome_counts,
 )
-from .models import (
-    MODEL_K_LOWEST,
-    MODEL_MAX_PROB,
-    MODEL_MIN_ENTROPY,
-    MODEL_NAMES,
-    MODEL_RANDOM,
-    AtsResult,
-    predict_max_prob,
-    predict_random,
-    score_ats,
-    settle_ats,
-)
+from .models import MODEL_K_LOWEST, MODEL_MIN_ENTROPY, MODEL_NAMES, settle_ats
 
 # Stream tags keep the holdout sampler and the coin-flip model on
 # non-overlapping deterministic substreams of the config seed.
@@ -183,34 +170,13 @@ def _spread_key(spread: float) -> str:
     return f"{spread:g}"
 
 
-class _Tally:
-    """Win/loss/push counter with push-excluded percentage."""
+class _Tally(NamedTuple):
+    """Loss, push and win counts (``settle_ats`` codes -1, 0 and 1, in
+    that order) with a push-excluded win percentage."""
 
-    __slots__ = ("wins", "losses", "pushes")
-
-    def __init__(self, wins: int = 0, losses: int = 0, pushes: int = 0):
-        self.wins = wins
-        self.losses = losses
-        self.pushes = pushes
-
-    @classmethod
-    def of(cls, results: np.ndarray) -> _Tally:
-        """Count an array of ``settle_ats`` results."""
-        losses, pushes, wins = np.bincount(results.ravel() + 1, minlength=3).tolist()
-        return cls(wins, losses, pushes)
-
-    def add(self, result: AtsResult) -> None:
-        if result is AtsResult.WIN:
-            self.wins += 1
-        elif result is AtsResult.LOSS:
-            self.losses += 1
-        else:
-            self.pushes += 1
-
-    def merge(self, other: _Tally) -> None:
-        self.wins += other.wins
-        self.losses += other.losses
-        self.pushes += other.pushes
+    losses: int
+    pushes: int
+    wins: int
 
     @property
     def settled(self) -> int:
@@ -221,6 +187,40 @@ class _Tally:
         if self.settled == 0:
             return None
         return 100.0 * self.wins / self.settled
+
+
+def _ranked_counts(results: np.ndarray, rows: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Loss/push/win counts of ``settle_ats`` results pooled over the first
+    k spreads of ``order``, one row for each k from 0 to all spreads.
+
+    ``rows`` holds the spread index of each result and broadcasts
+    against ``results``.
+    """
+    n = len(order)
+    counts = np.bincount((3 * rows + results + 1).ravel(), minlength=3 * n).reshape(n, 3)
+    return np.vstack([np.zeros((1, 3), dtype=counts.dtype), np.cumsum(counts[order], axis=0)])
+
+
+def _model_counts(random_results: np.ndarray, ranked: np.ndarray, k: int) -> np.ndarray:
+    """Loss/push/win counts, one row per strategy in ``MODEL_NAMES`` order,
+    from the Random results and the ``_ranked_counts`` of the Max-Prob
+    results: Max-Prob wagers at every spread, Min-Ent at the most biased
+    one and k-Lowest at the k most biased."""
+    random_counts = np.bincount(random_results.ravel() + 1, minlength=3)
+    return np.array([random_counts, ranked[-1], ranked[1], ranked[k]])
+
+
+def _summaries(totals: np.ndarray, estimates: list[tuple], k: int) -> tuple[ModelSummary, ...]:
+    """One ModelSummary per strategy from its row of pooled counts and its
+    (win percentage, SEM); ``k`` is the k-Lowest selection size."""
+    model_k = {MODEL_MIN_ENTROPY: 1, MODEL_K_LOWEST: k}
+    summaries = []
+    for name, counts, (pct, sem) in zip(MODEL_NAMES, totals.tolist(), estimates):
+        tally = _Tally(*counts)
+        summaries.append(ModelSummary(
+            name, pct, sem, tally.settled, tally.pushes, tally.wins, model_k.get(name)
+        ))
+    return tuple(summaries)
 
 
 def summarize(per_simulation_win_pcts: Sequence[float]) -> tuple[float, float | None]:
@@ -236,10 +236,6 @@ def summarize(per_simulation_win_pcts: Sequence[float]) -> tuple[float, float | 
     if len(values) == 1:
         return mean, None
     return mean, float(np.std(values, ddof=1) / math.sqrt(len(values)))
-
-
-def _threshold_k(profile: BiasProfile) -> int:
-    return sum(1 for e in profile.entries if e.entropy_bits < profile.threshold)
 
 
 def run_ti(dataset: Dataset, config: TiConfig) -> EvaluationReport:
@@ -277,8 +273,7 @@ def run_ti(dataset: Dataset, config: TiConfig) -> EvaluationReport:
     all_outcomes = np.concatenate([np.asarray(b.outcomes, dtype=np.int64) for b in buckets])
     full_counts = np.vstack([outcome_counts(b.outcomes, grid) for b in buckets])
 
-    totals = {name: _Tally() for name in MODEL_NAMES}
-    sim_pcts: dict[str, list[float]] = {name: [] for name in MODEL_NAMES}
+    sim_counts = np.empty((n_sims, len(MODEL_NAMES), 3), dtype=np.int64)
     selection_counter: Counter[float] = Counter()
     ks: list[int] = []
     p_homes = np.empty((n_spreads, n_sims))
@@ -292,52 +287,32 @@ def run_ti(dataset: Dataset, config: TiConfig) -> EvaluationReport:
         # Holdouts in bucket order, so they pair with the coin flips below
         # exactly as a per-outcome loop would.
         tests = all_outcomes[starts + np.sort(picks, axis=1)]
-        mass = densities(
-            full_counts - outcome_counts(tests, grid), config.bandwidth, grid, config.kernel
+        _, p_home, entropy = profile_arrays(
+            full_counts - outcome_counts(tests, grid), spreads,
+            config.bandwidth, grid, config.kernel,
         )
-        p_home = cover_probabilities(mass, grid, spreads)
-        entropy = np.array([binary_entropy(p) for p in p_home.tolist()])
         p_homes[:, sim] = p_home
         entropies[:, sim] = entropy
 
-        # Coin flips in spread-then-holdout order; Visitor below 0.5, as
-        # in predict_random.
+        # Coin flips in spread-then-holdout order; below 0.5 backs the Visitor.
         flips = _stream(config.seed, _GUESS_STREAM, sim).random(n_spreads * holdout)
         random_results = settle_ats(
             flips.reshape(n_spreads, holdout) < 0.5, tests, spreads[:, None]
         )
-        # Max-prob side as in predict_max_prob: Visitor only on a strict edge.
+        # Max-Prob backs the Visitor only on a strict edge; ties go Home.
         results = settle_ats((1.0 - p_home > p_home)[:, None], tests, spreads[:, None])
-        # Same order as bias._bias_rank: entropy, then |spread|, then spread.
-        order = np.lexsort((spreads, np.abs(spreads), entropy))
-        selected = order[: np.count_nonzero(entropy < config.entropy_threshold)]
-        ks.append(len(selected))
-        selection_counter.update(spreads[selected].tolist())
+        order, k = rank_spreads(entropy, spreads, config.entropy_threshold)
+        ks.append(k)
+        selection_counter.update(spreads[order[:k]].tolist())
 
-        sim_results = {
-            MODEL_RANDOM: random_results,
-            MODEL_MAX_PROB: results,
-            MODEL_MIN_ENTROPY: results[order[0]],
-            MODEL_K_LOWEST: results[selected],
-        }
-        for name, model_results in sim_results.items():
-            tally = _Tally.of(model_results)
-            totals[name].merge(tally)
-            if tally.pct is not None:
-                sim_pcts[name].append(tally.pct)
+        ranked = _ranked_counts(results, np.arange(n_spreads)[:, None], order)
+        sim_counts[sim] = _model_counts(random_results, ranked, k)
 
-    model_k = {MODEL_MIN_ENTROPY: 1, MODEL_K_LOWEST: _modal_k(ks)}
-    summaries = tuple(
-        ModelSummary(
-            name,
-            *(summarize(sim_pcts[name]) if sim_pcts[name] else (None, None)),
-            n_test=totals[name].settled,
-            n_push=totals[name].pushes,
-            n_wins=totals[name].wins,
-            k=model_k.get(name),
-        )
-        for name in MODEL_NAMES
-    )
+    estimates = []
+    for model_counts in sim_counts.transpose(1, 0, 2).tolist():
+        pcts = [t.pct for t in (_Tally(*c) for c in model_counts) if t.settled]
+        estimates.append(summarize(pcts) if pcts else (None, None))
+    summaries = _summaries(sim_counts.sum(axis=0), estimates, _modal_k(ks))
 
     profile_rows = tuple(
         {
@@ -366,27 +341,28 @@ def _modal_k(ks: Iterable[int]) -> int:
     return min(counts, key=lambda k: (-counts[k], k))
 
 
-def sweep_k(
+def _max_prob_ranked(
     profile: BiasProfile, records: Sequence[GameRecord]
-) -> list[dict]:
-    """Settle the k-lowest-entropy strategy for every k from 1 to all spreads.
+) -> tuple[np.ndarray, int, np.ndarray]:
+    """Rank the profile's spreads and settle Max-Prob on the test games at
+    them: the rank order and threshold k from ``rank_spreads``, and the
+    ``_ranked_counts`` of the Max-Prob results."""
+    index = {e.spread: j for j, e in enumerate(profile.entries)}
+    rows, outcomes = np.array(
+        [(index[r.spread], r.outcome) for r in records if r.spread in index], dtype=np.int64
+    ).reshape(-1, 2).T
+    spreads = np.array([e.spread for e in profile.entries])
+    order, k = rank_spreads([e.entropy_bits for e in profile.entries], spreads, profile.threshold)
+    # Max-Prob backs the Visitor only on a strict edge; ties go Home.
+    backs_visitor = np.array([e.p_visitor > e.p_home for e in profile.entries])
+    results = settle_ats(backs_visitor[rows], outcomes, spreads[rows])
+    return order, k, _ranked_counts(results, rows, order)
 
-    ``records`` are the test games, already restricted to the profile's
-    spreads. Each row carries the pooled win percentage and settled count;
-    the row whose k equals the threshold-mode selection is flagged.
-    """
-    by_spread: dict[float, list[GameRecord]] = {}
-    for record in records:
-        by_spread.setdefault(record.spread, []).append(record)
 
-    ranked = sorted(profile.entries, key=_bias_rank)
-    k_threshold = _threshold_k(profile)
+def _sweep_rows(ranked: np.ndarray, k_threshold: int) -> list[dict]:
     rows = []
-    tally = _Tally()
-    for k, entry in enumerate(ranked, start=1):
-        decision = predict_max_prob(entry)
-        for record in by_spread.get(entry.spread, []):
-            tally.add(score_ats(decision, record.outcome, record.spread))
+    for k, counts in enumerate(ranked[1:].tolist(), start=1):
+        tally = _Tally(*counts)
         rows.append(
             {
                 "k": k,
@@ -398,6 +374,19 @@ def sweep_k(
             }
         )
     return rows
+
+
+def sweep_k(
+    profile: BiasProfile, records: Sequence[GameRecord]
+) -> list[dict]:
+    """Settle the k-lowest-entropy strategy for every k from 1 to all spreads.
+
+    ``records`` are the test games; those at spreads outside the profile
+    are ignored. Each row carries the pooled win percentage and settled
+    count; the row whose k equals the threshold-mode selection is flagged.
+    """
+    _, k, ranked = _max_prob_ranked(profile, records)
+    return _sweep_rows(ranked, k)
 
 
 def run_td(dataset: Dataset, config: TdConfig) -> EvaluationReport:
@@ -428,48 +417,14 @@ def run_td(dataset: Dataset, config: TdConfig) -> EvaluationReport:
         key=lambda r: (r.spread, r.date, r.home_team, r.visitor_team),
     )
 
-    entry_by_spread = {e.spread: e for e in profile.entries}
-    random_tally = _Tally()
-    max_prob_tally = _Tally()
-    guess_rng = _stream(config.seed, _GUESS_STREAM)
-    for record in test_records:
-        entry = entry_by_spread[record.spread]
-        random_tally.add(
-            score_ats(predict_random(guess_rng), record.outcome, record.spread)
-        )
-        max_prob_tally.add(
-            score_ats(predict_max_prob(entry), record.outcome, record.spread)
-        )
-
-    rows = sweep_k(profile, test_records)
-    k_threshold = _threshold_k(profile)
-    min_entropy_row = rows[0]
-    if k_threshold >= 1:
-        k_lowest_row = rows[k_threshold - 1]
-    else:
-        k_lowest_row = {"ats_win_pct": None, "n_wins": 0, "n_test": 0, "n_push": 0}
-
-    selected = sorted(e.spread for e in profile.entries if e.entropy_bits < profile.threshold)
-    summaries = (
-        ModelSummary(
-            MODEL_RANDOM, random_tally.pct, None,
-            random_tally.settled, random_tally.pushes, random_tally.wins,
-        ),
-        ModelSummary(
-            MODEL_MAX_PROB, max_prob_tally.pct, None,
-            max_prob_tally.settled, max_prob_tally.pushes, max_prob_tally.wins,
-        ),
-        ModelSummary(
-            MODEL_MIN_ENTROPY, min_entropy_row["ats_win_pct"], None,
-            min_entropy_row["n_test"], min_entropy_row["n_push"], min_entropy_row["n_wins"],
-            k=1,
-        ),
-        ModelSummary(
-            MODEL_K_LOWEST, k_lowest_row["ats_win_pct"], None,
-            k_lowest_row["n_test"], k_lowest_row["n_push"], k_lowest_row["n_wins"],
-            k=k_threshold,
-        ),
+    order, k, ranked = _max_prob_ranked(profile, test_records)
+    # One coin flip per test game, in test_records order.
+    flips = _stream(config.seed, _GUESS_STREAM).random(len(test_records))
+    random_results = settle_ats(
+        flips < 0.5, [r.outcome for r in test_records], [r.spread for r in test_records]
     )
+    totals = _model_counts(random_results, ranked, k)
+    estimates = [(_Tally(*counts).pct, None) for counts in totals.tolist()]
 
     profile_rows = tuple(
         {
@@ -486,10 +441,10 @@ def run_td(dataset: Dataset, config: TdConfig) -> EvaluationReport:
         config=asdict(config),
         valid_spreads=tuple(spreads),
         n_test_samples=len(test_records),
-        models=summaries,
+        models=_summaries(totals, estimates, k),
         profile=profile_rows,
-        ksweep=tuple(rows),
-        selection_counts={s: 1 for s in selected},
+        ksweep=tuple(_sweep_rows(ranked, k)),
+        selection_counts={spreads[j]: 1 for j in order[:k].tolist()},
         n_train_records=len(train),
         n_test_records=len(test),
     )

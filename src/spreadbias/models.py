@@ -1,13 +1,19 @@
-"""The four wagering strategies and against-the-spread settlement."""
+"""Wager sides, against-the-spread settlement and the four strategy names.
+
+``predict_random``, ``predict_max_prob`` and ``score_ats`` decide and
+settle one wager at a time; they are the scalar reference for the
+harnesses, which settle whole arrays with ``settle_ats``. Min-Ent and
+k-Lowest are Max-Prob restricted to the spreads ``bias.rank_spreads``
+selects.
+"""
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
-from .bias import BiasProfile, SpreadBias, k_lowest_spreads, min_entropy_spread
+from .bias import SpreadBias
 
 
 class Decision(enum.Enum):
@@ -32,15 +38,6 @@ MODEL_K_LOWEST = "k_lowest"
 MODEL_NAMES = (MODEL_RANDOM, MODEL_MAX_PROB, MODEL_MIN_ENTROPY, MODEL_K_LOWEST)
 
 
-@dataclass(frozen=True)
-class Wager:
-    """A strategy's pick at one spread."""
-
-    spread: float
-    decision: Decision
-    model: str
-
-
 def predict_random(rng) -> Decision:
     """Coin flip: Visitor when the next uniform draw in [0, 1) is below 0.5."""
     return Decision.VISITOR if rng.random() < 0.5 else Decision.HOME
@@ -52,20 +49,6 @@ def predict_max_prob(bias: SpreadBias) -> Decision:
     Visitor only on a strict advantage; ties go Home.
     """
     return Decision.VISITOR if bias.p_visitor > bias.p_home else Decision.HOME
-
-
-def predict_min_entropy(profile: BiasProfile) -> Wager:
-    """Wager only at the most biased spread, picking the max-probability side."""
-    entry = min_entropy_spread(profile)
-    return Wager(entry.spread, predict_max_prob(entry), MODEL_MIN_ENTROPY)
-
-
-def predict_k_lowest(profile: BiasProfile, k: int | None = None) -> tuple[Wager, ...]:
-    """Wager at each of the k most biased spreads (threshold mode when k unset)."""
-    return tuple(
-        Wager(entry.spread, predict_max_prob(entry), MODEL_K_LOWEST)
-        for entry in k_lowest_spreads(profile, k)
-    )
 
 
 def score_ats(decision: Decision, outcome: int, spread: float) -> AtsResult:

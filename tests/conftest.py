@@ -13,7 +13,17 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from spreadbias import Dataset, GameRecord, deduplicate, parse_games
+from spreadbias import (
+    BiasProfile,
+    Dataset,
+    GameRecord,
+    SpreadBias,
+    binary_entropy,
+    deduplicate,
+    estimate_density,
+    home_cover_probability,
+    parse_games,
+)
 
 #: Environment variable pointing at the historical 648-game CSV used by
 #: the golden reproduction tests. Absent => those tests skip.
@@ -114,6 +124,26 @@ def dataset_csv_text(dataset: Dataset) -> str:
 def write_dataset_csv(path: Path, dataset: Dataset) -> Path:
     path.write_text(dataset_csv_text(dataset), encoding="utf-8")
     return path
+
+
+def scalar_profile(buckets, bandwidth, grid, threshold, kernel) -> BiasProfile:
+    """Reference for ``build_profile``: one bucket at a time through the
+    scalar wrappers, with cover probabilities capped at 1.0."""
+    entries = []
+    for bucket in sorted(buckets, key=lambda b: b.spread):
+        density = estimate_density(bucket.outcomes, bandwidth, grid, kernel)
+        p_home = min(home_cover_probability(density, bucket.spread), 1.0)
+        entries.append(
+            SpreadBias(bucket.spread, p_home, 1.0 - p_home, binary_entropy(p_home), len(bucket))
+        )
+    return BiasProfile(tuple(entries), threshold)
+
+
+def reference_ranking(profile: BiasProfile) -> tuple[list[SpreadBias], int]:
+    """Reference for ``rank_spreads``: entries by (entropy, |spread|,
+    spread), and how many entropies fall strictly below the threshold."""
+    ranked = sorted(profile.entries, key=lambda e: (e.entropy_bits, abs(e.spread), e.spread))
+    return ranked, sum(1 for e in ranked if e.entropy_bits < profile.threshold)
 
 
 @pytest.fixture

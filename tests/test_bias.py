@@ -4,16 +4,24 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spreadbias import (
+    KERNELS,
     BiasProfile,
+    OutcomeGrid,
     SpreadBias,
     SpreadBucket,
     binary_entropy,
     build_profile,
+    estimate_density,
+    home_cover_probability,
     k_lowest_spreads,
     min_entropy_spread,
+    rank_spreads,
 )
+from conftest import reference_ranking, scalar_profile
 
 
 def entry(spread, entropy, p_home=0.5, n_train=20):
@@ -84,9 +92,69 @@ class TestBuildProfile:
         assert profile.entries[0].p_home == pytest.approx(0.5, abs=1e-9)
         assert profile.entries[0].entropy_bits == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("bandwidth", [0.7, 3.0, 12.0])
+    @pytest.mark.parametrize("grid", [OutcomeGrid(), OutcomeGrid(-10, 10)], ids=["wide", "narrow"])
+    def test_block_equals_bucket_by_bucket(self, kernel, bandwidth, grid):
+        rng = np.random.default_rng(11)
+        buckets = [
+            SpreadBucket(spread, tuple(rng.integers(-30, 31, size=int(rng.integers(1, 40))).tolist()))
+            for spread in (6.5, -14.0, -3.0, 0.0, 2.5, 10.0, 45.5)
+        ]
+        profile = build_profile(buckets, bandwidth, grid, 0.95, kernel)
+        assert profile == scalar_profile(buckets, bandwidth, grid, 0.95, kernel)
+        for entry, mass in zip(profile.entries, profile.mass):
+            bucket = next(b for b in buckets if b.spread == entry.spread)
+            expected = estimate_density(bucket.outcomes, bandwidth, grid, kernel).mass
+            assert mass.tolist() == expected.tolist()
+
+    def test_cover_probability_rounding_past_one_is_capped(self):
+        # The prefix sum of this boxcar density at 7.5 rounds to just above 1.
+        bucket = SpreadBucket(7.5, tuple(-12 + i % 13 for i in range(30)))
+        density = estimate_density(bucket.outcomes, 3.0, kernel="boxcar")
+        assert home_cover_probability(density, 7.5) == 1.0000000000000002
+        (entry,) = build_profile([bucket], 3.0, kernel="boxcar").entries
+        assert (entry.p_home, entry.p_visitor, entry.entropy_bits) == (1.0, 0.0, 0.0)
+
+    def test_empty_bucket_rejected(self):
+        with pytest.raises(ValueError, match="zero outcomes"):
+            build_profile([SpreadBucket(1.5, (3, 4)), SpreadBucket(2.5, ())])
+
     def test_duplicate_spreads_rejected(self):
         with pytest.raises(ValueError, match="unique"):
             BiasProfile((entry(1.0, 0.9), entry(1.0, 0.8)))
+
+
+#: Entropies on a coarse grid, so that ties are common.
+ENTROPIES = st.integers(0, 4).map(lambda q: q / 4)
+PROFILES = st.dictionaries(
+    st.integers(-30, 30).map(lambda halves: halves / 2 + 0.0), ENTROPIES, min_size=1, max_size=12
+).map(lambda by_spread: BiasProfile(
+    tuple(entry(spread, h) for spread, h in by_spread.items()), threshold=0.5
+))
+
+
+class TestRankSpreads:
+    def test_order_and_threshold_count(self):
+        order, k = rank_spreads([0.99, 0.64, 0.97, 0.91, 0.80], [-7.0, -2.5, -1.0, 3.0, 6.5], 0.95)
+        assert order.tolist() == [1, 4, 3, 2, 0]
+        assert k == 3
+
+    def test_ties_by_absolute_then_signed_spread(self):
+        order, k = rank_spreads([0.8, 0.8, 0.8, 0.8], [6.5, 2.5, -2.5, -6.5], 0.8)
+        assert order.tolist() == [2, 1, 3, 0]
+        assert k == 0
+
+    @given(PROFILES)
+    def test_equals_tuple_sort(self, profile):
+        order, k = rank_spreads(
+            [e.entropy_bits for e in profile.entries],
+            [e.spread for e in profile.entries],
+            profile.threshold,
+        )
+        ranked, expected_k = reference_ranking(profile)
+        assert [profile.entries[i] for i in order] == ranked
+        assert k == expected_k
 
 
 class TestMinEntropySpread:

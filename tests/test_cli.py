@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spreadbias import Dataset
+from spreadbias import Dataset, bucket_by_spread, deduplicate, estimate_density, parse_games
 from spreadbias.cli import main
 from conftest import GAME_RECORDS, synthetic_spread_dataset, write_dataset_csv
 
@@ -151,6 +151,19 @@ class TestProfile:
             assert len(rows) == 81
             assert abs(sum(float(r["mass"]) for r in rows) - 1.0) <= 1e-9
 
+    def test_density_files_equal_estimate_density(self, games_csv, tmp_path):
+        out_dir = tmp_path / "out"
+        main(["profile", "--input", str(games_csv), "--out-dir", str(out_dir),
+              "--min-samples", "25", "--bandwidth", "3", "--kernel", "triangular"])
+        with open(games_csv, encoding="utf-8", newline="") as fh:
+            buckets = bucket_by_spread(deduplicate(parse_games(fh)), 25)
+        assert len(buckets) == len(SPREADS)
+        for bucket in buckets:
+            rows = read_csv_rows(out_dir / f"pdf_{bucket.spread:.1f}.csv")
+            density = estimate_density(bucket.outcomes, 3.0, kernel="triangular")
+            assert [int(r["grid_point"]) for r in rows] == density.grid.points.tolist()
+            assert [float(r["mass"]) for r in rows] == density.mass.tolist()
+
     def test_histogram_counts_match_bucket_sizes(self, games_csv, tmp_path):
         out_dir = tmp_path / "out"
         main(["profile", "--input", str(games_csv), "--out-dir", str(out_dir),
@@ -263,6 +276,35 @@ class TestBacktestTd:
             report["manifest"].pop("timestamp")
             payloads.append(json.dumps(report, sort_keys=True))
         assert payloads[0] == payloads[1]
+
+
+class TestCoverProbabilityRoundingPastOne:
+    """A boxcar density whose prefix sum at 7.5 rounds to 1.0000000000000002
+    (every margin at most 0) is capped at 1.0 instead of failing."""
+
+    FLAGS = ["--kernel", "boxcar", "--bandwidth", "3", "--min-samples", "25",
+             "--holdout", "5", "--simulations", "20"]
+
+    @pytest.mark.parametrize("command,test_games", [
+        ("profile", 0), ("simulate-ti", 0), ("backtest-td", 5),
+    ])
+    def test_command_succeeds_with_certain_cover(self, tmp_path, command, test_games):
+        lines = ["date,home_team,visitor_team,home_score,visitor_score,spread"]
+        lines += [f"2015-01-{i + 1:02d},H{i},V{i},30,{18 + i % 13},7.5" for i in range(30)]
+        lines += [f"2017-01-{i + 1:02d},H{i},V{i},30,{28 - i},7.5" for i in range(test_games)]
+        games = tmp_path / "games.csv"
+        games.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out_dir = tmp_path / "out"
+        code = main([command, "--input", str(games), "--out-dir", str(out_dir), *self.FLAGS])
+        assert code == 0
+        (row,) = read_csv_rows(out_dir / "profile.csv")
+        assert (row["spread"], row["p_home"]) == ("7.5", "1.0")
+        if command == "simulate-ti":
+            # Some holdouts leave a prefix sum of 0.9999999999999999, whose
+            # entropy is about 1e-15 bits; the mean keeps it.
+            assert float(row["entropy_bits"]) < 1e-12
+        else:
+            assert row["entropy_bits"] == "0.0"
 
 
 class TestConfigFile:

@@ -130,6 +130,9 @@ class TestParseGames:
         "row,message",
         [
             ("10 Sep 2017,,,x,-1,nan", "invalid date '10 Sep 2017' (expected YYYY-MM-DD)"),
+            # Both parse as 2017-09-10 with date.fromisoformat on Python 3.11+.
+            ("20170910,,,x,-1,nan", "invalid date '20170910' (expected YYYY-MM-DD)"),
+            ("2017-W36-7,,,x,-1,nan", "invalid date '2017-W36-7' (expected YYYY-MM-DD)"),
             ("2017-09-11, ,,x,-1,nan", "empty home_team"),
             ("2017-09-11,NE,,x,-1,nan", "empty visitor_team"),
             ("2017-09-11,NE,KC,27.5,x,nan", "non-integer home_score '27.5'"),

@@ -6,9 +6,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from spreadbias import OutcomeGrid, estimate_density, home_cover_probability
-from spreadbias.density import OutcomeDensity, _kernel_matrix
+from spreadbias import KERNELS, OutcomeGrid, estimate_density, home_cover_probability
+from spreadbias.density import OutcomeDensity, _kernel_matrix, densities, outcome_counts
 
 
 def brute_force_cover(density: OutcomeDensity, spread: float) -> float:
@@ -58,6 +60,19 @@ class TestEstimateDensity:
             density = estimate_density(outcomes, bandwidth)
             assert abs(density.mass.sum() - 1.0) <= 1e-9
             assert np.all(density.mass >= 0)
+
+    @given(
+        st.sampled_from(KERNELS),
+        st.floats(0.1, 50.0),
+        st.sampled_from([OutcomeGrid(), OutcomeGrid(-10, 10), OutcomeGrid(0, 1)]),
+        st.lists(st.lists(st.integers(-60, 60), min_size=1, max_size=30), min_size=1, max_size=5),
+    )
+    def test_density_rows_are_probability_vectors(self, kernel, bandwidth, grid, samples):
+        counts = np.vstack([outcome_counts(outcomes, grid) for outcomes in samples])
+        mass = densities(counts, bandwidth, grid, kernel)
+        assert mass.shape == counts.shape
+        assert np.all(mass >= 0)
+        assert np.all(np.abs(mass.sum(axis=1) - 1.0) <= 1e-9)
 
     def test_empty_outcomes_rejected(self):
         with pytest.raises(ValueError, match="zero outcomes"):

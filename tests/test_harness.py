@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spreadbias import (
     Dataset,
     TdConfig,
     TiConfig,
+    parse_games,
     run_td,
     run_ti,
     summarize,
@@ -251,6 +256,32 @@ class TestRunTd:
         ds = self._dataset()
         with pytest.raises(ValueError, match="min_samples"):
             run_td(ds, TdConfig(cutoff_year=2017, min_samples=1000))
+
+
+#: Whole- and half-point spreads, one leaning, trained before 2017 and
+#: tested in it.
+TD_SPREADS = [-3.0, -2.5, 1.0, 3.5]
+TD_DATASET = Dataset(
+    synthetic_spread_dataset(TD_SPREADS, 20, {1.0: 0.85}, seed=4, start="2015-01-01").records
+    + synthetic_spread_dataset(TD_SPREADS, 5, {1.0: 0.85}, seed=5, start="2017-01-01").records
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.permutations(range(len(TD_DATASET))),
+    st.lists(st.sampled_from(["{:g}", "{:.1f}", "{:.2f}"]),
+             min_size=len(TD_DATASET), max_size=len(TD_DATASET)),
+)
+def test_run_td_invariant_under_row_order_and_spread_spelling(order, spellings):
+    lines = ["date,home_team,visitor_team,home_score,visitor_score,spread"]
+    for i, spelling in zip(order, spellings):
+        r = TD_DATASET.records[i]
+        lines.append(f"{r.date},{r.home_team},{r.visitor_team},{r.home_score},"
+                     f"{r.visitor_score},{spelling.format(r.spread)}")
+    shuffled = parse_games(io.StringIO("\n".join(lines) + "\n"))
+    config = TdConfig(min_samples=15, seed=3)
+    assert run_td(shuffled, config).to_dict() == run_td(TD_DATASET, config).to_dict()
 
 
 class TestSweepK:

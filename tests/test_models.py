@@ -8,12 +8,9 @@ from hypothesis import strategies as st
 
 from spreadbias import (
     AtsResult,
-    BiasProfile,
     Decision,
     SpreadBias,
-    predict_k_lowest,
     predict_max_prob,
-    predict_min_entropy,
     predict_random,
     score_ats,
 )
@@ -71,40 +68,6 @@ class TestPredictMaxProb:
                 bias.spread, bias.p_home**2, bias.p_visitor**2, bias.entropy_bits, 20
             )
             assert predict_max_prob(bias) is predict_max_prob(rescaled)
-
-
-class TestEntropyStrategies:
-    def _profile(self):
-        return BiasProfile(
-            (
-                entry(-7.0, 0.99, 0.55),
-                entry(-2.5, 0.71, 0.80),
-                entry(3.0, 0.88, 0.32),
-            ),
-            threshold=0.95,
-        )
-
-    def test_min_entropy_composition(self):
-        wager = predict_min_entropy(self._profile())
-        assert wager.spread == -2.5
-        assert wager.decision is Decision.HOME
-
-    def test_single_entry_profile_matches_max_prob(self):
-        profile = BiasProfile((entry(3.0, 0.88, 0.32),))
-        wager = predict_min_entropy(profile)
-        assert wager.decision is predict_max_prob(profile.entries[0])
-        assert wager.spread == 3.0
-
-    def test_k_one_equals_min_entropy(self):
-        profile = self._profile()
-        (wager,) = predict_k_lowest(profile, 1)
-        reference = predict_min_entropy(profile)
-        assert (wager.spread, wager.decision) == (reference.spread, reference.decision)
-
-    def test_threshold_mode_wagers(self):
-        wagers = predict_k_lowest(self._profile())
-        assert [w.spread for w in wagers] == [-2.5, 3.0]
-        assert [w.decision for w in wagers] == [Decision.HOME, Decision.VISITOR]
 
 
 class TestScoreAts:

@@ -1,10 +1,11 @@
 """The array-native TI harness against a scalar reference implementation.
 
 ``scalar_run_ti`` is the plain per-(simulation, spread) loop: draw the
-holdout, rebuild the training bucket, fit the profile with
-``build_profile``, and settle every wager one at a time with
-``score_ats``. It shares the random stream keys with ``run_ti`` and
-nothing else, so ``run_ti`` must reproduce its report exactly.
+holdout, rebuild the training bucket, fit the profile bucket by bucket
+with ``conftest.scalar_profile``, rank it with its own tuple sort, and
+settle every wager one at a time with ``score_ats``. It shares the
+random stream keys with ``run_ti`` and nothing else, so ``run_ti`` must
+reproduce its report exactly.
 """
 
 from __future__ import annotations
@@ -26,9 +27,6 @@ from spreadbias import (
     SpreadBucket,
     TiConfig,
     bucket_by_spread,
-    build_profile,
-    k_lowest_spreads,
-    min_entropy_spread,
     predict_max_prob,
     predict_random,
     run_ti,
@@ -42,6 +40,7 @@ from spreadbias.models import (
     MODEL_NAMES,
     MODEL_RANDOM,
 )
+from conftest import reference_ranking, scalar_profile
 
 
 def _stream(*key: int) -> np.random.Generator:
@@ -68,7 +67,7 @@ def scalar_run_ti(dataset: Dataset, config: TiConfig) -> EvaluationReport:
                 tuple(v for i, v in enumerate(bucket.outcomes) if i not in held),
             ))
             tests.append([v for i, v in enumerate(bucket.outcomes) if i in held])
-        profile = build_profile(
+        profile = scalar_profile(
             train, config.bandwidth, config.grid(), config.entropy_threshold, config.kernel
         )
         profiles.append(profile)
@@ -83,10 +82,8 @@ def scalar_run_ti(dataset: Dataset, config: TiConfig) -> EvaluationReport:
                 sim_results[MODEL_MAX_PROB][
                     score_ats(predict_max_prob(entry), outcome, entry.spread)
                 ] += 1
-        chosen = {
-            MODEL_MIN_ENTROPY: [min_entropy_spread(profile)],
-            MODEL_K_LOWEST: k_lowest_spreads(profile),
-        }
+        ranked, k = reference_ranking(profile)
+        chosen = {MODEL_MIN_ENTROPY: ranked[:1], MODEL_K_LOWEST: ranked[:k]}
         for name, entries in chosen.items():
             for entry in entries:
                 decision = predict_max_prob(entry)
