@@ -39,6 +39,7 @@ from .density import (
 )
 from .harness import (
     EvaluationReport,
+    FitConfig,
     ModelSummary,
     TdConfig,
     TiConfig,
@@ -64,6 +65,7 @@ __all__ = [
     "Decision",
     "DuplicateConflictError",
     "EvaluationReport",
+    "FitConfig",
     "GameRecord",
     "ModelSummary",
     "OutcomeDensity",

@@ -16,7 +16,8 @@ import hashlib
 import json
 import statistics
 import sys
-from dataclasses import asdict
+from collections import Counter
+from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -32,24 +33,34 @@ from .data import (
     parse_games,
 )
 from .density import KERNELS
-from .harness import EvaluationReport, TdConfig, TiConfig, run_td, run_ti
+from .harness import EvaluationReport, FitConfig, TdConfig, TiConfig, run_td, run_ti
 from .models import MODEL_K_LOWEST, MODEL_MAX_PROB, MODEL_MIN_ENTROPY, MODEL_RANDOM
 
 MODEL_LABELS = {MODEL_RANDOM: "Random", MODEL_MAX_PROB: "Max-Prob"}
 
-# Shared tuning options and the type each parses to, in both the CLI
-# flags and the --config file.
+# Config fields whose flag and --config key are spelled differently; every
+# other field's option is its own name.
+_FLAG_OF = {"holdout_per_spread": "holdout", "n_simulations": "simulations"}
+
+# Every tuning option, each a field of TiConfig or TdConfig (FitConfig's
+# fields are in both), and the type it parses to: that of the default.
 _OPTION_TYPES = {
-    "seed": int,
-    "min_samples": int,
-    "holdout": int,
-    "simulations": int,
-    "entropy_threshold": float,
-    "bandwidth": float,
-    "grid_lo": int,
-    "grid_hi": int,
-    "cutoff_year": int,
-    "kernel": str,
+    _FLAG_OF.get(f.name, f.name): type(f.default)
+    for cls in (TiConfig, TdConfig)
+    for f in fields(cls)
+}
+
+_HELP = {
+    "min_samples": "min outcomes for a valid spread",
+    "entropy_threshold": "bias threshold in bits",
+    "bandwidth": "kernel width in points",
+    "grid_lo": "lower outcome grid bound",
+    "grid_hi": "upper outcome grid bound",
+    "kernel": "kernel shape",
+    "seed": "random seed (default 0)",
+    "simulations": "number of TI simulations",
+    "holdout": "held-out outcomes per spread (TI)",
+    "cutoff_year": "first test year (TD)",
 }
 
 
@@ -58,16 +69,11 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--input", required=True, help="input games CSV")
     shared.add_argument("--out-dir", default="out", help="directory for output files")
     shared.add_argument("--config", help="flat key=value config file")
-    shared.add_argument("--seed", type=int, help="random seed (default 0)")
-    shared.add_argument("--min-samples", type=int, help="min outcomes for a valid spread")
-    shared.add_argument("--holdout", type=int, help="held-out outcomes per spread (TI)")
-    shared.add_argument("--simulations", type=int, help="number of TI simulations")
-    shared.add_argument("--entropy-threshold", type=float, help="bias threshold in bits")
-    shared.add_argument("--bandwidth", type=float, help="kernel width in points")
-    shared.add_argument("--grid-lo", type=int, help="lower outcome grid bound")
-    shared.add_argument("--grid-hi", type=int, help="upper outcome grid bound")
-    shared.add_argument("--cutoff-year", type=int, help="first test year (TD)")
-    shared.add_argument("--kernel", choices=KERNELS, help="kernel shape")
+    for name, kind in _OPTION_TYPES.items():
+        shared.add_argument(
+            "--" + name.replace("_", "-"), type=kind, help=_HELP[name],
+            choices=KERNELS if name == "kernel" else None,
+        )
 
     parser = argparse.ArgumentParser(
         prog="spreadbias",
@@ -106,35 +112,29 @@ def _read_config_file(path: str) -> dict:
         key = key.strip().replace("-", "_")
         if key not in _OPTION_TYPES:
             raise ValueError(f"{path}:{n}: unknown option {key!r}")
-        values[key] = _OPTION_TYPES[key](raw.strip())
+        kind, raw = _OPTION_TYPES[key], raw.strip()
+        try:
+            values[key] = kind(raw)
+        except ValueError:
+            raise ValueError(f"{path}:{n}: {key} expects {kind.__name__}, got {raw!r}") from None
     return values
 
 
 def _resolve_options(args: argparse.Namespace) -> dict:
     """Merge CLI flags over config-file entries over nothing (defaults
     come from the harness config dataclasses)."""
-    file_values = _read_config_file(args.config) if args.config else {}
-    resolved = dict(file_values)
+    resolved = _read_config_file(args.config) if args.config else {}
     for dest in _OPTION_TYPES:
-        cli_value = getattr(args, dest, None)
-        if cli_value is not None:
-            resolved[dest] = cli_value
+        if getattr(args, dest) is not None:
+            resolved[dest] = getattr(args, dest)
     return resolved
 
 
-def _ti_config(options: dict) -> TiConfig:
-    kwargs = {}
-    rename = {"holdout": "holdout_per_spread", "simulations": "n_simulations"}
-    for key, value in options.items():
-        if key == "cutoff_year":
-            continue
-        kwargs[rename.get(key, key)] = value
-    return TiConfig(**kwargs)
-
-
-def _td_config(options: dict) -> TdConfig:
-    kwargs = {k: v for k, v in options.items() if k not in ("holdout", "simulations")}
-    return TdConfig(**kwargs)
+def _config(cls, options: dict):
+    """Build config class ``cls`` from the resolved options that set its
+    fields; the rest keep their defaults."""
+    flags = {f.name: _FLAG_OF.get(f.name, f.name) for f in fields(cls)}
+    return cls(**{name: options[flag] for name, flag in flags.items() if flag in options})
 
 
 def _manifest(command: str, config: dict, input_path: str) -> dict:
@@ -254,10 +254,8 @@ def cmd_ingest(args: argparse.Namespace, options: dict) -> int:
 
 def cmd_profile(args: argparse.Namespace, options: dict) -> int:
     _, dataset = _load_dataset(args.input)
-    options = dict(options)
-    options.setdefault("min_samples", 25)  # match the holdout protocol's default
-    config = _td_config({k: v for k, v in options.items() if k != "cutoff_year"})
-    buckets = bucket_by_spread(dataset, config.min_samples)
+    config = _config(FitConfig, options)
+    buckets = config.valid_buckets(dataset)
     if not buckets:
         largest = max((len(b) for b in bucket_by_spread(dataset, 1)), default=0)
         print(
@@ -272,8 +270,7 @@ def cmd_profile(args: argparse.Namespace, options: dict) -> int:
     )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    config_echo = {k: v for k, v in asdict(config).items() if k != "cutoff_year"}
-    manifest = _manifest("profile", config_echo, args.input)
+    manifest = _manifest("profile", asdict(config), args.input)
 
     _write_csv(
         out_dir / "profile.csv",
@@ -287,9 +284,7 @@ def cmd_profile(args: argparse.Namespace, options: dict) -> int:
     points = config.grid().points.tolist()
     for bucket, mass in zip(buckets, profile.mass.tolist()):
         tag = _spread_tag(bucket.spread)
-        counts: dict[int, int] = {}
-        for outcome in bucket.outcomes:
-            counts[outcome] = counts.get(outcome, 0) + 1
+        counts = Counter(bucket.outcomes)
         _write_csv(
             out_dir / f"hist_{tag}.csv",
             manifest,
@@ -316,17 +311,17 @@ def _run_and_write(command: str, report: EvaluationReport, args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = _manifest(command, dict(report.config), args.input)
     _write_report(out_dir / "report.json", manifest, report)
+    summary = _summary_rows(report)
     _write_csv(
         out_dir / "summary.csv",
         manifest,
         ["model", "percent_ats_win", "sem", "n_test_samples"],
-        _summary_rows(report),
+        summary,
     )
     header, rows = _profile_rows(report)
     _write_csv(out_dir / "profile.csv", manifest, header, rows)
 
-    for row in _summary_rows(report):
-        label, pct, sem, n_test = row
+    for label, pct, sem, n_test in summary:
         line = f"{label}: {pct or 'no wagers'}"
         if sem:
             line += f" +/- {sem} SEM"
@@ -338,16 +333,12 @@ def _run_and_write(command: str, report: EvaluationReport, args) -> int:
 
 def cmd_simulate_ti(args: argparse.Namespace, options: dict) -> int:
     _, dataset = _load_dataset(args.input)
-    config = _ti_config(options)
-    report = run_ti(dataset, config)
-    return _run_and_write("simulate-ti", report, args)
+    return _run_and_write("simulate-ti", run_ti(dataset, _config(TiConfig, options)), args)
 
 
 def cmd_backtest_td(args: argparse.Namespace, options: dict) -> int:
     _, dataset = _load_dataset(args.input)
-    config = _td_config(options)
-    report = run_td(dataset, config)
-    return _run_and_write("backtest-td", report, args)
+    return _run_and_write("backtest-td", run_td(dataset, _config(TdConfig, options)), args)
 
 
 _COMMANDS = {

@@ -29,7 +29,7 @@ from .bias import (
     profile_arrays,
     rank_spreads,
 )
-from .data import Dataset, GameRecord, bucket_by_spread, split_by_date
+from .data import Dataset, GameRecord, SpreadBucket, bucket_by_spread, split_by_date
 from .density import (
     DEFAULT_BANDWIDTH,
     DEFAULT_GRID_HI,
@@ -51,11 +51,10 @@ def _stream(*key: int) -> np.random.Generator:
 
 
 @dataclass(frozen=True)
-class TiConfig:
-    """Settings for the repeated-random-holdout (date-agnostic) protocol."""
+class FitConfig:
+    """Settings of one bias-profile fit: which spreads are valid, and the
+    kernel density, grid and threshold behind each valid spread's entropy."""
 
-    n_simulations: int = 200
-    holdout_per_spread: int = 10
     min_samples: int = 25
     entropy_threshold: float = DEFAULT_ENTROPY_THRESHOLD
     bandwidth: float = DEFAULT_BANDWIDTH
@@ -63,6 +62,47 @@ class TiConfig:
     grid_hi: int = DEFAULT_GRID_HI
     kernel: str = "gaussian"
     seed: int = 0
+
+    def __post_init__(self):
+        if self.min_samples < 1:
+            raise ValueError("min_samples must be >= 1")
+        if not self.bandwidth > 0:
+            raise ValueError("bandwidth must be positive")
+        if not 0.0 <= self.entropy_threshold <= 1.0:
+            raise ValueError("entropy_threshold must lie in [0, 1]")
+        if self.kernel not in KERNELS:
+            raise ValueError(f"kernel must be one of {KERNELS}, got {self.kernel!r}")
+        if self.grid_lo >= self.grid_hi:
+            raise ValueError("grid_lo must be below grid_hi")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
+
+    def grid(self) -> OutcomeGrid:
+        return OutcomeGrid(self.grid_lo, self.grid_hi)
+
+    def valid_buckets(self, dataset: Dataset) -> list[SpreadBucket]:
+        """The buckets of ``dataset`` with at least ``min_samples`` outcomes.
+
+        Raises ValueError for a valid spread outside ``[grid_lo, grid_hi)``:
+        its home cover probability would be pinned to 0 or 1, and so its
+        entropy to 0 bits, whatever its games did.
+        """
+        buckets = bucket_by_spread(dataset, self.min_samples)
+        for bucket in buckets:
+            if not self.grid_lo <= bucket.spread < self.grid_hi:
+                raise ValueError(
+                    f"spread {bucket.spread:g} lies outside the outcome grid "
+                    f"[{self.grid_lo}, {self.grid_hi})"
+                )
+        return buckets
+
+
+@dataclass(frozen=True)
+class TiConfig(FitConfig):
+    """Settings for the repeated-random-holdout (date-agnostic) protocol."""
+
+    n_simulations: int = 200
+    holdout_per_spread: int = 10
 
     def __post_init__(self):
         if self.n_simulations < 1:
@@ -74,45 +114,15 @@ class TiConfig:
                 "min_samples must exceed holdout_per_spread so each valid "
                 "spread keeps at least one training sample"
             )
-        _validate_shared(self)
-
-    def grid(self) -> OutcomeGrid:
-        return OutcomeGrid(self.grid_lo, self.grid_hi)
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
-class TdConfig:
+class TdConfig(FitConfig):
     """Settings for the one-shot date-split protocol."""
 
-    cutoff_year: int = 2017
     min_samples: int = 15
-    entropy_threshold: float = DEFAULT_ENTROPY_THRESHOLD
-    bandwidth: float = DEFAULT_BANDWIDTH
-    grid_lo: int = DEFAULT_GRID_LO
-    grid_hi: int = DEFAULT_GRID_HI
-    kernel: str = "gaussian"
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.min_samples < 1:
-            raise ValueError("min_samples must be >= 1")
-        _validate_shared(self)
-
-    def grid(self) -> OutcomeGrid:
-        return OutcomeGrid(self.grid_lo, self.grid_hi)
-
-
-def _validate_shared(config) -> None:
-    if not config.bandwidth > 0:
-        raise ValueError("bandwidth must be positive")
-    if not 0.0 <= config.entropy_threshold <= 1.0:
-        raise ValueError("entropy_threshold must lie in [0, 1]")
-    if config.kernel not in KERNELS:
-        raise ValueError(f"kernel must be one of {KERNELS}, got {config.kernel!r}")
-    if config.grid_lo >= config.grid_hi:
-        raise ValueError("grid_lo must be below grid_hi")
-    if config.seed < 0:
-        raise ValueError("seed must be non-negative")
+    cutoff_year: int = 2017
 
 
 @dataclass(frozen=True)
@@ -253,17 +263,13 @@ def run_ti(dataset: Dataset, config: TiConfig) -> EvaluationReport:
     holdouts, and all spreads are smoothed and settled together.
     """
     grid = config.grid()
-    buckets = bucket_by_spread(dataset, config.min_samples)
+    # TiConfig keeps min_samples above holdout_per_spread, so every valid
+    # bucket keeps at least one training outcome.
+    buckets = config.valid_buckets(dataset)
     if not buckets:
         raise ValueError(
             f"no spread has at least min_samples={config.min_samples} outcomes"
         )
-    for bucket in buckets:
-        if len(bucket) < config.holdout_per_spread + 1:
-            raise ValueError(
-                f"spread {bucket.spread:g} has {len(bucket)} samples, too few "
-                f"to hold out {config.holdout_per_spread} and still train"
-            )
     spreads = np.array([b.spread for b in buckets])
     n_spreads = len(buckets)
     n_sims = config.n_simulations
@@ -402,7 +408,7 @@ def run_td(dataset: Dataset, config: TdConfig) -> EvaluationReport:
     if not test.records:
         raise ValueError(f"no test games in year {config.cutoff_year} or later")
 
-    buckets = bucket_by_spread(train, config.min_samples)
+    buckets = config.valid_buckets(train)
     if not buckets:
         raise ValueError(
             f"no training spread has at least min_samples={config.min_samples} outcomes"

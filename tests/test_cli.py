@@ -5,14 +5,24 @@ from __future__ import annotations
 import csv
 import json
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spreadbias import Dataset, bucket_by_spread, deduplicate, estimate_density, parse_games
-from spreadbias.cli import main
+from spreadbias import (
+    Dataset,
+    FitConfig,
+    TdConfig,
+    TiConfig,
+    bucket_by_spread,
+    deduplicate,
+    estimate_density,
+    parse_games,
+)
+from spreadbias.cli import _config, _resolve_options, build_parser, main
 from conftest import GAME_RECORDS, synthetic_spread_dataset, write_dataset_csv
 
 SPREADS = [-6.5, -4.5, -2.5, 1.5, 3.5]
@@ -335,3 +345,113 @@ class TestConfigFile:
                      "--out-dir", str(tmp_path / "o"), "--config", str(cfg)])
         assert code == 1
         assert "unknown option" in capsys.readouterr().err
+
+    def test_unparsable_value_fails_with_location(self, games_csv, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 1\nsimulations = 2.5\n")
+        code = main(["simulate-ti", "--input", str(games_csv),
+                     "--out-dir", str(tmp_path / "o"), "--config", str(cfg)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}:2: ")
+        assert "'2.5'" in err
+
+
+# A value for every tuning option, each different from every default.
+OPTION_VALUES = {
+    "seed": "3", "min_samples": "20", "holdout": "5", "simulations": "4",
+    "entropy_threshold": "0.9", "bandwidth": "3.5", "grid_lo": "-30", "grid_hi": "30",
+    "cutoff_year": "2016", "kernel": "triangular",
+}
+FIT_KEYS = {f.name for f in fields(FitConfig)}
+
+
+class TestSingleDeclaration:
+    """Each tuning option is one config field, and every command reads the
+    same options."""
+
+    @staticmethod
+    def fields_set(option: str) -> set[str]:
+        """Names of the config fields that the flag for ``option`` changes."""
+        flag = "--" + option.replace("_", "-")
+        args = build_parser().parse_args(
+            ["profile", "--input", "x.csv", flag, OPTION_VALUES[option]]
+        )
+        changed = set()
+        for cls in (FitConfig, TiConfig, TdConfig):
+            config, default = _config(cls, _resolve_options(args)), cls()
+            changed |= {f.name for f in fields(cls)
+                        if getattr(config, f.name) != getattr(default, f.name)}
+        return changed
+
+    @pytest.mark.parametrize("option", sorted(OPTION_VALUES))
+    def test_each_option_sets_one_field(self, option):
+        assert len(self.fields_set(option)) == 1
+
+    def test_every_field_has_an_option(self):
+        covered = set().union(*(self.fields_set(option) for option in OPTION_VALUES))
+        assert covered == {f.name for cls in (TiConfig, TdConfig) for f in fields(cls)}
+
+    def test_profile_manifest_echoes_the_fit_options(self, games_csv, tmp_path):
+        main(["profile", "--input", str(games_csv), "--out-dir", str(tmp_path / "a")])
+        config = read_manifest(tmp_path / "a" / "profile.csv")["config"]
+        assert set(config) == FIT_KEYS
+        assert config["min_samples"] == 25
+        main(["profile", "--input", str(games_csv), "--out-dir", str(tmp_path / "b"),
+              "--min-samples", "30"])
+        assert read_manifest(tmp_path / "b" / "profile.csv")["config"]["min_samples"] == 30
+
+    def test_one_file_with_every_key_serves_every_command(self, games_csv, tmp_path):
+        cfg = tmp_path / "all.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in OPTION_VALUES.items()))
+        outputs = {"ingest": "dataset.csv", "profile": "profile.csv",
+                   "simulate-ti": "summary.csv", "backtest-td": "summary.csv"}
+        for command, name in outputs.items():
+            out_dir = tmp_path / command
+            code = main([command, "--input", str(games_csv), "--out-dir", str(out_dir),
+                         "--config", str(cfg)])
+            assert code == 0
+            config = read_manifest(out_dir / name)["config"]
+            assert config["seed"] == 3
+            assert config["kernel"] == "triangular"
+            if command != "ingest":
+                assert config["min_samples"] == 20
+        ti = load_report(tmp_path / "simulate-ti" / "report.json")["config"]
+        assert (ti["n_simulations"], ti["holdout_per_spread"]) == (4, 5)
+        td = load_report(tmp_path / "backtest-td" / "report.json")["config"]
+        assert td["cutoff_year"] == 2016
+
+
+OFF_GRID_SPREADS = [-11.0, -3.0, 3.5, 10.5]
+
+
+@pytest.fixture
+def off_grid_csv(tmp_path):
+    train = synthetic_spread_dataset(OFF_GRID_SPREADS, 20, seed=41, start="2015-01-01")
+    test = synthetic_spread_dataset(OFF_GRID_SPREADS, 10, seed=42, start="2017-01-02")
+    return write_dataset_csv(tmp_path / "off_grid.csv", Dataset(train.records + test.records))
+
+
+class TestSpreadsOffTheGrid:
+    """A valid spread outside [grid_lo, grid_hi) would get a cover
+    probability of 0 or 1, and so an entropy of 0 bits, from the grid
+    alone; the fit commands reject it."""
+
+    FLAGS = ["--simulations", "2"]
+
+    @pytest.mark.parametrize("command", ["profile", "simulate-ti", "backtest-td"])
+    def test_rejected(self, off_grid_csv, tmp_path, capsys, command):
+        code = main([command, "--input", str(off_grid_csv), "--out-dir", str(tmp_path / "o"),
+                     "--grid-lo", "-10", "--grid-hi", "10", *self.FLAGS])
+        assert code == 1
+        assert "spread -11 lies outside the outcome grid [-10, 10)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["profile", "simulate-ti", "backtest-td"])
+    def test_default_grid_accepts(self, off_grid_csv, tmp_path, command):
+        out_dir = tmp_path / "o"
+        code = main([command, "--input", str(off_grid_csv), "--out-dir", str(out_dir),
+                     *self.FLAGS])
+        assert code == 0
+        rows = read_csv_rows(out_dir / "profile.csv")
+        assert [float(r["spread"]) for r in rows] == OFF_GRID_SPREADS
+        assert all(float(r["entropy_bits"]) > 0.1 for r in rows)

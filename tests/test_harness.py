@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from spreadbias import (
     Dataset,
+    FitConfig,
     TdConfig,
     TiConfig,
     parse_games,
@@ -74,6 +76,42 @@ class TestTiConfig:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed"):
             TiConfig(seed=-1)
+
+
+class TestFitConfigs:
+    FIT_FIELDS = ["min_samples", "entropy_threshold", "bandwidth", "grid_lo", "grid_hi",
+                  "kernel", "seed"]
+
+    def test_protocols_extend_the_fit_fields(self):
+        assert [f.name for f in fields(FitConfig)] == self.FIT_FIELDS
+        assert [f.name for f in fields(TiConfig)] == self.FIT_FIELDS + [
+            "n_simulations", "holdout_per_spread"]
+        assert [f.name for f in fields(TdConfig)] == self.FIT_FIELDS + ["cutoff_year"]
+
+    def test_min_samples_defaults(self):
+        assert FitConfig().min_samples == 25
+        assert TiConfig().min_samples == 25
+        assert TdConfig().min_samples == 15
+        assert TdConfig().cutoff_year == 2017
+
+    @pytest.mark.parametrize("cls", [FitConfig, TiConfig, TdConfig])
+    def test_shared_validation(self, cls):
+        with pytest.raises(ValueError, match="bandwidth must be positive"):
+            cls(bandwidth=0.0)
+        with pytest.raises(ValueError, match="grid_lo must be below grid_hi"):
+            cls(grid_lo=5, grid_hi=5)
+
+    def test_valid_buckets_reject_spreads_off_the_grid(self):
+        ds = synthetic_spread_dataset([-10.0, 9.5, 10.0], 30, seed=4)
+        config = FitConfig(grid_lo=-10, grid_hi=11)
+        assert [b.spread for b in config.valid_buckets(ds)] == [-10.0, 9.5, 10.0]
+        message = r"spread 10 lies outside the outcome grid \[-10, 10\)"
+        with pytest.raises(ValueError, match=message):
+            FitConfig(grid_lo=-10, grid_hi=10).valid_buckets(ds)
+        with pytest.raises(ValueError, match=r"spread -10 lies outside"):
+            FitConfig(grid_lo=-9, grid_hi=11).valid_buckets(ds)
+        # Spreads under min_samples are not fitted, so they are not checked.
+        assert FitConfig(grid_lo=-9, grid_hi=10, min_samples=31).valid_buckets(ds) == []
 
 
 class TestRunTi:
