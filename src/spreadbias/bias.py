@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -86,6 +86,13 @@ def profile_arrays(
     return mass, p_home, np.array([binary_entropy(p) for p in p_home.tolist()])
 
 
+def _bucket_counts(buckets: Sequence[SpreadBucket], grid: OutcomeGrid) -> np.ndarray:
+    """The (buckets x grid) block of outcome counts, one row per bucket, that
+    ``profile_arrays`` takes."""
+    rows = [outcome_counts(b.outcomes, grid) for b in buckets]
+    return np.vstack(rows) if rows else np.zeros((0, len(grid)), dtype=np.int64)
+
+
 def build_profile(
     buckets: Iterable[SpreadBucket],
     bandwidth: float = DEFAULT_BANDWIDTH,
@@ -103,10 +110,9 @@ def build_profile(
     """
     buckets = sorted(buckets, key=lambda b: b.spread)
     spreads = [b.spread for b in buckets]
-    counts = np.zeros((0, len(grid)))
-    if buckets:
-        counts = np.vstack([outcome_counts(b.outcomes, grid) for b in buckets])
-    mass, p_home, entropy = profile_arrays(counts, spreads, bandwidth, grid, kernel)
+    mass, p_home, entropy = profile_arrays(
+        _bucket_counts(buckets, grid), spreads, bandwidth, grid, kernel
+    )
     entries = tuple(
         SpreadBias(spread, p, 1.0 - p, h, len(bucket))
         for spread, p, h, bucket in zip(spreads, p_home.tolist(), entropy.tolist(), buckets)

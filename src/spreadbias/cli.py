@@ -24,6 +24,7 @@ from pathlib import Path
 from . import __version__
 from .bias import build_profile
 from .data import (
+    REQUIRED_COLUMNS,
     Dataset,
     DuplicateConflictError,
     ParseError,
@@ -33,7 +34,9 @@ from .data import (
     parse_games,
 )
 from .density import KERNELS
-from .harness import EvaluationReport, FitConfig, TdConfig, TiConfig, run_td, run_ti
+from .harness import (
+    EvaluationReport, FitConfig, TdConfig, TiConfig, _field_error, run_td, run_ti,
+)
 from .models import MODEL_K_LOWEST, MODEL_MAX_PROB, MODEL_MIN_ENTROPY, MODEL_RANDOM
 
 MODEL_LABELS = {MODEL_RANDOM: "Random", MODEL_MAX_PROB: "Max-Prob"}
@@ -41,6 +44,7 @@ MODEL_LABELS = {MODEL_RANDOM: "Random", MODEL_MAX_PROB: "Max-Prob"}
 # Config fields whose flag and --config key are spelled differently; every
 # other field's option is its own name.
 _FLAG_OF = {"holdout_per_spread": "holdout", "n_simulations": "simulations"}
+_FIELD_OF = {flag: name for name, flag in _FLAG_OF.items()}
 
 # Every tuning option, each a field of TiConfig or TdConfig (FitConfig's
 # fields are in both), and the type it parses to: that of the default.
@@ -117,6 +121,8 @@ def _read_config_file(path: str) -> dict:
             values[key] = kind(raw)
         except ValueError:
             raise ValueError(f"{path}:{n}: {key} expects {kind.__name__}, got {raw!r}") from None
+        if error := _field_error(_FIELD_OF.get(key, key), values[key]):
+            raise ValueError(f"{path}:{n}: {error}")
     return values
 
 
@@ -208,11 +214,13 @@ def _summary_rows(report: EvaluationReport) -> list[list[str]]:
     return rows
 
 
-def _profile_rows(report: EvaluationReport) -> tuple[list[str], list[list[str]]]:
-    has_sd = any("entropy_sd" in row for row in report.profile)
+def _profile_rows(profile) -> tuple[list[str], list[list[str]]]:
+    """``profile.csv``'s header and rows from per-spread dicts keyed like a
+    report's profile rows; an ``entropy_sd`` key (TI's) gets a column."""
+    has_sd = any("entropy_sd" in row for row in profile)
     header = ["spread", "p_home", "entropy_bits"] + (["entropy_sd"] if has_sd else []) + ["n_train"]
     rows = []
-    for row in report.profile:
+    for row in profile:
         out = [f"{row['spread']:g}", repr(row["p_home"]), repr(row["entropy_bits"])]
         if has_sd:
             sd = row.get("entropy_sd")
@@ -231,7 +239,7 @@ def cmd_ingest(args: argparse.Namespace, options: dict) -> int:
     _write_csv(
         out_dir / "dataset.csv",
         manifest,
-        ["date", "home_team", "visitor_team", "home_score", "visitor_score", "spread"],
+        list(REQUIRED_COLUMNS),
         (
             [
                 r.date.isoformat(),
@@ -272,15 +280,8 @@ def cmd_profile(args: argparse.Namespace, options: dict) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = _manifest("profile", asdict(config), args.input)
 
-    _write_csv(
-        out_dir / "profile.csv",
-        manifest,
-        ["spread", "p_home", "entropy_bits", "n_train"],
-        (
-            [f"{e.spread:g}", repr(e.p_home), repr(e.entropy_bits), str(e.n_train)]
-            for e in profile.entries
-        ),
-    )
+    header, rows = _profile_rows([asdict(e) for e in profile.entries])
+    _write_csv(out_dir / "profile.csv", manifest, header, rows)
     points = config.grid().points.tolist()
     for bucket, mass in zip(buckets, profile.mass.tolist()):
         tag = _spread_tag(bucket.spread)
@@ -318,7 +319,7 @@ def _run_and_write(command: str, report: EvaluationReport, args) -> int:
         ["model", "percent_ats_win", "sem", "n_test_samples"],
         summary,
     )
-    header, rows = _profile_rows(report)
+    header, rows = _profile_rows(report.profile)
     _write_csv(out_dir / "profile.csv", manifest, header, rows)
 
     for label, pct, sem, n_test in summary:

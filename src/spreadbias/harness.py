@@ -1,12 +1,14 @@
 """Backtest harnesses: repeated-random-holdout and date-split evaluations.
 
-Two protocols are provided. The temporally-independent (TI) harness
-ignores game dates: for each of N simulations it holds out a fixed number
-of outcomes per valid spread, fits the bias profile on the rest, and lets
-every strategy wager on the held-out games, aggregating mean and SEM of
-the per-simulation win percentages. The temporally-dependent (TD) harness
-splits once by date, fits on the past, wagers on the future, and sweeps
-the k-lowest-entropy strategy over every k.
+Both protocols run one evaluation step over a list of train/test splits
+of the valid spreads: fit the bias profile on each split's training
+games, rank the spreads, and let every strategy wager on the split's test
+games; the splits' win percentages are then reduced to a mean and SEM.
+The temporally-independent (TI) harness ignores game dates and makes N
+splits, each holding out a fixed number of outcomes per valid spread.
+The temporally-dependent (TD) harness is the single-split case: it
+splits once by date, fits on the past, wagers on the future, and also
+sweeps the k-lowest-entropy strategy over every k.
 
 All randomness derives from named streams spawned off the config seed, so
 a run is reproducible bit for bit and TI simulations could be evaluated in
@@ -17,15 +19,15 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass
-from typing import Iterable, NamedTuple, Sequence
+from dataclasses import asdict, dataclass, fields, replace
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .bias import (
     DEFAULT_ENTROPY_THRESHOLD,
     BiasProfile,
-    build_profile,
+    _bucket_counts,
     profile_arrays,
     rank_spreads,
 )
@@ -50,6 +52,25 @@ def _stream(*key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(key))
 
 
+#: The rule each config field must keep on its own, and the message that
+#: names it (``{!r}`` stands for the value).
+_FIELD_RULES = {
+    "min_samples": (lambda v: v >= 1, "min_samples must be >= 1"),
+    "entropy_threshold": (lambda v: 0.0 <= v <= 1.0, "entropy_threshold must lie in [0, 1]"),
+    "bandwidth": (lambda v: v > 0, "bandwidth must be positive"),
+    "kernel": (lambda v: v in KERNELS, f"kernel must be one of {KERNELS}, got {{!r}}"),
+    "seed": (lambda v: v >= 0, "seed must be non-negative"),
+    "n_simulations": (lambda v: v >= 1, "n_simulations must be >= 1"),
+    "holdout_per_spread": (lambda v: v >= 1, "holdout_per_spread must be >= 1"),
+}
+
+
+def _field_error(name: str, value) -> str | None:
+    """Why ``value`` breaks config field ``name``'s own rule, or None."""
+    holds, message = _FIELD_RULES.get(name, (lambda v: True, ""))
+    return None if holds(value) else message.format(value)
+
+
 @dataclass(frozen=True)
 class FitConfig:
     """Settings of one bias-profile fit: which spreads are valid, and the
@@ -64,18 +85,11 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.min_samples < 1:
-            raise ValueError("min_samples must be >= 1")
-        if not self.bandwidth > 0:
-            raise ValueError("bandwidth must be positive")
-        if not 0.0 <= self.entropy_threshold <= 1.0:
-            raise ValueError("entropy_threshold must lie in [0, 1]")
-        if self.kernel not in KERNELS:
-            raise ValueError(f"kernel must be one of {KERNELS}, got {self.kernel!r}")
+        for f in fields(self):
+            if error := _field_error(f.name, getattr(self, f.name)):
+                raise ValueError(error)
         if self.grid_lo >= self.grid_hi:
             raise ValueError("grid_lo must be below grid_hi")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
 
     def grid(self) -> OutcomeGrid:
         return OutcomeGrid(self.grid_lo, self.grid_hi)
@@ -105,16 +119,12 @@ class TiConfig(FitConfig):
     holdout_per_spread: int = 10
 
     def __post_init__(self):
-        if self.n_simulations < 1:
-            raise ValueError("n_simulations must be >= 1")
-        if self.holdout_per_spread < 1:
-            raise ValueError("holdout_per_spread must be >= 1")
+        super().__post_init__()
         if self.min_samples - self.holdout_per_spread < 1:
             raise ValueError(
                 "min_samples must exceed holdout_per_spread so each valid "
                 "spread keeps at least one training sample"
             )
-        super().__post_init__()
 
 
 @dataclass(frozen=True)
@@ -203,34 +213,24 @@ def _ranked_counts(results: np.ndarray, rows: np.ndarray, order: np.ndarray) -> 
     """Loss/push/win counts of ``settle_ats`` results pooled over the first
     k spreads of ``order``, one row for each k from 0 to all spreads.
 
-    ``rows`` holds the spread index of each result and broadcasts
-    against ``results``.
+    ``rows`` holds the spread index of each result.
     """
     n = len(order)
-    counts = np.bincount((3 * rows + results + 1).ravel(), minlength=3 * n).reshape(n, 3)
+    counts = np.bincount(3 * rows + results + 1, minlength=3 * n).reshape(n, 3)
     return np.vstack([np.zeros((1, 3), dtype=counts.dtype), np.cumsum(counts[order], axis=0)])
 
 
-def _model_counts(random_results: np.ndarray, ranked: np.ndarray, k: int) -> np.ndarray:
-    """Loss/push/win counts, one row per strategy in ``MODEL_NAMES`` order,
-    from the Random results and the ``_ranked_counts`` of the Max-Prob
-    results: Max-Prob wagers at every spread, Min-Ent at the most biased
-    one and k-Lowest at the k most biased."""
-    random_counts = np.bincount(random_results.ravel() + 1, minlength=3)
-    return np.array([random_counts, ranked[-1], ranked[1], ranked[k]])
-
-
-def _summaries(totals: np.ndarray, estimates: list[tuple], k: int) -> tuple[ModelSummary, ...]:
-    """One ModelSummary per strategy from its row of pooled counts and its
-    (win percentage, SEM); ``k`` is the k-Lowest selection size."""
-    model_k = {MODEL_MIN_ENTROPY: 1, MODEL_K_LOWEST: k}
-    summaries = []
-    for name, counts, (pct, sem) in zip(MODEL_NAMES, totals.tolist(), estimates):
-        tally = _Tally(*counts)
-        summaries.append(ModelSummary(
-            name, pct, sem, tally.settled, tally.pushes, tally.wins, model_k.get(name)
-        ))
-    return tuple(summaries)
+def _max_prob_ranked(
+    p_home: np.ndarray, entropy, spreads: np.ndarray, threshold: float,
+    rows: np.ndarray, outcomes: np.ndarray,
+) -> tuple[np.ndarray, int, np.ndarray]:
+    """Rank the spreads and settle Max-Prob on the test games at them
+    (``rows`` indexes ``spreads``): the rank order and threshold k from
+    ``rank_spreads``, and the ``_ranked_counts`` of the Max-Prob results."""
+    order, k = rank_spreads(entropy, spreads, threshold)
+    # Max-Prob backs the Visitor only on a strict edge; ties go Home.
+    results = settle_ats((1.0 - p_home > p_home)[rows], outcomes, spreads[rows])
+    return order, k, _ranked_counts(results, rows, order)
 
 
 def summarize(per_simulation_win_pcts: Sequence[float]) -> tuple[float, float | None]:
@@ -248,6 +248,117 @@ def summarize(per_simulation_win_pcts: Sequence[float]) -> tuple[float, float | 
     return mean, float(np.std(values, ddof=1) / math.sqrt(len(values)))
 
 
+def _modal_k(ks: Iterable[int]) -> int:
+    counts = Counter(ks)
+    return min(counts, key=lambda k: (-counts[k], k))
+
+
+class _Split(NamedTuple):
+    """One train/test split of the valid spreads."""
+
+    train: np.ndarray     # (spreads x grid) training outcome counts
+    rows: np.ndarray      # spread index of each test game, in coin-flip order
+    outcomes: np.ndarray  # outcome of each test game
+    flips: np.ndarray     # one uniform draw per test game; below 0.5 backs the Visitor
+
+
+def _backtest(
+    protocol: str, config: FitConfig, spreads: np.ndarray, splits: Iterable[_Split]
+) -> tuple[EvaluationReport, np.ndarray, np.ndarray, int]:
+    """Fit, rank and settle every strategy on each split, then reduce.
+
+    A strategy's win percentage is the mean (and SEM) of its per-split
+    percentages where it settled a wager; its counts are pooled. Max-Prob
+    wagers at every spread, Min-Ent at the most biased one and k-Lowest at
+    the split's threshold k most biased. A profile row averages a spread's
+    fit over the splits; its ``n_train`` is from the last split, as every
+    TI split trains on as many games per spread.
+
+    Returns the report parts both protocols share, the (spreads x splits)
+    entropies, the Max-Prob ``_ranked_counts`` summed over the splits and
+    the modal threshold k.
+    """
+    grid = config.grid()
+    split_counts, ks, p_homes, entropies = [], [], [], []
+    selection_counter: Counter[float] = Counter()
+    ranked_total = 0
+    for split in splits:
+        _, p_home, entropy = profile_arrays(
+            split.train, spreads, config.bandwidth, grid, config.kernel
+        )
+        order, k, ranked = _max_prob_ranked(
+            p_home, entropy, spreads, config.entropy_threshold, split.rows, split.outcomes
+        )
+        random_results = settle_ats(split.flips < 0.5, split.outcomes, spreads[split.rows])
+        random_counts = np.bincount(random_results + 1, minlength=3)
+        split_counts.append([random_counts, ranked[-1], ranked[1], ranked[k]])
+        ks.append(k)
+        selection_counter.update(spreads[order[:k]].tolist())
+        p_homes.append(p_home)
+        entropies.append(entropy)
+        ranked_total = ranked_total + ranked
+        n_train = split.train.sum(axis=1).tolist()
+
+    split_counts = np.array(split_counts)
+    totals = split_counts.sum(axis=0).tolist()
+    k = _modal_k(ks)
+    model_k = {MODEL_MIN_ENTROPY: 1, MODEL_K_LOWEST: k}
+    models = []
+    per_model = split_counts.transpose(1, 0, 2).tolist()
+    for name, total, per_split in zip(MODEL_NAMES, totals, per_model):
+        pcts = [t.pct for t in map(_Tally._make, per_split) if t.settled]
+        pct, sem = summarize(pcts) if pcts else (None, None)
+        tally = _Tally(*total)
+        models.append(ModelSummary(
+            name, pct, sem, tally.settled, tally.pushes, tally.wins, model_k.get(name)
+        ))
+
+    p_home = np.ascontiguousarray(np.transpose(p_homes))
+    entropy = np.ascontiguousarray(np.transpose(entropies))
+    profile = tuple(
+        {
+            "spread": spread,
+            "p_home": float(np.mean(p_home[j])),
+            "entropy_bits": float(np.mean(entropy[j])),
+            "n_train": n_train[j],
+        }
+        for j, spread in enumerate(spreads.tolist())
+    )
+    report = EvaluationReport(
+        protocol=protocol,
+        config=asdict(config),
+        valid_spreads=tuple(spreads.tolist()),
+        n_test_samples=sum(totals[0]),  # Random wagers on every test game
+        models=tuple(models),
+        profile=profile,
+        selection_counts=dict(selection_counter),
+    )
+    return report, entropy, ranked_total, k
+
+
+def _holdout_splits(buckets: list[SpreadBucket], config: TiConfig) -> Iterator[_Split]:
+    """TI's splits, one per simulation: each bucket's holdouts are its test
+    games, and its full counts minus theirs its training block."""
+    grid = config.grid()
+    holdout = config.holdout_per_spread
+    sizes = [len(b) for b in buckets]
+    starts = np.cumsum([0] + sizes[:-1])[:, None]
+    all_outcomes = np.concatenate([np.asarray(b.outcomes, dtype=np.int64) for b in buckets])
+    full_counts = _bucket_counts(buckets, grid)
+    rows = np.repeat(np.arange(len(buckets)), holdout)
+    for sim in range(config.n_simulations):
+        picks = np.array([
+            _stream(config.seed, _HOLDOUT_STREAM, sim, j).choice(size, holdout, replace=False)
+            for j, size in enumerate(sizes)
+        ])
+        # Holdouts in bucket order, so they pair with the coin flips
+        # exactly as a per-outcome loop would.
+        tests = all_outcomes[starts + np.sort(picks, axis=1)]
+        # Coin flips in spread-then-holdout order.
+        flips = _stream(config.seed, _GUESS_STREAM, sim).random(tests.size)
+        yield _Split(full_counts - outcome_counts(tests, grid), rows, tests.ravel(), flips)
+
+
 def run_ti(dataset: Dataset, config: TiConfig) -> EvaluationReport:
     """Monte Carlo backtest with repeated per-spread random holdouts.
 
@@ -257,12 +368,7 @@ def run_ti(dataset: Dataset, config: TiConfig) -> EvaluationReport:
     spread index), fits the bias profile on the remainder, and settles
     every strategy's wagers on the held-out outcomes. Win percentages are
     aggregated across simulations as mean and SEM.
-
-    A simulation works on one (spreads x grid) block: each spread's
-    training histogram is its full-bucket histogram minus that of its
-    holdouts, and all spreads are smoothed and settled together.
     """
-    grid = config.grid()
     # TiConfig keeps min_samples above holdout_per_spread, so every valid
     # bucket keeps at least one training outcome.
     buckets = config.valid_buckets(dataset)
@@ -271,127 +377,42 @@ def run_ti(dataset: Dataset, config: TiConfig) -> EvaluationReport:
             f"no spread has at least min_samples={config.min_samples} outcomes"
         )
     spreads = np.array([b.spread for b in buckets])
-    n_spreads = len(buckets)
-    n_sims = config.n_simulations
-    holdout = config.holdout_per_spread
-    sizes = [len(b) for b in buckets]
-    starts = np.cumsum([0] + sizes[:-1])[:, None]
-    all_outcomes = np.concatenate([np.asarray(b.outcomes, dtype=np.int64) for b in buckets])
-    full_counts = np.vstack([outcome_counts(b.outcomes, grid) for b in buckets])
-
-    sim_counts = np.empty((n_sims, len(MODEL_NAMES), 3), dtype=np.int64)
-    selection_counter: Counter[float] = Counter()
-    ks: list[int] = []
-    p_homes = np.empty((n_spreads, n_sims))
-    entropies = np.empty((n_spreads, n_sims))
-
-    for sim in range(n_sims):
-        picks = np.array([
-            _stream(config.seed, _HOLDOUT_STREAM, sim, j).choice(size, holdout, replace=False)
-            for j, size in enumerate(sizes)
-        ])
-        # Holdouts in bucket order, so they pair with the coin flips below
-        # exactly as a per-outcome loop would.
-        tests = all_outcomes[starts + np.sort(picks, axis=1)]
-        _, p_home, entropy = profile_arrays(
-            full_counts - outcome_counts(tests, grid), spreads,
-            config.bandwidth, grid, config.kernel,
-        )
-        p_homes[:, sim] = p_home
-        entropies[:, sim] = entropy
-
-        # Coin flips in spread-then-holdout order; below 0.5 backs the Visitor.
-        flips = _stream(config.seed, _GUESS_STREAM, sim).random(n_spreads * holdout)
-        random_results = settle_ats(
-            flips.reshape(n_spreads, holdout) < 0.5, tests, spreads[:, None]
-        )
-        # Max-Prob backs the Visitor only on a strict edge; ties go Home.
-        results = settle_ats((1.0 - p_home > p_home)[:, None], tests, spreads[:, None])
-        order, k = rank_spreads(entropy, spreads, config.entropy_threshold)
-        ks.append(k)
-        selection_counter.update(spreads[order[:k]].tolist())
-
-        ranked = _ranked_counts(results, np.arange(n_spreads)[:, None], order)
-        sim_counts[sim] = _model_counts(random_results, ranked, k)
-
-    estimates = []
-    for model_counts in sim_counts.transpose(1, 0, 2).tolist():
-        pcts = [t.pct for t in (_Tally(*c) for c in model_counts) if t.settled]
-        estimates.append(summarize(pcts) if pcts else (None, None))
-    summaries = _summaries(sim_counts.sum(axis=0), estimates, _modal_k(ks))
-
-    profile_rows = tuple(
-        {
-            "spread": bucket.spread,
-            "p_home": float(np.mean(p_homes[j])),
-            "entropy_bits": float(np.mean(entropies[j])),
-            "entropy_sd": float(np.std(entropies[j], ddof=1)) if n_sims > 1 else None,
-            "n_train": len(bucket) - holdout,
-        }
-        for j, bucket in enumerate(buckets)
-    )
-
-    return EvaluationReport(
-        protocol="ti",
-        config=asdict(config),
-        valid_spreads=tuple(b.spread for b in buckets),
-        n_test_samples=n_sims * holdout * n_spreads,
-        models=summaries,
-        profile=profile_rows,
-        selection_counts=dict(selection_counter),
-    )
+    report, entropy, _, _ = _backtest("ti", config, spreads, _holdout_splits(buckets, config))
+    return replace(report, profile=tuple(
+        {**row, "entropy_sd": float(np.std(h, ddof=1)) if len(h) > 1 else None}
+        for row, h in zip(report.profile, entropy)
+    ))
 
 
-def _modal_k(ks: Iterable[int]) -> int:
-    counts = Counter(ks)
-    return min(counts, key=lambda k: (-counts[k], k))
-
-
-def _max_prob_ranked(
-    profile: BiasProfile, records: Sequence[GameRecord]
-) -> tuple[np.ndarray, int, np.ndarray]:
-    """Rank the profile's spreads and settle Max-Prob on the test games at
-    them: the rank order and threshold k from ``rank_spreads``, and the
-    ``_ranked_counts`` of the Max-Prob results."""
-    index = {e.spread: j for j, e in enumerate(profile.entries)}
-    rows, outcomes = np.array(
+def _games_at(index: dict[float, int], records: Iterable[GameRecord]) -> tuple[np.ndarray, ...]:
+    """Spread indices and outcomes of the ``records`` at a spread in
+    ``index``, in record order."""
+    return np.array(
         [(index[r.spread], r.outcome) for r in records if r.spread in index], dtype=np.int64
     ).reshape(-1, 2).T
-    spreads = np.array([e.spread for e in profile.entries])
-    order, k = rank_spreads([e.entropy_bits for e in profile.entries], spreads, profile.threshold)
-    # Max-Prob backs the Visitor only on a strict edge; ties go Home.
-    backs_visitor = np.array([e.p_visitor > e.p_home for e in profile.entries])
-    results = settle_ats(backs_visitor[rows], outcomes, spreads[rows])
-    return order, k, _ranked_counts(results, rows, order)
 
 
 def _sweep_rows(ranked: np.ndarray, k_threshold: int) -> list[dict]:
-    rows = []
-    for k, counts in enumerate(ranked[1:].tolist(), start=1):
-        tally = _Tally(*counts)
-        rows.append(
-            {
-                "k": k,
-                "ats_win_pct": tally.pct,
-                "n_wins": tally.wins,
-                "n_test": tally.settled,
-                "n_push": tally.pushes,
-                "threshold_selected": k == k_threshold,
-            }
-        )
-    return rows
+    return [
+        {"k": k, "ats_win_pct": t.pct, "n_wins": t.wins, "n_test": t.settled,
+         "n_push": t.pushes, "threshold_selected": k == k_threshold}
+        for k, t in enumerate(map(_Tally._make, ranked[1:].tolist()), start=1)
+    ]
 
 
-def sweep_k(
-    profile: BiasProfile, records: Sequence[GameRecord]
-) -> list[dict]:
+def sweep_k(profile: BiasProfile, records: Sequence[GameRecord]) -> list[dict]:
     """Settle the k-lowest-entropy strategy for every k from 1 to all spreads.
 
     ``records`` are the test games; those at spreads outside the profile
     are ignored. Each row carries the pooled win percentage and settled
     count; the row whose k equals the threshold-mode selection is flagged.
     """
-    _, k, ranked = _max_prob_ranked(profile, records)
+    index = {e.spread: j for j, e in enumerate(profile.entries)}
+    _, k, ranked = _max_prob_ranked(
+        np.array([e.p_home for e in profile.entries]),
+        [e.entropy_bits for e in profile.entries],
+        np.array(list(index)), profile.threshold, *_games_at(index, records),
+    )
     return _sweep_rows(ranked, k)
 
 
@@ -413,44 +434,15 @@ def run_td(dataset: Dataset, config: TdConfig) -> EvaluationReport:
         raise ValueError(
             f"no training spread has at least min_samples={config.min_samples} outcomes"
         )
-    profile = build_profile(
-        buckets, config.bandwidth, config.grid(), config.entropy_threshold, config.kernel
-    )
-    spreads = [e.spread for e in profile.entries]
-    valid = set(spreads)
-    test_records = sorted(
-        (r for r in test if r.spread in valid),
-        key=lambda r: (r.spread, r.date, r.home_team, r.visitor_team),
-    )
-
-    order, k, ranked = _max_prob_ranked(profile, test_records)
-    # One coin flip per test game, in test_records order.
-    flips = _stream(config.seed, _GUESS_STREAM).random(len(test_records))
-    random_results = settle_ats(
-        flips < 0.5, [r.outcome for r in test_records], [r.spread for r in test_records]
-    )
-    totals = _model_counts(random_results, ranked, k)
-    estimates = [(_Tally(*counts).pct, None) for counts in totals.tolist()]
-
-    profile_rows = tuple(
-        {
-            "spread": e.spread,
-            "p_home": e.p_home,
-            "entropy_bits": e.entropy_bits,
-            "n_train": e.n_train,
-        }
-        for e in profile.entries
-    )
-
-    return EvaluationReport(
-        protocol="td",
-        config=asdict(config),
-        valid_spreads=tuple(spreads),
-        n_test_samples=len(test_records),
-        models=_summaries(totals, estimates, k),
-        profile=profile_rows,
-        ksweep=tuple(_sweep_rows(ranked, k)),
-        selection_counts={spreads[j]: 1 for j in order[:k].tolist()},
-        n_train_records=len(train),
-        n_test_records=len(test),
+    index = {b.spread: j for j, b in enumerate(buckets)}
+    # The test games in the order their coin flips are drawn.
+    rows, outcomes = _games_at(index, sorted(
+        test, key=lambda r: (r.spread, r.date, r.home_team, r.visitor_team)
+    ))
+    flips = _stream(config.seed, _GUESS_STREAM).random(len(outcomes))
+    split = _Split(_bucket_counts(buckets, config.grid()), rows, outcomes, flips)
+    report, _, ranked, k = _backtest("td", config, np.array(list(index)), [split])
+    return replace(
+        report, ksweep=tuple(_sweep_rows(ranked, k)),
+        n_train_records=len(train), n_test_records=len(test),
     )

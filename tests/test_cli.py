@@ -356,6 +356,32 @@ class TestConfigFile:
         assert err.startswith(f"error: {cfg}:2: ")
         assert "'2.5'" in err
 
+    @pytest.mark.parametrize("command", ["profile", "simulate-ti", "backtest-td"])
+    @pytest.mark.parametrize("line, message", [
+        ("kernel = cubic",
+         "kernel must be one of ('gaussian', 'boxcar', 'triangular'), got 'cubic'"),
+        ("min_samples = 0", "min_samples must be >= 1"),
+        ("bandwidth = 0", "bandwidth must be positive"),
+        ("seed = -1", "seed must be non-negative"),
+        ("holdout = 0", "holdout_per_spread must be >= 1"),
+    ])
+    def test_value_breaking_its_rule_fails_with_location(
+        self, games_csv, tmp_path, capsys, command, line, message
+    ):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# header\nseed = 1\n{line}\n")
+        code = main([command, "--input", str(games_csv),
+                     "--out-dir", str(tmp_path / "o"), "--config", str(cfg)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {cfg}:3: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_same_rule_as_a_flag_is_unlocated(self, games_csv, tmp_path, capsys):
+        code = main(["profile", "--input", str(games_csv),
+                     "--out-dir", str(tmp_path / "o"), "--min-samples", "0"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: min_samples must be >= 1\n"
+
 
 # A value for every tuning option, each different from every default.
 OPTION_VALUES = {

@@ -295,6 +295,24 @@ class TestRunTd:
         with pytest.raises(ValueError, match="min_samples"):
             run_td(ds, TdConfig(cutoff_year=2017, min_samples=1000))
 
+    def test_test_games_only_at_invalid_spreads(self):
+        # Every 2017 game sits at 9.5, which has no training games: the
+        # test side is not empty, but nothing is wagered.
+        train = synthetic_spread_dataset(HALF_SPREADS, 30, seed=14, start="2015-01-01")
+        test = synthetic_spread_dataset([9.5], 6, seed=15, start="2017-01-01")
+        report = run_td(Dataset(train.records + test.records),
+                        TdConfig(cutoff_year=2017, min_samples=15, seed=2))
+        assert report.valid_spreads == tuple(HALF_SPREADS)
+        assert report.n_test_records == 6
+        assert report.n_test_samples == 0
+        for summary in report.models:
+            assert summary.ats_win_pct is None
+            assert (summary.n_test, summary.n_push, summary.n_wins) == (0, 0, 0)
+        assert [row["k"] for row in report.ksweep] == list(range(1, len(HALF_SPREADS) + 1))
+        for row in report.ksweep:
+            assert (row["ats_win_pct"], row["n_test"], row["n_push"], row["n_wins"]) == (
+                None, 0, 0, 0)
+
 
 #: Whole- and half-point spreads, one leaning, trained before 2017 and
 #: tested in it.
@@ -336,6 +354,17 @@ class TestSweepK:
             chosen = {e.spread for e in k_lowest_spreads(profile, row["k"])}
             expected = sum(1 for r in records if r.spread in chosen)
             assert row["n_test"] + row["n_push"] == expected
+
+    def test_no_record_at_a_profile_spread(self):
+        ds = synthetic_spread_dataset(HALF_SPREADS, 30, seed=20)
+        profile = build_profile(bucket_by_spread(ds, 25))
+        elsewhere = list(synthetic_spread_dataset([9.5, 12.0], 5, seed=21))
+        for records in ([], elsewhere):
+            rows = sweep_k(profile, records)
+            assert [row["k"] for row in rows] == list(range(1, len(HALF_SPREADS) + 1))
+            for row in rows:
+                assert row["ats_win_pct"] is None
+                assert (row["n_test"], row["n_push"], row["n_wins"]) == (0, 0, 0)
 
     def test_full_sweep_pools_everything(self):
         ds = synthetic_spread_dataset(HALF_SPREADS, 30, seed=20)
