@@ -106,8 +106,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _read_config_file(path: str) -> dict:
     values = {}
-    for n, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = line.strip()
+    for n, line in enumerate(Path(path).read_bytes().removeprefix(b"\xef\xbb\xbf").splitlines(), 1):
+        try:
+            line = line.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}:{n}: {exc}") from None
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
@@ -157,8 +160,17 @@ def _manifest(command: str, config: dict, input_path: str) -> dict:
 
 def _load_dataset(path: str) -> tuple[Dataset, Dataset]:
     """Return (raw, deduplicated) datasets from a games file."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        raw = parse_games(fh)
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            raw = parse_games(fh)
+    except UnicodeDecodeError:
+        # The error's position counts from a read buffer, not the file: decode by line.
+        for n, line in enumerate(Path(path).read_bytes().splitlines(), 1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(n, str(exc)) from None
+        raise
     return raw, deduplicate(raw)
 
 

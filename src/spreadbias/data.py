@@ -6,6 +6,7 @@ import csv
 import datetime as dt
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, NamedTuple
 
 #: Lines starting with this prefix are treated as comments (run manifests
@@ -99,17 +100,19 @@ def parse_games(source: Iterable[str]) -> Dataset:
     any order; extra columns are ignored. Dates are YYYY-MM-DD; scores are
     non-negative integers; spreads are finite numbers, rounded to one
     decimal place on input because they are half-point market quotes
-    (``-0`` reads as ``0``). Blank lines and ``#`` comment lines are
-    skipped. A quoted field may not span lines. Row order is preserved.
+    (``-0`` reads as ``0``). A leading byte-order mark, blank lines and
+    ``#`` comment lines are skipped; a quoted field may not span lines.
+    Row order is preserved.
 
     Raises SchemaError when the header is absent, incomplete, or repeats
     a required column, and ParseError (carrying the offending line
     number) for malformed rows.
     """
+    lines = iter(source)
     numbered = [
         (n, line)
-        for n, line in enumerate(source, start=1)
-        if line.strip() and not line.lstrip().startswith(COMMENT_PREFIX)
+        for n, line in enumerate(chain([next(lines, "").removeprefix("\ufeff")], lines), start=1)
+        if (text := line.lstrip()) and not text.startswith(COMMENT_PREFIX)
     ]
     if not numbered:
         raise SchemaError("empty input: a header row is required")
@@ -132,6 +135,8 @@ def parse_games(source: Iterable[str]) -> Dataset:
         n_fields = len(header)
         i_date, i_home, i_visitor, i_hs, i_vs, i_spread = map(header.index, REQUIRED_COLUMNS)
 
+        # Each distinct raw value is checked once per kind and shared; failures are never stored.
+        dates, teams, scores, spreads = {}, {}, {}, {}
         records = []
         for i, fields in enumerate(reader, start=1):
             line_num = line_nums[i]
@@ -139,36 +144,38 @@ def parse_games(source: Iterable[str]) -> Dataset:
                 raise ParseError(line_num, "quoted field spans lines")
             if len(fields) != n_fields:
                 raise ParseError(line_num, f"expected {n_fields} fields, found {len(fields)}")
-            raw = fields[i_date].strip()
-            try:
-                # fromisoformat also takes 20170910 and 2017-W36-7 on
-                # Python 3.11+, so the YYYY-MM-DD shape is checked first.
-                if len(raw) != 10 or raw[4] != "-" or raw[7] != "-":
-                    raise ValueError
-                date = dt.date.fromisoformat(raw)
-            except ValueError:
-                raise ParseError(line_num, f"invalid date {raw!r} (expected YYYY-MM-DD)") from None
-            home_team = fields[i_home].strip()
-            if not home_team:
-                raise ParseError(line_num, "empty home_team")
-            visitor_team = fields[i_visitor].strip()
-            if not visitor_team:
-                raise ParseError(line_num, "empty visitor_team")
-            home_score = _score(fields[i_hs].strip(), "home_score", line_num)
-            visitor_score = _score(fields[i_vs].strip(), "visitor_score", line_num)
-            raw = fields[i_spread].strip()
-            try:
-                spread = float(raw)
-            except ValueError:
-                raise ParseError(line_num, f"non-numeric spread {raw!r}") from None
-            if not math.isfinite(spread):
-                raise ParseError(line_num, f"non-finite spread {raw!r}")
-            # Adding 0.0 turns -0.0 into 0.0, so a pick'em spread gets one label.
-            records.append(GameRecord(date, home_team, visitor_team, home_score,
-                                      visitor_score, round(spread, 1) + 0.0))
+            if (date := dates.get(raw := fields[i_date])) is None:
+                date = dates[raw] = _date(raw.strip(), line_num)
+            if (home_team := teams.get(raw := fields[i_home])) is None:
+                home_team = teams[raw] = _team(raw.strip(), "home_team", line_num)
+            if (visitor_team := teams.get(raw := fields[i_visitor])) is None:
+                visitor_team = teams[raw] = _team(raw.strip(), "visitor_team", line_num)
+            if (home_score := scores.get(raw := fields[i_hs])) is None:
+                home_score = scores[raw] = _score(raw.strip(), "home_score", line_num)
+            if (visitor_score := scores.get(raw := fields[i_vs])) is None:
+                visitor_score = scores[raw] = _score(raw.strip(), "visitor_score", line_num)
+            if (spread := spreads.get(raw := fields[i_spread])) is None:
+                spread = spreads[raw] = _spread(raw.strip(), line_num)
+            records.append(GameRecord(date, home_team, visitor_team, home_score, visitor_score, spread))
     except csv.Error as exc:
         raise ParseError(line_nums[reader.line_num - 1], f"unreadable CSV: {exc}") from None
     return Dataset(tuple(records))
+
+
+def _date(raw: str, line_num: int) -> dt.date:
+    # fromisoformat also takes 20170910 and 2017-W36-7 on Python 3.11+, so check the shape first.
+    try:
+        if len(raw) == 10 and raw[4] == raw[7] == "-":
+            return dt.date.fromisoformat(raw)
+    except ValueError:
+        pass
+    raise ParseError(line_num, f"invalid date {raw!r} (expected YYYY-MM-DD)")
+
+
+def _team(raw: str, name: str, line_num: int) -> str:
+    if not raw:
+        raise ParseError(line_num, f"empty {name}")
+    return raw
 
 
 def _score(raw: str, name: str, line_num: int) -> int:
@@ -181,6 +188,17 @@ def _score(raw: str, name: str, line_num: int) -> int:
     return score
 
 
+def _spread(raw: str, line_num: int) -> float:
+    try:
+        spread = float(raw)
+    except ValueError:
+        raise ParseError(line_num, f"non-numeric spread {raw!r}") from None
+    if not math.isfinite(spread):
+        raise ParseError(line_num, f"non-finite spread {raw!r}")
+    # Adding 0.0 turns -0.0 into 0.0, so a pick'em spread gets one label.
+    return round(spread, 1) + 0.0
+
+
 def deduplicate(dataset: Dataset) -> Dataset:
     """Drop repeated games, keeping the first occurrence of each key.
 
@@ -190,7 +208,7 @@ def deduplicate(dataset: Dataset) -> Dataset:
     """
     seen: dict[tuple[dt.date, str, str], GameRecord] = {}
     for record in dataset:
-        prior = seen.setdefault(record.key, record)
+        prior = seen.setdefault(record[:3], record)
         if prior is not record and prior != record:
             raise DuplicateConflictError(prior, record)
     # Dicts keep insertion order, so the values are the first occurrences.

@@ -121,6 +121,23 @@ def dataset_csv_text(dataset: Dataset) -> str:
     return text.getvalue()
 
 
+def reference_parse(text: str) -> list[tuple]:
+    """Reference for ``parse_games`` on valid input: every field of every
+    row converted on its own, with no state shared between fields or rows."""
+    lines = [line for line in text.splitlines() if line.strip() and line.lstrip()[0] != "#"]
+    header, *rows = csv.reader(lines)
+    columns = [[name.strip() for name in header].index(c) for c in GameRecord._fields]
+    records = []
+    for row in rows:
+        date, home, visitor, home_score, visitor_score, spread = (row[i].strip() for i in columns)
+        year, month, day = date.split("-")
+        records.append((
+            dt.date(int(year), int(month), int(day)), home, visitor, int(home_score),
+            int(visitor_score), round(float(spread), 1) + 0.0,
+        ))
+    return records
+
+
 def write_dataset_csv(path: Path, dataset: Dataset) -> Path:
     path.write_text(dataset_csv_text(dataset), encoding="utf-8")
     return path

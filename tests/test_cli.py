@@ -481,3 +481,62 @@ class TestSpreadsOffTheGrid:
         rows = read_csv_rows(out_dir / "profile.csv")
         assert [float(r["spread"]) for r in rows] == OFF_GRID_SPREADS
         assert all(float(r["entropy_bits"]) > 0.1 for r in rows)
+
+
+class TestEncoding:
+    """Input files are UTF-8: a byte that is not fails with its file and line,
+    and a byte-order mark opening a games file is not part of its header."""
+
+    HEADER = "date,home_team,visitor_team,home_score,visitor_score,spread"
+    ROW = "2017-09-10,NE,KC,27,42,-9.0"
+
+    @pytest.mark.parametrize("command", ["ingest", "profile", "simulate-ti", "backtest-td"])
+    def test_games_file_byte_names_file_and_line(self, tmp_path, capsys, command):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(f"{self.HEADER}\n{self.ROW}\n2017-09-11,Café,KC,27,42,-9.0\n"
+                        .encode("latin-1"))
+        code = main([command, "--input", str(bad), "--out-dir", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}: line 3: 'utf-8' codec can't decode byte 0xe9 in position 14: "
+            "invalid continuation byte\n"
+        )
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_line_past_the_first_read_buffer(self, tmp_path, capsys, eol):
+        # 3,000 rows are about 84 kB, far past any read buffer.
+        lines = [self.HEADER, "# comment", ""] + [self.ROW] * 3000 + ["2017-09-11,Caf\xe9,KC,1,2,3"]
+        bad = tmp_path / "late.csv"
+        bad.write_bytes(eol.join(lines + [self.ROW, ""]).encode("latin-1"))
+        code = main(["ingest", "--input", str(bad), "--out-dir", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: line {len(lines)}: ")
+
+    def test_config_file_byte_names_file_and_line(self, games_csv, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes("seed = 1\n# café\nbandwidth = 2.0\n".encode("latin-1"))
+        code = main(["profile", "--input", str(games_csv), "--out-dir", str(tmp_path / "o"),
+                     "--config", str(cfg)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}:2: 'utf-8' codec can't decode byte 0xe9 in position 5: "
+            "unexpected end of data\n"
+        )
+
+    def test_games_file_with_byte_order_mark(self, games_csv, tmp_path, capsys):
+        marked = tmp_path / "bom.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + games_csv.read_bytes())
+        for path, out in ((games_csv, "plain"), (marked, "marked")):
+            assert main(["ingest", "--input", str(path), "--out-dir", str(tmp_path / out)]) == 0
+        assert "180 rows, 180 unique" in capsys.readouterr().out
+        plain, bom = (tmp_path / out / "dataset.csv" for out in ("plain", "marked"))
+        assert plain.read_bytes().split(b"\n", 1)[1] == bom.read_bytes().split(b"\n", 1)[1]
+
+    def test_config_file_with_byte_order_mark(self, games_csv, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfmin_samples = 20\nseed = 9\n")
+        out_dir = tmp_path / "out"
+        assert main(["profile", "--input", str(games_csv), "--out-dir", str(out_dir),
+                     "--config", str(cfg)]) == 0
+        config = read_manifest(out_dir / "profile.csv")["config"]
+        assert (config["min_samples"], config["seed"]) == (20, 9)

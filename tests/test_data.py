@@ -20,7 +20,9 @@ from spreadbias import (
     parse_games,
     split_by_date,
 )
-from conftest import GAME_RECORDS, dataset_csv_text, make_record, synthetic_spread_dataset
+from conftest import (
+    GAME_RECORDS, dataset_csv_text, make_record, reference_parse, synthetic_spread_dataset,
+)
 
 HEADER = "date,home_team,visitor_team,home_score,visitor_score,spread\n"
 GOOD_ROW = "2017-09-10,NE,KC,27,42,-9.0\n"
@@ -194,6 +196,94 @@ class TestParseGames:
     def test_written_records_parse_back_equal_in_order(self, records):
         dataset = Dataset(tuple(records))
         assert parse(dataset_csv_text(dataset)) == dataset
+
+
+#: Raw field spellings drawn from small pools, so that rows repeat a field
+#: string within a kind and across kinds: a bare "7" is a score and a spread.
+PADS = st.sampled_from(["", " "])
+SCORE_TEXT = st.builds(
+    lambda n, spelling: spelling.format(n),
+    st.integers(0, 9), st.sampled_from(["{}", " {} ", "+{}", "0{}"]),
+)
+SPREAD_TEXT = st.one_of(
+    SCORE_TEXT,
+    st.sampled_from(["-0", "-0.0", "-1", "-7"]),
+    st.builds(
+        lambda halves, spelling: spelling.format(halves / 2),
+        st.integers(-14, 14), st.sampled_from(["{}", "{:.1f}", "{:.2f}", " {:g} ", "{:+g}"]),
+    ),
+)
+DATE_TEXT = st.builds(
+    lambda date, pad: pad + date.isoformat() + pad,
+    st.dates(dt.date(2016, 12, 25), dt.date(2017, 1, 5)), PADS,
+)
+TEAM_TEXT = st.builds(lambda name, pad: pad + name + pad, st.sampled_from(["NE", "KC", "7", "-1"]), PADS)
+SPELLED_ROWS = st.lists(
+    st.tuples(DATE_TEXT, TEAM_TEXT, TEAM_TEXT, SCORE_TEXT, SCORE_TEXT, SPREAD_TEXT), max_size=30
+)
+
+
+def typed(records) -> list[list[tuple[type, str]]]:
+    """Each field as (type, repr), so 7 and 7.0, or 0.0 and -0.0, differ."""
+    return [[(type(value), repr(value)) for value in record] for record in records]
+
+
+class TestPerValueParse:
+    """Each distinct raw field is checked once per kind and shared by the rows
+    that repeat it; none of that may show in the records or the errors."""
+
+    def test_raw_seven_is_an_int_score_and_a_float_spread(self):
+        ds = parse(
+            HEADER
+            + "2017-09-10,NE,KC,27,42,7\n"
+            + "2017-09-11,GB,SEA,7,7,-3.0\n"
+            + "2017-09-12,DAL,PHI,20,17,7\n"
+        )
+        first, second, third = ds.records
+        assert type(first.spread) is float and first.spread == 7.0
+        assert type(second.home_score) is int and type(second.visitor_score) is int
+        assert second.home_score == second.visitor_score == 7
+        assert type(third.spread) is float and third.spread == 7.0
+
+    def test_valid_spread_does_not_make_the_same_score_valid(self):
+        with pytest.raises(ParseError) as exc:
+            parse(HEADER + "2017-09-10,NE,KC,27,42,-1\n" + "2017-09-11,GB,SEA,20,-1,-1\n")
+        assert str(exc.value) == "line 3: negative visitor_score '-1'"
+
+    def test_repeated_bad_value_fails_at_its_first_line(self):
+        bad = "2017-09-11,GB,SEA,20,17,pickem\n"
+        with pytest.raises(ParseError) as exc:
+            parse(HEADER + GOOD_ROW + bad + GOOD_ROW + GOOD_ROW + bad)
+        assert exc.value.line_num == 3
+        assert str(exc.value) == "line 3: non-numeric spread 'pickem'"
+
+    def test_rows_share_the_converted_values(self):
+        first, second = parse(HEADER + GOOD_ROW + GOOD_ROW).records
+        assert all(a is b for a, b in zip(first, second))
+
+    @given(SPELLED_ROWS)
+    def test_parse_equals_field_by_field_reference_with_exact_types(self, rows):
+        text = HEADER + "".join(",".join(row) + "\n" for row in rows)
+        assert typed(parse(text)) == typed(reference_parse(text))
+
+
+class TestByteOrderMark:
+    def test_leading_mark_is_dropped(self):
+        assert parse("\ufeff" + HEADER + GOOD_ROW) == parse(HEADER + GOOD_ROW)
+
+    def test_mark_before_a_comment_line_is_dropped(self):
+        assert parse("\ufeff# manifest {}\n" + HEADER + GOOD_ROW) == parse(HEADER + GOOD_ROW)
+
+    def test_line_numbers_count_the_marked_line(self):
+        with pytest.raises(ParseError) as exc:
+            parse("\ufeff" + HEADER + GOOD_ROW + "2017-09-11,GB,SEA,-3,10,1.5\n")
+        assert exc.value.line_num == 3
+
+    def test_only_one_mark_opening_the_stream_is_dropped(self):
+        with pytest.raises(SchemaError, match="missing required column.*: date"):
+            parse("\ufeff\ufeff" + HEADER + GOOD_ROW)
+        [record] = parse(HEADER + "2017-09-10,\ufeffNE,KC,27,42,-9.0\n").records
+        assert record.home_team == "\ufeffNE"
 
 
 class TestGameRecord:
