@@ -248,26 +248,25 @@ def cmd_ingest(args: argparse.Namespace, options: dict) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = _manifest("ingest", dict(options), args.input)
 
+    # Written column by column: each distinct date and spread is formatted
+    # once, and csv.writer writes the int scores with str().
+    dates, homes, visitors, home_scores, visitor_scores, spreads = (
+        zip(*unique) if len(unique) else [()] * len(REQUIRED_COLUMNS)
+    )
+    date_text = {d: d.isoformat() for d in set(dates)}
+    spread_text = {s: _spread_tag(s) for s in set(spreads)}
     _write_csv(
         out_dir / "dataset.csv",
         manifest,
         list(REQUIRED_COLUMNS),
-        (
-            [
-                r.date.isoformat(),
-                r.home_team,
-                r.visitor_team,
-                str(r.home_score),
-                str(r.visitor_score),
-                _spread_tag(r.spread),
-            ]
-            for r in unique
+        zip(
+            map(date_text.get, dates), homes, visitors, home_scores, visitor_scores,
+            map(spread_text.get, spreads),
         ),
     )
     print(f"{len(raw)} rows, {len(unique)} unique ({len(raw) - len(unique)} duplicates removed)")
     if len(unique):
-        mean_spread = statistics.fmean(r.spread for r in unique)
-        print(f"spread mean: {mean_spread:.2f}")
+        print(f"spread mean: {statistics.fmean(spreads):.2f}")
     print(f"wrote {out_dir / 'dataset.csv'}")
     return 0
 

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import gc
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator, NamedTuple
@@ -92,6 +94,21 @@ class SpreadBucket:
         return len(self.outcomes)
 
 
+@contextmanager
+def _gc_paused():
+    """Hold off the cyclic garbage collector, restoring the caller's state
+    on the way out. A record table holds only dates, strings and numbers,
+    so it cannot form cycles, yet each of its (tuple-subclass) records
+    stays tracked and every collection while it grows walks it again."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def parse_games(source: Iterable[str]) -> Dataset:
     """Parse a delimited text stream of game rows into a Dataset.
 
@@ -108,58 +125,63 @@ def parse_games(source: Iterable[str]) -> Dataset:
     a required column, and ParseError (carrying the offending line
     number) for malformed rows.
     """
-    lines = iter(source)
-    numbered = [
-        (n, line)
-        for n, line in enumerate(chain([next(lines, "").removeprefix("\ufeff")], lines), start=1)
-        if (text := line.lstrip()) and not text.startswith(COMMENT_PREFIX)
-    ]
-    if not numbered:
-        raise SchemaError("empty input: a header row is required")
+    with _gc_paused():
+        lines = iter(source)
+        numbered = [
+            (n, line)
+            for n, line in enumerate(chain([next(lines, "").removeprefix("\ufeff")], lines), start=1)
+            if (text := line.lstrip()) and not text.startswith(COMMENT_PREFIX)
+        ]
+        if not numbered:
+            raise SchemaError("empty input: a header row is required")
 
-    # One reader over the kept lines: reader.line_num counts kept lines, so
-    # row i (the header is row 0) starts on physical line line_nums[i], and
-    # it spans lines if the reader has consumed more than i + 1 of them.
-    line_nums = [n for n, _ in numbered]
-    reader = csv.reader([line for _, line in numbered])
-    try:
-        header = [name.strip() for name in next(reader)]
-        if reader.line_num != 1:
-            raise ParseError(line_nums[0], "quoted field spans lines")
-        missing = [c for c in REQUIRED_COLUMNS if c not in header]
-        if missing:
-            raise SchemaError(f"missing required column(s): {', '.join(missing)}")
-        repeated = [c for c in REQUIRED_COLUMNS if header.count(c) > 1]
-        if repeated:
-            raise SchemaError(f"repeated required column(s): {', '.join(repeated)}")
-        n_fields = len(header)
-        i_date, i_home, i_visitor, i_hs, i_vs, i_spread = map(header.index, REQUIRED_COLUMNS)
+        # One reader over the kept lines: reader.line_num counts kept lines, so
+        # row i (the header is row 0) starts on physical line line_nums[i], and
+        # it spans lines if the reader has consumed more than i + 1 of them.
+        line_nums = [n for n, _ in numbered]
+        reader = csv.reader([line for _, line in numbered])
+        try:
+            header = [name.strip() for name in next(reader)]
+            if reader.line_num != 1:
+                raise ParseError(line_nums[0], "quoted field spans lines")
+            missing = [c for c in REQUIRED_COLUMNS if c not in header]
+            if missing:
+                raise SchemaError(f"missing required column(s): {', '.join(missing)}")
+            repeated = [c for c in REQUIRED_COLUMNS if header.count(c) > 1]
+            if repeated:
+                raise SchemaError(f"repeated required column(s): {', '.join(repeated)}")
+            n_fields = len(header)
+            i_date, i_home, i_visitor, i_hs, i_vs, i_spread = map(header.index, REQUIRED_COLUMNS)
 
-        # Each distinct raw value is checked once per kind and shared; failures are never stored.
-        dates, teams, scores, spreads = {}, {}, {}, {}
-        records = []
-        for i, fields in enumerate(reader, start=1):
-            line_num = line_nums[i]
-            if reader.line_num != i + 1:
-                raise ParseError(line_num, "quoted field spans lines")
-            if len(fields) != n_fields:
-                raise ParseError(line_num, f"expected {n_fields} fields, found {len(fields)}")
-            if (date := dates.get(raw := fields[i_date])) is None:
-                date = dates[raw] = _date(raw.strip(), line_num)
-            if (home_team := teams.get(raw := fields[i_home])) is None:
-                home_team = teams[raw] = _team(raw.strip(), "home_team", line_num)
-            if (visitor_team := teams.get(raw := fields[i_visitor])) is None:
-                visitor_team = teams[raw] = _team(raw.strip(), "visitor_team", line_num)
-            if (home_score := scores.get(raw := fields[i_hs])) is None:
-                home_score = scores[raw] = _score(raw.strip(), "home_score", line_num)
-            if (visitor_score := scores.get(raw := fields[i_vs])) is None:
-                visitor_score = scores[raw] = _score(raw.strip(), "visitor_score", line_num)
-            if (spread := spreads.get(raw := fields[i_spread])) is None:
-                spread = spreads[raw] = _spread(raw.strip(), line_num)
-            records.append(GameRecord(date, home_team, visitor_team, home_score, visitor_score, spread))
-    except csv.Error as exc:
-        raise ParseError(line_nums[reader.line_num - 1], f"unreadable CSV: {exc}") from None
-    return Dataset(tuple(records))
+            # Each distinct raw value is checked once per kind and shared; failures are never stored.
+            dates, teams, scores, spreads = {}, {}, {}, {}
+            records = []
+            # The same exact GameRecord, without the named tuple's Python-level __new__ frame.
+            new = tuple.__new__
+            for i, fields in enumerate(reader, start=1):
+                line_num = line_nums[i]
+                if reader.line_num != i + 1:
+                    raise ParseError(line_num, "quoted field spans lines")
+                if len(fields) != n_fields:
+                    raise ParseError(line_num, f"expected {n_fields} fields, found {len(fields)}")
+                if (date := dates.get(raw := fields[i_date])) is None:
+                    date = dates[raw] = _date(raw.strip(), line_num)
+                if (home_team := teams.get(raw := fields[i_home])) is None:
+                    home_team = teams[raw] = _team(raw.strip(), "home_team", line_num)
+                if (visitor_team := teams.get(raw := fields[i_visitor])) is None:
+                    visitor_team = teams[raw] = _team(raw.strip(), "visitor_team", line_num)
+                if (home_score := scores.get(raw := fields[i_hs])) is None:
+                    home_score = scores[raw] = _score(raw.strip(), "home_score", line_num)
+                if (visitor_score := scores.get(raw := fields[i_vs])) is None:
+                    visitor_score = scores[raw] = _score(raw.strip(), "visitor_score", line_num)
+                if (spread := spreads.get(raw := fields[i_spread])) is None:
+                    spread = spreads[raw] = _spread(raw.strip(), line_num)
+                records.append(
+                    new(GameRecord, (date, home_team, visitor_team, home_score, visitor_score, spread))
+                )
+        except csv.Error as exc:
+            raise ParseError(line_nums[reader.line_num - 1], f"unreadable CSV: {exc}") from None
+        return Dataset(tuple(records))
 
 
 def _date(raw: str, line_num: int) -> dt.date:
@@ -207,12 +229,13 @@ def deduplicate(dataset: Dataset) -> Dataset:
     DuplicateConflictError rather than silently picking a winner.
     """
     seen: dict[tuple[dt.date, str, str], GameRecord] = {}
-    for record in dataset:
-        prior = seen.setdefault(record[:3], record)
-        if prior is not record and prior != record:
-            raise DuplicateConflictError(prior, record)
-    # Dicts keep insertion order, so the values are the first occurrences.
-    return Dataset(tuple(seen.values()))
+    with _gc_paused():
+        for record in dataset:
+            prior = seen.setdefault(record[:3], record)
+            if prior is not record and prior != record:
+                raise DuplicateConflictError(prior, record)
+        # Dicts keep insertion order, so the values are the first occurrences.
+        return Dataset(tuple(seen.values()))
 
 
 def bucket_by_spread(dataset: Dataset, min_samples: int) -> list[SpreadBucket]:

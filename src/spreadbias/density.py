@@ -9,6 +9,7 @@ as a (grid x grid) weight matrix applied to the margin histogram.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -92,24 +93,24 @@ def densities(
 ) -> np.ndarray:
     """Kernel density estimates from a (rows x grid) array of outcome counts.
 
-    Each row is smoothed with its own kernel-matrix-vector product: a
-    single matrix-matrix product over all rows sums in a different order
-    and drifts in the last bits, which would change reported values.
-    Raises ValueError for a non-positive bandwidth or an all-zero row.
+    All rows are smoothed by one stacked product, which numpy's matmul
+    runs as one kernel-matrix-vector product per row: a single
+    matrix-matrix product over all rows sums in a different order and
+    drifts in the last bits, which would change reported values.
+    Raises ValueError for a bandwidth that is not positive and finite, or
+    an all-zero row.
     """
-    if not bandwidth > 0:
-        raise ValueError(f"bandwidth must be positive, got {bandwidth}")
+    if not 0 < bandwidth < math.inf:
+        raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
     weights = _kernel_matrix(grid.lo, grid.hi, float(bandwidth), kernel)
-    mass = np.empty(np.shape(counts), dtype=np.float64)
-    for out, row in zip(mass, np.asarray(counts, dtype=np.float64)):
-        n = row.sum()
-        if not n:
-            raise ValueError("cannot estimate a density from zero outcomes")
-        # Relative frequencies keep the estimate exactly invariant to
-        # duplicating the whole sample (n identical points == one point).
-        smoothed = weights @ (row / n)
-        out[:] = smoothed / smoothed.sum()
-    return mass
+    counts = np.asarray(counts, dtype=np.float64)
+    n = counts.sum(axis=-1, keepdims=True)
+    if not n.all():
+        raise ValueError("cannot estimate a density from zero outcomes")
+    # Relative frequencies keep the estimate exactly invariant to
+    # duplicating the whole sample (n identical points == one point).
+    smoothed = (weights @ (counts / n)[..., None])[..., 0]
+    return smoothed / smoothed.sum(axis=-1, keepdims=True)
 
 
 def cover_probabilities(mass: np.ndarray, grid: OutcomeGrid, spreads) -> np.ndarray:
@@ -135,7 +136,7 @@ def estimate_density(
         outside the grid are clamped to the nearest bound and counted in
         the result's ``n_clamped``.
     bandwidth : float
-        Kernel width parameter, in points. Must be positive.
+        Kernel width parameter, in points. Must be positive and finite.
     grid : OutcomeGrid
         Quantized evaluation support.
     kernel : str

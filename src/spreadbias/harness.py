@@ -57,7 +57,7 @@ def _stream(*key: int) -> np.random.Generator:
 _FIELD_RULES = {
     "min_samples": (lambda v: v >= 1, "min_samples must be >= 1"),
     "entropy_threshold": (lambda v: 0.0 <= v <= 1.0, "entropy_threshold must lie in [0, 1]"),
-    "bandwidth": (lambda v: v > 0, "bandwidth must be positive"),
+    "bandwidth": (lambda v: 0 < v < math.inf, "bandwidth must be positive and finite"),
     "kernel": (lambda v: v in KERNELS, f"kernel must be one of {KERNELS}, got {{!r}}"),
     "seed": (lambda v: v >= 0, "seed must be non-negative"),
     "n_simulations": (lambda v: v >= 1, "n_simulations must be >= 1"),

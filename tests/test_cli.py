@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 import tempfile
 from dataclasses import fields
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from spreadbias import (
     Dataset,
     FitConfig,
+    GameRecord,
     TdConfig,
     TiConfig,
     bucket_by_spread,
@@ -99,6 +101,34 @@ class TestIngest:
         code = main(["ingest", "--input", str(empty), "--out-dir", str(tmp_path / "o")])
         assert code == 0
         assert "0 rows" in capsys.readouterr().out
+
+    # Repeated dates and spreads (one spread in three spellings, pick'em as
+    # -0), a team name csv must quote, and one exact duplicate.
+    REPEATS = [
+        "2017-09-10,NE,KC,27,42,-3\n",
+        "2017-09-10,\"Big, Red\",SEA,7,+07,-3.0\n",
+        "2017-09-17,GB,SEA,0,10, -3.00\n",
+        "2017-09-10,NE,KC,27,42,-3\n",
+        "2017-09-17,KC,NE,14,14,-0\n",
+        "2017-09-24,KC,GB,3,21,6.5\n",
+    ]
+
+    @pytest.mark.parametrize("rows", [REPEATS, []], ids=["repeats", "header-only"])
+    def test_dataset_csv_equals_per_record_formatting(self, tmp_path, capsys, rows):
+        games = tmp_path / "games.csv"
+        games.write_text(",".join(GameRecord._fields) + "\n" + "".join(rows), encoding="utf-8")
+        assert main(["ingest", "--input", str(games), "--out-dir", str(tmp_path / "o")]) == 0
+        expected = io.StringIO()
+        writer = csv.writer(expected)
+        writer.writerow(GameRecord._fields)
+        for r in deduplicate(parse_games(io.StringIO(games.read_text(encoding="utf-8")))):
+            writer.writerow([r.date.isoformat(), r.home_team, r.visitor_team,
+                             str(r.home_score), str(r.visitor_score), f"{r.spread:.1f}"])
+        with open(tmp_path / "o" / "dataset.csv", encoding="utf-8", newline="") as fh:
+            manifest, written = fh.read().split("\n", 1)
+        assert manifest.startswith("# manifest ")
+        assert written == expected.getvalue()
+        assert written.count("\r\n") == 1 + len(set(rows))
 
     def test_parse_error_exit_code_and_diagnostics(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -361,7 +391,7 @@ class TestConfigFile:
         ("kernel = cubic",
          "kernel must be one of ('gaussian', 'boxcar', 'triangular'), got 'cubic'"),
         ("min_samples = 0", "min_samples must be >= 1"),
-        ("bandwidth = 0", "bandwidth must be positive"),
+        ("bandwidth = 0", "bandwidth must be positive and finite"),
         ("seed = -1", "seed must be non-negative"),
         ("holdout = 0", "holdout_per_spread must be >= 1"),
     ])
@@ -374,6 +404,25 @@ class TestConfigFile:
                      "--out-dir", str(tmp_path / "o"), "--config", str(cfg)])
         assert code == 1
         assert capsys.readouterr().err == f"error: {cfg}:3: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "1e400"])
+    def test_non_finite_bandwidth_fails_with_location(self, games_csv, tmp_path, capsys, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"seed = 1\nbandwidth = {value}\n")
+        code = main(["profile", "--input", str(games_csv),
+                     "--out-dir", str(tmp_path / "o"), "--config", str(cfg)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {cfg}:2: bandwidth must be positive and finite\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["profile", "simulate-ti", "backtest-td"])
+    @pytest.mark.parametrize("value", ["inf", "nan", "1e400"])
+    def test_non_finite_bandwidth_flag_fails(self, games_csv, tmp_path, capsys, command, value):
+        code = main([command, "--input", str(games_csv),
+                     "--out-dir", str(tmp_path / "o"), "--bandwidth", value])
+        assert code == 1
+        assert capsys.readouterr().err == "error: bandwidth must be positive and finite\n"
         assert not (tmp_path / "o").exists()
 
     def test_same_rule_as_a_flag_is_unlocated(self, games_csv, tmp_path, capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import datetime as dt
+import gc
 import io
 
 import pytest
@@ -335,6 +336,77 @@ class TestDeduplicate:
         b = make_record(home_team="Y")
         deduped = deduplicate(Dataset((a, b, a, b, a)))
         assert deduped.records == (a, b)
+
+
+class TestRecordTable:
+    """The table is built without the named tuple's constructor and with the
+    cyclic garbage collector paused; neither may show to a caller."""
+
+    TEXT = HEADER + GOOD_ROW + "2017-09-10,GB,SEA,7,7,-3.0\n" + GOOD_ROW + "2017-09-11,NE,GB,7,3,-9\n"
+
+    @pytest.fixture(autouse=True)
+    def restore_gc(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    def test_records_are_exact_game_records(self):
+        raw = parse(self.TEXT)
+        for built in (raw, deduplicate(raw)):
+            for record in built:
+                constructed = GameRecord(*record)
+                assert type(record) is GameRecord
+                assert record._fields == GameRecord._fields
+                assert record._asdict() == constructed._asdict()
+                assert record.key == constructed.key
+                assert repr(record) == repr(constructed)
+        assert [tuple(r) for r in raw] == reference_parse(self.TEXT)
+
+    def test_collector_is_paused_while_the_table_is_built(self):
+        seen = []
+
+        def lines():
+            for line in self.TEXT.splitlines(True):
+                seen.append(gc.isenabled())
+                yield line
+
+        class Watched(Dataset):
+            def __iter__(self):
+                seen.append(gc.isenabled())
+                return super().__iter__()
+
+        gc.enable()
+        deduplicate(Watched(parse_games(lines()).records))
+        assert seen and not any(seen)
+        assert gc.isenabled()
+
+    @staticmethod
+    def _undecodable():
+        yield HEADER
+        raise UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize(
+        "build, error",
+        [
+            (lambda: deduplicate(parse(HEADER + GOOD_ROW)), None),
+            (lambda: parse("date,home_team\n"), SchemaError),
+            (lambda: parse(HEADER + "2017-09-10,NE,KC,-1,42,-9.0\n"), ParseError),
+            (lambda: parse(HEADER + f"2017-09-11,{'N' * 200_000},KC,27,42,-9.0\n"), ParseError),
+            (lambda: parse_games(TestRecordTable._undecodable()), UnicodeDecodeError),
+            (lambda: deduplicate(parse(HEADER + GOOD_ROW + GOOD_ROW.replace("42", "41"))),
+             DuplicateConflictError),
+        ],
+        ids=["success", "schema", "row", "field-limit", "undecodable-source", "conflict"],
+    )
+    def test_caller_collector_state_is_restored(self, build, error, enabled):
+        (gc.enable if enabled else gc.disable)()
+        if error is None:
+            build()
+        else:
+            with pytest.raises(error):
+                build()
+        assert gc.isenabled() is enabled
 
 
 class TestBucketBySpread:

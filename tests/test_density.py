@@ -74,6 +74,26 @@ class TestEstimateDensity:
         assert np.all(mass >= 0)
         assert np.all(np.abs(mass.sum(axis=1) - 1.0) <= 1e-9)
 
+    @given(
+        st.sampled_from(KERNELS),
+        st.floats(0.1, 50.0),
+        st.sampled_from([OutcomeGrid(), OutcomeGrid(-10, 10), OutcomeGrid(0, 1)]),
+        st.lists(st.lists(st.integers(-60, 60), min_size=1, max_size=60), min_size=1, max_size=40),
+    )
+    def test_block_equals_row_by_row_products_bit_for_bit(self, kernel, bandwidth, grid, samples):
+        counts = np.vstack([outcome_counts(outcomes, grid) for outcomes in samples])
+        weights = _kernel_matrix(grid.lo, grid.hi, bandwidth, kernel)
+        expected = np.empty(counts.shape)
+        for out, row in zip(expected, counts.astype(np.float64)):
+            smoothed = weights @ (row / row.sum())
+            out[:] = smoothed / smoothed.sum()
+        assert densities(counts, bandwidth, grid, kernel).tobytes() == expected.tobytes()
+
+    def test_zero_row_in_a_block_rejected(self):
+        counts = np.vstack([outcome_counts([0, 3], OutcomeGrid()), np.zeros((1, 81), np.int64)])
+        with pytest.raises(ValueError, match="zero outcomes"):
+            densities(counts, 4.0, OutcomeGrid(), "gaussian")
+
     def test_empty_outcomes_rejected(self):
         with pytest.raises(ValueError, match="zero outcomes"):
             estimate_density([], bandwidth=4.0)
@@ -81,6 +101,13 @@ class TestEstimateDensity:
     def test_nonpositive_bandwidth_rejected(self):
         with pytest.raises(ValueError, match="bandwidth"):
             estimate_density([0], bandwidth=0.0)
+
+    @pytest.mark.parametrize("bandwidth", [math.inf, math.nan, -math.inf])
+    def test_non_finite_bandwidth_rejected(self, bandwidth):
+        with pytest.raises(ValueError, match="bandwidth must be positive and finite"):
+            estimate_density([0], bandwidth=bandwidth)
+        with pytest.raises(ValueError, match="bandwidth must be positive and finite"):
+            densities(np.ones((2, 81)), bandwidth, OutcomeGrid(), "gaussian")
 
     def test_out_of_grid_outcomes_clamped_and_counted(self):
         density = estimate_density([55, -3, 41], bandwidth=2.0)
