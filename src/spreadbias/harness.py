@@ -10,7 +10,7 @@ The temporally-dependent (TD) harness is the single-split case: it
 splits once by date, fits on the past, wagers on the future, and also
 sweeps the k-lowest-entropy strategy over every k.
 
-All randomness derives from named streams spawned off the config seed, so
+All randomness derives from named streams keyed on the config seed, so
 a run is reproducible bit for bit and TI simulations could be evaluated in
 any order (results are reduced in simulation-index order regardless).
 """
@@ -18,9 +18,10 @@ any order (results are reduced in simulation-index order regardless).
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import asdict, dataclass, fields, replace
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -48,8 +49,66 @@ _HOLDOUT_STREAM = 0
 _GUESS_STREAM = 1
 
 
-def _stream(*key: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(key))
+#: About how many stream keys ``_holdout_splits`` hashes at a time.
+_HASH_BLOCK = 4096
+
+# numpy's SeedSequence hash (bit_generator.pyx), fixed under NEP 19.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _hasher(const: int, mult: int) -> Callable[[np.ndarray], np.ndarray]:
+    """SeedSequence's ``hashmix``, carrying its running hash constant."""
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ value >> 16
+    return hashmix
+
+
+class _SeedWords(NamedTuple):
+    """All PCG64 reads from a SeedSequence: ``generate_state(4, np.uint64)``."""
+
+    words: np.ndarray
+
+    def generate_state(self, n_words: int, dtype=np.uint64) -> np.ndarray:
+        return self.words
+
+
+def _streams(*key: int | np.ndarray) -> Iterator[np.random.Generator]:
+    """``default_rng(SeedSequence(k))`` for each key ``k`` of ``key`` in C order,
+    all hashed at once as SeedSequence hashes each. An int part is shared by
+    every key and coerces to 32-bit words as in SeedSequence; the array parts
+    broadcast together, giving each key one part below 2**32."""
+    entropy = []  # one uint32 array per entropy word
+    for part in key:
+        if np.ndim(part) == 0:
+            n = operator.index(part)
+            entropy += [np.array([n >> s & _MASK32], np.uint32)
+                        for s in range(0, n.bit_length() or 1, 32)]
+        elif np.any(part > _MASK32):
+            raise ValueError("an array key part must fit in one 32-bit word")
+        else:
+            entropy.append(part.astype(np.uint32))
+    entropy += [np.zeros(1, np.uint32)] * (4 - len(entropy))  # fill the 4-word pool
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    # Past the pool, each entropy word mixes into it just as a pool word does.
+    pool = [hashmix(word) for word in entropy[:4]] + entropy[4:]
+    for src in range(len(pool)):
+        for dst in range(4):
+            if src != dst:
+                mixed = pool[dst] * _MIX_MULT_L - hashmix(pool[src]) * _MIX_MULT_R
+                pool[dst] = mixed ^ mixed >> 16
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    state = np.stack([hashmix(pool[i % 4]) for i in range(8)], axis=-1)
+    words = state.astype("<u4").view("<u8").astype(np.uint64).reshape(-1, 4)
+    # Looked up only here, so importing the package leaves numpy.random unloaded.
+    np.random.bit_generator.ISeedSequence.register(_SeedWords)
+    yield from (np.random.Generator(np.random.PCG64(_SeedWords(row))) for row in words)
 
 
 #: The rule each config field must keep on its own, and the message that
@@ -346,17 +405,18 @@ def _holdout_splits(buckets: list[SpreadBucket], config: TiConfig) -> Iterator[_
     all_outcomes = np.concatenate([np.asarray(b.outcomes, dtype=np.int64) for b in buckets])
     full_counts = _bucket_counts(buckets, grid)
     rows = np.repeat(np.arange(len(buckets)), holdout)
-    for sim in range(config.n_simulations):
-        picks = np.array([
-            _stream(config.seed, _HOLDOUT_STREAM, sim, j).choice(size, holdout, replace=False)
-            for j, size in enumerate(sizes)
-        ])
-        # Holdouts in bucket order, so they pair with the coin flips
-        # exactly as a per-outcome loop would.
-        tests = all_outcomes[starts + np.sort(picks, axis=1)]
-        # Coin flips in spread-then-holdout order.
-        flips = _stream(config.seed, _GUESS_STREAM, sim).random(tests.size)
-        yield _Split(full_counts - outcome_counts(tests, grid), rows, tests.ravel(), flips)
+    block = max(1, _HASH_BLOCK // (len(buckets) + 1))
+    for first in range(0, config.n_simulations, block):
+        sims = np.arange(first, min(first + block, config.n_simulations))
+        holdouts = _streams(config.seed, _HOLDOUT_STREAM, sims[:, None], np.arange(len(sizes)))
+        for guess in _streams(config.seed, _GUESS_STREAM, sims):
+            picks = np.array([next(holdouts).choice(n, holdout, replace=False) for n in sizes])
+            # Holdouts in bucket order, so they pair with the coin flips
+            # exactly as a per-outcome loop would.
+            tests = all_outcomes[starts + np.sort(picks, axis=1)]
+            # Coin flips in spread-then-holdout order.
+            flips = guess.random(tests.size)
+            yield _Split(full_counts - outcome_counts(tests, grid), rows, tests.ravel(), flips)
 
 
 def run_ti(dataset: Dataset, config: TiConfig) -> EvaluationReport:
@@ -439,7 +499,7 @@ def run_td(dataset: Dataset, config: TdConfig) -> EvaluationReport:
     rows, outcomes = _games_at(index, sorted(
         test, key=lambda r: (r.spread, r.date, r.home_team, r.visitor_team)
     ))
-    flips = _stream(config.seed, _GUESS_STREAM).random(len(outcomes))
+    flips = next(_streams(config.seed, _GUESS_STREAM)).random(len(outcomes))
     split = _Split(_bucket_counts(buckets, config.grid()), rows, outcomes, flips)
     report, _, ranked, k = _backtest("td", config, np.array(list(index)), [split])
     return replace(

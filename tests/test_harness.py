@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import io
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spreadbias import (
@@ -21,6 +25,7 @@ from spreadbias import (
     summarize,
     sweep_k,
 )
+from spreadbias import harness
 from spreadbias.bias import build_profile
 from spreadbias.data import bucket_by_spread
 from spreadbias.models import (
@@ -372,3 +377,65 @@ class TestSweepK:
         records = list(ds)
         rows = sweep_k(profile, records)
         assert rows[-1]["n_test"] + rows[-1]["n_push"] == len(records)
+
+
+class TestStreams:
+    """``harness._streams`` hashes many stream keys at once; each stream must
+    be the one ``default_rng(SeedSequence(key))`` gives, for every key."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**70 - 1),
+        sims=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
+        n_spreads=st.integers(1, 5),
+    )
+    # Seeds that coerce to one, two and three 32-bit words, at each boundary.
+    @example(seed=2**32 - 1, sims=[0, 2**32 - 1], n_spreads=2)
+    @example(seed=2**32, sims=[1], n_spreads=3)
+    @example(seed=2**64 - 1, sims=[3], n_spreads=1)
+    @example(seed=2**64, sims=[7, 0], n_spreads=2)
+    @example(seed=2**64 + 7, sims=[5], n_spreads=4)
+    def test_streams_equal_numpy_seed_sequence(self, seed, sims, n_spreads):
+        sims = np.array(sims)
+        key_shapes = [  # TI holdouts, TI coin flips, TD coin flips
+            ((seed, 0, sims[:, None], np.arange(n_spreads)),
+             [(seed, 0, sim, j) for sim in sims.tolist() for j in range(n_spreads)]),
+            ((seed, 1, sims), [(seed, 1, sim) for sim in sims.tolist()]),
+            ((seed, 1), [(seed, 1)]),
+        ]
+        for parts, keys in key_shapes:
+            streams = list(harness._streams(*parts))
+            assert len(streams) == len(keys)
+            for rng, key in zip(streams, keys):
+                expected = np.random.SeedSequence(key)
+                words = rng.bit_generator.seed_seq.generate_state(4, np.uint64)
+                assert words.tolist() == expected.generate_state(4, np.uint64).tolist()
+                assert rng.bit_generator.state == np.random.default_rng(expected).bit_generator.state
+
+    def test_array_part_past_one_word_rejected(self):
+        with pytest.raises(ValueError, match="one 32-bit word"):
+            next(harness._streams(0, 0, np.array([0, 2**32])))
+
+    @pytest.mark.parametrize("block", [1, 20, 10**9], ids=["one-simulation", "two-simulations",
+                                                           "every-key"])
+    def test_run_ti_does_not_depend_on_the_hash_block(self, monkeypatch, block):
+        # 6 spreads make 7 keys a simulation; 13 simulations leave a partial block.
+        dataset = synthetic_spread_dataset(HALF_SPREADS, 30, cover_probs={-2.5: 0.9}, seed=8)
+        config = TiConfig(n_simulations=13, seed=2**32 + 3)
+        expected = run_ti(dataset, config).to_dict()
+        monkeypatch.setattr(harness, "_HASH_BLOCK", block)
+        assert run_ti(dataset, config).to_dict() == expected
+
+    def test_importing_the_cli_leaves_numpy_random_unloaded(self):
+        # numpy 2 loads numpy.random on first use; older numpy loads it with
+        # numpy itself, and then the package cannot avoid it.
+        code = ("import sys, numpy; before = 'numpy.random' in sys.modules; "
+                "import spreadbias.cli; print(before, 'numpy.random' in sys.modules)")
+        src = str(Path(harness.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        before, after = result.stdout.split()
+        assert after == before

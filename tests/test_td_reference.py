@@ -151,6 +151,9 @@ CASES = {
     "threshold-0": {"entropy_threshold": 0.0},
     "threshold-1": {"entropy_threshold": 1.0},
     "seed-9": {"seed": 9},
+    # Seeds of 2**32 or more coerce to several 32-bit words.
+    "seed-2^32+9": {"seed": 2**32 + 9},
+    "seed-2^64+7": {"seed": 2**64 + 7},
 }
 
 

@@ -161,6 +161,9 @@ CASES = {
     "one-simulation": {"n_simulations": 1},
     "threshold-0": {"entropy_threshold": 0.0},
     "threshold-1": {"entropy_threshold": 1.0},
+    # Seeds of 2**32 or more coerce to several 32-bit words.
+    "seed-2^32+5": {"seed": 2**32 + 5},
+    "seed-2^64": {"seed": 2**64},
 }
 
 
