@@ -29,6 +29,7 @@ from .data import (
     DuplicateConflictError,
     ParseError,
     SchemaError,
+    _number,
     bucket_by_spread,
     deduplicate,
     parse_games,
@@ -39,7 +40,9 @@ from .harness import (
 )
 from .models import MODEL_K_LOWEST, MODEL_MAX_PROB, MODEL_MIN_ENTROPY, MODEL_RANDOM
 
-MODEL_LABELS = {MODEL_RANDOM: "Random", MODEL_MAX_PROB: "Max-Prob"}
+#: Each strategy's ``summary.csv`` label; ``{k}`` stands for its k.
+MODEL_LABELS = {MODEL_RANDOM: "Random", MODEL_MAX_PROB: "Max-Prob",
+                MODEL_MIN_ENTROPY: "Min-Ent", MODEL_K_LOWEST: "{k}-Lowest Ent"}
 
 # Config fields whose flag and --config key are spelled differently; every
 # other field's option is its own name.
@@ -60,7 +63,7 @@ _HELP = {
     "bandwidth": "kernel width in points",
     "grid_lo": "lower outcome grid bound",
     "grid_hi": "upper outcome grid bound",
-    "kernel": "kernel shape",
+    "kernel": "kernel shape: " + ", ".join(KERNELS),
     "seed": "random seed (default 0)",
     "simulations": "number of TI simulations",
     "holdout": "held-out outcomes per spread (TI)",
@@ -73,11 +76,9 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--input", required=True, help="input games CSV")
     shared.add_argument("--out-dir", default="out", help="directory for output files")
     shared.add_argument("--config", help="flat key=value config file")
-    for name, kind in _OPTION_TYPES.items():
-        shared.add_argument(
-            "--" + name.replace("_", "-"), type=kind, help=_HELP[name],
-            choices=KERNELS if name == "kernel" else None,
-        )
+    # Tuning values stay strings here: _parse_option reads a flag as it reads a file line.
+    for name in _OPTION_TYPES:
+        shared.add_argument("--" + name.replace("_", "-"), help=_HELP[name])
 
     parser = argparse.ArgumentParser(
         prog="spreadbias",
@@ -85,22 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
         "against-the-spread wagering strategies.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser(
-        "ingest", parents=[shared],
-        help="parse, validate, and deduplicate a games file",
-    )
-    sub.add_parser(
-        "profile", parents=[shared],
-        help="emit the per-spread bias profile plus histogram/density tables",
-    )
-    sub.add_parser(
-        "simulate-ti", parents=[shared],
-        help="run the repeated-random-holdout Monte Carlo evaluation",
-    )
-    sub.add_parser(
-        "backtest-td", parents=[shared],
-        help="run the date-split backtest with the full k sweep",
-    )
+    for command, (_, help_line) in _COMMANDS.items():
+        sub.add_parser(command, parents=[shared], help=help_line)
     return parser
 
 
@@ -119,23 +106,34 @@ def _read_config_file(path: str) -> dict:
         key = key.strip().replace("-", "_")
         if key not in _OPTION_TYPES:
             raise ValueError(f"{path}:{n}: unknown option {key!r}")
-        kind, raw = _OPTION_TYPES[key], raw.strip()
         try:
-            values[key] = kind(raw)
-        except ValueError:
-            raise ValueError(f"{path}:{n}: {key} expects {kind.__name__}, got {raw!r}") from None
-        if error := _field_error(_FIELD_OF.get(key, key), values[key]):
-            raise ValueError(f"{path}:{n}: {error}")
+            values[key] = _parse_option(key, raw.strip())
+        except ValueError as exc:
+            raise ValueError(f"{path}:{n}: {exc}") from None
     return values
+
+
+def _parse_option(name: str, raw: str):
+    """Option ``name`` spelled ``raw`` (a flag's or a config line's value),
+    parsed to its type and held to its config field's own rule; a
+    ValueError says what is wrong with it."""
+    kind = _OPTION_TYPES[name]
+    try:
+        value = raw if kind is str else _number(kind, raw)
+    except ValueError:
+        raise ValueError(f"{name} expects {kind.__name__}, got {raw!r}") from None
+    if error := _field_error(_FIELD_OF.get(name, name), value):
+        raise ValueError(error)
+    return value
 
 
 def _resolve_options(args: argparse.Namespace) -> dict:
     """Merge CLI flags over config-file entries over nothing (defaults
     come from the harness config dataclasses)."""
     resolved = _read_config_file(args.config) if args.config else {}
-    for dest in _OPTION_TYPES:
-        if getattr(args, dest) is not None:
-            resolved[dest] = getattr(args, dest)
+    for name in _OPTION_TYPES:
+        if (raw := getattr(args, name)) is not None:
+            resolved[name] = _parse_option(name, raw)
     return resolved
 
 
@@ -146,12 +144,16 @@ def _config(cls, options: dict):
     return cls(**{name: options[flag] for name, flag in flags.items() if flag in options})
 
 
-def _manifest(command: str, config: dict, input_path: str) -> dict:
-    digest = hashlib.sha256(Path(input_path).read_bytes()).hexdigest()
-    return {
+def _start_output(command: str, config: dict, args: argparse.Namespace) -> tuple[Path, dict]:
+    """Create the output directory; return it and the run manifest that
+    each output file embeds."""
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    digest = hashlib.sha256(Path(args.input).read_bytes()).hexdigest()
+    return out_dir, {
         "command": command,
         "config": config,
-        "input": str(input_path),
+        "input": str(args.input),
         "input_digest": digest,
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
@@ -200,12 +202,7 @@ def _summary_rows(report: EvaluationReport) -> list[list[str]]:
     TD k sweep is expanded into the numbered k-lowest rows."""
     rows = []
     for summary in report.models:
-        if summary.model in MODEL_LABELS:
-            label = MODEL_LABELS[summary.model]
-        elif summary.model == MODEL_MIN_ENTROPY:
-            label = "Min-Ent"
-        else:
-            label = f"{summary.k}-Lowest Ent"
+        label = MODEL_LABELS[summary.model].format(k=summary.k)
         if summary.model == MODEL_K_LOWEST and report.protocol == "td":
             continue  # expanded from the sweep below
         rows.append(
@@ -217,7 +214,7 @@ def _summary_rows(report: EvaluationReport) -> list[list[str]]:
                 continue  # already present as Min-Ent
             rows.append(
                 [
-                    f"{row['k']}-Lowest Ent",
+                    MODEL_LABELS[MODEL_K_LOWEST].format(k=row["k"]),
                     _fmt_pct(row["ats_win_pct"]),
                     "",
                     str(row["n_test"]),
@@ -244,9 +241,7 @@ def _profile_rows(profile) -> tuple[list[str], list[list[str]]]:
 
 def cmd_ingest(args: argparse.Namespace, options: dict) -> int:
     raw, unique = _load_dataset(args.input)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = _manifest("ingest", dict(options), args.input)
+    out_dir, manifest = _start_output("ingest", dict(options), args)
 
     # Written column by column: each distinct date and spread is formatted
     # once, and csv.writer writes the int scores with str().
@@ -287,9 +282,7 @@ def cmd_profile(args: argparse.Namespace, options: dict) -> int:
     profile = build_profile(
         buckets, config.bandwidth, config.grid(), config.entropy_threshold, config.kernel
     )
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = _manifest("profile", asdict(config), args.input)
+    out_dir, manifest = _start_output("profile", asdict(config), args)
 
     header, rows = _profile_rows([asdict(e) for e in profile.entries])
     _write_csv(out_dir / "profile.csv", manifest, header, rows)
@@ -319,9 +312,7 @@ def cmd_profile(args: argparse.Namespace, options: dict) -> int:
 
 
 def _run_and_write(command: str, report: EvaluationReport, args) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = _manifest(command, dict(report.config), args.input)
+    out_dir, manifest = _start_output(command, dict(report.config), args)
     _write_report(out_dir / "report.json", manifest, report)
     summary = _summary_rows(report)
     _write_csv(
@@ -353,11 +344,12 @@ def cmd_backtest_td(args: argparse.Namespace, options: dict) -> int:
     return _run_and_write("backtest-td", run_td(dataset, _config(TdConfig, options)), args)
 
 
+#: Each command's handler and help line; the parser's subcommands come from here.
 _COMMANDS = {
-    "ingest": cmd_ingest,
-    "profile": cmd_profile,
-    "simulate-ti": cmd_simulate_ti,
-    "backtest-td": cmd_backtest_td,
+    "ingest": (cmd_ingest, "parse, validate, and deduplicate a games file"),
+    "profile": (cmd_profile, "emit the per-spread bias profile plus histogram/density tables"),
+    "simulate-ti": (cmd_simulate_ti, "run the repeated-random-holdout Monte Carlo evaluation"),
+    "backtest-td": (cmd_backtest_td, "run the date-split backtest with the full k sweep"),
 }
 
 
@@ -366,7 +358,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         options = _resolve_options(args)
-        return _COMMANDS[args.command](args, options)
+        return _COMMANDS[args.command][0](args, options)
     except (SchemaError, ParseError, DuplicateConflictError) as exc:
         print(f"error: {args.input}: {exc}", file=sys.stderr)
         return 1

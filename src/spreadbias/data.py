@@ -117,7 +117,8 @@ def parse_games(source: Iterable[str]) -> Dataset:
     any order; extra columns are ignored. Dates are YYYY-MM-DD; scores are
     non-negative integers; spreads are finite numbers, rounded to one
     decimal place on input because they are half-point market quotes
-    (``-0`` reads as ``0``). A leading byte-order mark, blank lines and
+    (``-0`` reads as ``0``); both are written in ASCII digits without
+    ``_`` separators. A leading byte-order mark, blank lines and
     ``#`` comment lines are skipped; a quoted field may not span lines.
     Row order is preserved.
 
@@ -200,9 +201,17 @@ def _team(raw: str, name: str, line_num: int) -> str:
     return raw
 
 
+def _number(kind: type, raw: str):
+    """``kind(raw)``, refusing spellings only Python's int() and float() read:
+    non-ASCII digits (``٤٢``, ``３``) and ``_`` separators (``2_7``)."""
+    if not raw.isascii() or "_" in raw:
+        raise ValueError(f"not a plain ASCII number: {raw!r}")
+    return kind(raw)
+
+
 def _score(raw: str, name: str, line_num: int) -> int:
     try:
-        score = int(raw)
+        score = _number(int, raw)
     except ValueError:
         raise ParseError(line_num, f"non-integer {name} {raw!r}") from None
     if score < 0:
@@ -212,7 +221,7 @@ def _score(raw: str, name: str, line_num: int) -> int:
 
 def _spread(raw: str, line_num: int) -> float:
     try:
-        spread = float(raw)
+        spread = _number(float, raw)
     except ValueError:
         raise ParseError(line_num, f"non-numeric spread {raw!r}") from None
     if not math.isfinite(spread):

@@ -229,24 +229,13 @@ class EvaluationReport:
     n_test_records: int | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "protocol": self.protocol,
-            "config": dict(self.config),
-            "valid_spreads": list(self.valid_spreads),
-            "n_test_samples": self.n_test_samples,
-            "models": [asdict(m) for m in self.models],
-            "profile": [dict(row) for row in self.profile],
-            "ksweep": None if self.ksweep is None else [dict(r) for r in self.ksweep],
-            "selection_counts": None
-            if self.selection_counts is None
-            else {_spread_key(s): c for s, c in sorted(self.selection_counts.items())},
-            "n_train_records": self.n_train_records,
-            "n_test_records": self.n_test_records,
-        }
-
-
-def _spread_key(spread: float) -> str:
-    return f"{spread:g}"
+        """The report's fields as JSON-ready values, with ``selection_counts``
+        keyed by each spread's ``:g`` text in spread order."""
+        out = asdict(self)
+        if self.selection_counts is not None:
+            counts = sorted(self.selection_counts.items())
+            out["selection_counts"] = {f"{spread:g}": n for spread, n in counts}
+        return out
 
 
 class _Tally(NamedTuple):

@@ -5,6 +5,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -13,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spreadbias
 from spreadbias import (
     Dataset,
     FitConfig,
@@ -425,11 +429,56 @@ class TestConfigFile:
         assert capsys.readouterr().err == "error: bandwidth must be positive and finite\n"
         assert not (tmp_path / "o").exists()
 
-    def test_same_rule_as_a_flag_is_unlocated(self, games_csv, tmp_path, capsys):
-        code = main(["profile", "--input", str(games_csv),
-                     "--out-dir", str(tmp_path / "o"), "--min-samples", "0"])
+    @pytest.mark.parametrize("command", ["ingest", "profile", "simulate-ti", "backtest-td"])
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--min-samples", "0", "min_samples must be >= 1"),
+        ("--simulations", "-5", "n_simulations must be >= 1"),
+        ("--kernel", "cubic",
+         "kernel must be one of ('gaussian', 'boxcar', 'triangular'), got 'cubic'"),
+        ("--seed", "abc", "seed expects int, got 'abc'"),
+        ("--simulations", "2.5", "simulations expects int, got '2.5'"),
+        ("--simulations", "1_0", "simulations expects int, got '1_0'"),
+    ])
+    def test_same_rule_as_a_flag_is_unlocated(
+        self, games_csv, tmp_path, capsys, command, flag, value, message
+    ):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{flag[2:]} = {value}\n")
+        code = main([command, "--input", str(games_csv),
+                     "--out-dir", str(tmp_path / "o"), "--config", str(cfg)])
         assert code == 1
-        assert capsys.readouterr().err == "error: min_samples must be >= 1\n"
+        assert capsys.readouterr().err == f"error: {cfg}:1: {message}\n"
+        code = main([command, "--input", str(games_csv),
+                     "--out-dir", str(tmp_path / "o"), flag, value])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+
+class TestModuleEntryPoint:
+    """``python -m spreadbias.cli``, as the installed ``spreadbias`` script runs ``main``."""
+
+    @staticmethod
+    def run(*argv: str) -> subprocess.CompletedProcess:
+        src = Path(spreadbias.__file__).resolve().parent.parent
+        return subprocess.run(
+            [sys.executable, "-m", "spreadbias.cli", *argv], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
+        )
+
+    def test_bad_option_value_exits_1(self, games_csv, tmp_path):
+        done = self.run("simulate-ti", "--input", str(games_csv),
+                        "--out-dir", str(tmp_path / "o"), "--kernel", "cubic")
+        assert done.returncode == 1
+        assert done.stderr == (
+            "error: kernel must be one of ('gaussian', 'boxcar', 'triangular'), got 'cubic'\n"
+        )
+        assert not (tmp_path / "o").exists()
+
+    def test_help_lists_the_kernels(self):
+        done = self.run("simulate-ti", "--help")
+        assert done.returncode == 0
+        assert "gaussian, boxcar, triangular" in done.stdout
 
 
 # A value for every tuning option, each different from every default.

@@ -144,6 +144,12 @@ class TestParseGames:
             ("2017-09-11,NE,KC,27,-1,nan", "negative visitor_score '-1'"),
             ("2017-09-11,NE,KC,27,42,pickem", "non-numeric spread 'pickem'"),
             ("2017-09-11,NE,KC,27,42,-inf", "non-finite spread '-inf'"),
+            # int() and float() read these as 27, 42, 3, -10.5 and 3.5.
+            ("2017-09-11,NE,KC,2_7,x,nan", "non-integer home_score '2_7'"),
+            ("2017-09-11,NE,KC,\u0664\u0662,x,nan", "non-integer home_score '\u0664\u0662'"),
+            ("2017-09-11,NE,KC,27,\uff13,nan", "non-integer visitor_score '\uff13'"),
+            ("2017-09-11,NE,KC,27,42,-1_0.5", "non-numeric spread '-1_0.5'"),
+            ("2017-09-11,NE,KC,27,42,\u0663.\u0665", "non-numeric spread '\u0663.\u0665'"),
             ("10 Sep 2017,,,x,-1", "expected 6 fields, found 5"),
         ],
     )
