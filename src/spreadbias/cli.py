@@ -29,6 +29,7 @@ from .data import (
     DuplicateConflictError,
     ParseError,
     SchemaError,
+    _ASCII_SPACE,
     _number,
     bucket_by_spread,
     deduplicate,
@@ -95,7 +96,7 @@ def _read_config_file(path: str) -> dict:
     values = {}
     for n, line in enumerate(Path(path).read_bytes().removeprefix(b"\xef\xbb\xbf").splitlines(), 1):
         try:
-            line = line.decode("utf-8").strip()
+            line = line.decode("utf-8").strip(_ASCII_SPACE)
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}:{n}: {exc}") from None
         if not line or line.startswith("#"):
@@ -103,11 +104,11 @@ def _read_config_file(path: str) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{n}: expected key=value, got {line!r}")
         key, _, raw = line.partition("=")
-        key = key.strip().replace("-", "_")
+        key = key.strip(_ASCII_SPACE).replace("-", "_")
         if key not in _OPTION_TYPES:
             raise ValueError(f"{path}:{n}: unknown option {key!r}")
         try:
-            values[key] = _parse_option(key, raw.strip())
+            values[key] = _parse_option(key, raw.strip(_ASCII_SPACE))
         except ValueError as exc:
             raise ValueError(f"{path}:{n}: {exc}") from None
     return values

@@ -66,6 +66,9 @@ class GameRecord(NamedTuple):
         return self[:3]
 
 
+#: ASCII whitespace: all that may pad a number, which a no-break space may not.
+_ASCII_SPACE = " \t\r\n\v\f"
+
 #: The input header must name every record field, in any order.
 REQUIRED_COLUMNS = GameRecord._fields
 
@@ -118,9 +121,9 @@ def parse_games(source: Iterable[str]) -> Dataset:
     non-negative integers; spreads are finite numbers, rounded to one
     decimal place on input because they are half-point market quotes
     (``-0`` reads as ``0``); both are written in ASCII digits without
-    ``_`` separators. A leading byte-order mark, blank lines and
-    ``#`` comment lines are skipped; a quoted field may not span lines.
-    Row order is preserved.
+    ``_`` separators, padded with ASCII whitespace only. A leading
+    byte-order mark, blank lines and ``#`` comment lines are skipped; a
+    quoted field may not span lines. Row order is preserved.
 
     Raises SchemaError when the header is absent, incomplete, or repeats
     a required column, and ParseError (carrying the offending line
@@ -172,11 +175,11 @@ def parse_games(source: Iterable[str]) -> Dataset:
                 if (visitor_team := teams.get(raw := fields[i_visitor])) is None:
                     visitor_team = teams[raw] = _team(raw.strip(), "visitor_team", line_num)
                 if (home_score := scores.get(raw := fields[i_hs])) is None:
-                    home_score = scores[raw] = _score(raw.strip(), "home_score", line_num)
+                    home_score = scores[raw] = _score(raw, "home_score", line_num)
                 if (visitor_score := scores.get(raw := fields[i_vs])) is None:
-                    visitor_score = scores[raw] = _score(raw.strip(), "visitor_score", line_num)
+                    visitor_score = scores[raw] = _score(raw, "visitor_score", line_num)
                 if (spread := spreads.get(raw := fields[i_spread])) is None:
-                    spread = spreads[raw] = _spread(raw.strip(), line_num)
+                    spread = spreads[raw] = _spread(raw, line_num)
                 records.append(
                     new(GameRecord, (date, home_team, visitor_team, home_score, visitor_score, spread))
                 )
@@ -210,6 +213,7 @@ def _number(kind: type, raw: str):
 
 
 def _score(raw: str, name: str, line_num: int) -> int:
+    raw = raw.strip(_ASCII_SPACE)
     try:
         score = _number(int, raw)
     except ValueError:
@@ -220,6 +224,7 @@ def _score(raw: str, name: str, line_num: int) -> int:
 
 
 def _spread(raw: str, line_num: int) -> float:
+    raw = raw.strip(_ASCII_SPACE)
     try:
         spread = _number(float, raw)
     except ValueError:

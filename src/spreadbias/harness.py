@@ -10,9 +10,10 @@ The temporally-dependent (TD) harness is the single-split case: it
 splits once by date, fits on the past, wagers on the future, and also
 sweeps the k-lowest-entropy strategy over every k.
 
-All randomness derives from named streams keyed on the config seed, so
-a run is reproducible bit for bit and TI simulations could be evaluated in
-any order (results are reduced in simulation-index order regardless).
+All randomness derives from ``default_rng(SeedSequence(key))`` streams keyed
+on the config seed, so a run is reproducible bit for bit and TI simulations
+could be evaluated in any order (results are reduced in simulation-index order
+regardless). A block of simulations hashes its keys and draws its holdouts at once.
 """
 
 from __future__ import annotations
@@ -79,11 +80,11 @@ class _SeedWords(NamedTuple):
         return self.words
 
 
-def _streams(*key: int | np.ndarray) -> Iterator[np.random.Generator]:
-    """``default_rng(SeedSequence(k))`` for each key ``k`` of ``key`` in C order,
-    all hashed at once as SeedSequence hashes each. An int part is shared by
-    every key and coerces to 32-bit words as in SeedSequence; the array parts
-    broadcast together, giving each key one part below 2**32."""
+def _seed_words(*key: int | np.ndarray) -> np.ndarray:
+    """``SeedSequence(k).generate_state(4, np.uint64)``, one row for each key ``k``
+    of ``key`` in C order, all hashed at once as SeedSequence hashes each. An int
+    part is shared by every key and coerces to 32-bit words as in SeedSequence; the
+    array parts broadcast together, giving each key one part below 2**32."""
     entropy = []  # one uint32 array per entropy word
     for part in key:
         if np.ndim(part) == 0:
@@ -105,10 +106,83 @@ def _streams(*key: int | np.ndarray) -> Iterator[np.random.Generator]:
                 pool[dst] = mixed ^ mixed >> 16
     hashmix = _hasher(_INIT_B, _MULT_B)
     state = np.stack([hashmix(pool[i % 4]) for i in range(8)], axis=-1)
-    words = state.astype("<u4").view("<u8").astype(np.uint64).reshape(-1, 4)
+    return state.astype("<u4").view("<u8").astype(np.uint64).reshape(-1, 4)
+
+
+def _generator(words: np.ndarray) -> np.random.Generator:
+    """``default_rng(SeedSequence(k))``, from key ``k``'s ``_seed_words`` row."""
     # Looked up only here, so importing the package leaves numpy.random unloaded.
     np.random.bit_generator.ISeedSequence.register(_SeedWords)
-    yield from (np.random.Generator(np.random.PCG64(_SeedWords(row))) for row in words)
+    return np.random.Generator(np.random.PCG64(_SeedWords(words)))
+
+
+def _streams(*key: int | np.ndarray) -> Iterator[np.random.Generator]:
+    """``_generator`` for each key's ``_seed_words`` row, in C order."""
+    return map(_generator, _seed_words(*key))
+
+
+# PCG64 (numpy's pcg64.h) on (high, low) uint64 arrays. Constants are uint64 arrays, so
+# numpy 1.x's value-based casting and NEP 50 agree, and no scalar overflow warns.
+_U1, _U32, _U58, _U63, _U64, _LO32, _2POW32 = (
+    np.array([v], np.uint64) for v in (1, 32, 58, 63, 64, _MASK32, 2**32))
+_MULT_HI, _MULT_LO = np.array([[2549297995355413924], [4865540595714422341]], np.uint64)
+
+
+def _uint32_draws(words: np.ndarray) -> Iterator[np.ndarray]:
+    """Each key's ``PCG64`` 32-bit draws, one column per step, seeded from its ``_seed_words``
+    row as ``pcg64_set_seed`` seeds: each XSL-RR output, low half first, as ``next_uint32``."""
+    inc_hi, inc_lo = words[:, 2] << _U1 | words[:, 3] >> _U63, words[:, 3] << _U1 | _U1
+
+    def step(hi, lo):  # state * multiplier + inc; lo * _MULT_LO's high word by 32-bit limbs
+        lo0, lo1, mult0, mult1 = lo & _LO32, lo >> _U32, _MULT_LO & _LO32, _MULT_LO >> _U32
+        cross0, cross1 = lo0 * mult1, lo1 * mult0
+        mid = (lo0 * mult0 >> _U32) + (cross0 & _LO32) + (cross1 & _LO32)
+        carry = lo1 * mult1 + (cross0 >> _U32) + (cross1 >> _U32) + (mid >> _U32)
+        new_lo = lo * _MULT_LO + inc_lo
+        return hi * _MULT_LO + lo * _MULT_HI + carry + inc_hi + (new_lo < inc_lo), new_lo
+
+    # Seeding steps from state 0 (to inc), adds the seed words (with carry), steps again.
+    hi, lo = step(inc_hi + words[:, 0] + (inc_lo + words[:, 1] < inc_lo), inc_lo + words[:, 1])
+    while True:
+        hi, lo = step(hi, lo)
+        xor, rot = hi ^ lo, hi >> _U58
+        output = xor >> rot | xor << (_U64 - rot & _U63)
+        yield output & _LO32
+        yield output >> _U32
+
+
+#: The largest holdout drawn for all keys at once; past about 100 a Generator per key is
+#: faster. (``choice`` tail-shuffles only where n > 10,000 and holdout > n // 50 > 199.)
+_BATCH_MAX_HOLDOUT = 100
+
+
+def _holdout_picks(words: np.ndarray, sizes: np.ndarray, holdout: int) -> np.ndarray:
+    """``np.sort(_generator(w).choice(n, holdout, replace=False))`` for each key's row ``w``
+    of ``_seed_words`` and population ``n`` in ``sizes``. Up to ``_BATCH_MAX_HOLDOUT``, all
+    keys replay ``choice``'s Floyd loop together, each on its own draws: for j = n - holdout
+    ... n - 1, a Lemire-bounded draw on [0, j], or j if that is picked already."""
+    if np.any(sizes >= 2**32):
+        raise ValueError("a holdout draws from fewer than 2**32 games")
+    if holdout > _BATCH_MAX_HOLDOUT:
+        return np.array([np.sort(_generator(w).choice(n, holdout, replace=False))
+                         for w, n in zip(words, sizes)])
+    draws, keys = _uint32_draws(words), np.arange(len(sizes))
+    # Each key's draws so far, and how many of them it has taken.
+    stream, used = np.empty((len(sizes), 0), np.uint64), np.zeros(len(sizes), np.intp)
+    picks = np.empty((len(sizes), holdout), np.uint64)
+    for t in range(holdout):
+        j = (sizes - (holdout - t)).astype(np.uint64)
+        bound, value = j + _U1, np.zeros_like(j)
+        threshold, todo = (_2POW32 - bound) % bound, bound > _U1  # [0, 0] takes no draw
+        while todo.any():
+            if used.max() >= stream.shape[1]:
+                stream = np.column_stack([stream, *(next(draws) for _ in range(holdout + 1))])
+            scaled = stream[keys, used] * bound
+            used += todo
+            value = np.where(todo, scaled >> _U32, value)
+            todo &= scaled & _LO32 < threshold
+        picks[:, t] = np.where((picks[:, :t] == value[:, None]).any(axis=1), j, value)
+    return np.sort(picks).astype(np.int64)
 
 
 #: The rule each config field must keep on its own, and the message that
@@ -389,20 +463,20 @@ def _holdout_splits(buckets: list[SpreadBucket], config: TiConfig) -> Iterator[_
     games, and its full counts minus theirs its training block."""
     grid = config.grid()
     holdout = config.holdout_per_spread
-    sizes = [len(b) for b in buckets]
-    starts = np.cumsum([0] + sizes[:-1])[:, None]
+    sizes = np.array([len(b) for b in buckets])
+    starts = np.cumsum(sizes) - sizes
     all_outcomes = np.concatenate([np.asarray(b.outcomes, dtype=np.int64) for b in buckets])
     full_counts = _bucket_counts(buckets, grid)
     rows = np.repeat(np.arange(len(buckets)), holdout)
     block = max(1, _HASH_BLOCK // (len(buckets) + 1))
     for first in range(0, config.n_simulations, block):
         sims = np.arange(first, min(first + block, config.n_simulations))
-        holdouts = _streams(config.seed, _HOLDOUT_STREAM, sims[:, None], np.arange(len(sizes)))
-        for guess in _streams(config.seed, _GUESS_STREAM, sims):
-            picks = np.array([next(holdouts).choice(n, holdout, replace=False) for n in sizes])
-            # Holdouts in bucket order, so they pair with the coin flips
-            # exactly as a per-outcome loop would.
-            tests = all_outcomes[starts + np.sort(picks, axis=1)]
+        words = _seed_words(config.seed, _HOLDOUT_STREAM, sims[:, None], np.arange(len(sizes)))
+        picks = _holdout_picks(words, np.tile(sizes, len(sims)), holdout)
+        # Holdouts in bucket order, so they pair with the coin flips exactly
+        # as a per-outcome loop would.
+        picks = picks.reshape(len(sims), len(sizes), holdout) + starts[:, None]
+        for tests, guess in zip(all_outcomes[picks], _streams(config.seed, _GUESS_STREAM, sims)):
             # Coin flips in spread-then-holdout order.
             flips = guess.random(tests.size)
             yield _Split(full_counts - outcome_counts(tests, grid), rows, tests.ravel(), flips)

@@ -410,6 +410,22 @@ class TestConfigFile:
         assert capsys.readouterr().err == f"error: {cfg}:3: {message}\n"
         assert not (tmp_path / "o").exists()
 
+    def test_value_padded_with_non_ascii_space_fails_with_location(
+        self, games_csv, tmp_path, capsys
+    ):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 1\t\nbandwidth = 3\xa0\n", encoding="utf-8")
+        code = main(["profile", "--input", str(games_csv),
+                     "--out-dir", str(tmp_path / "o"), "--config", str(cfg)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {cfg}:2: bandwidth expects float, got '3\\xa0'\n"
+        assert not (tmp_path / "o").exists()
+        cfg.write_text("seed = 1\t\nbandwidth =\t3 \n", encoding="utf-8")
+        out_dir = tmp_path / "out"
+        assert main(["profile", "--input", str(games_csv), "--out-dir", str(out_dir),
+                     "--config", str(cfg)]) == 0
+        assert read_manifest(out_dir / "profile.csv")["config"]["bandwidth"] == 3.0
+
     @pytest.mark.parametrize("value", ["inf", "nan", "1e400"])
     def test_non_finite_bandwidth_fails_with_location(self, games_csv, tmp_path, capsys, value):
         cfg = tmp_path / "run.cfg"

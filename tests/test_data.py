@@ -96,6 +96,10 @@ class TestParseGames:
         ds = parse("# manifest {}\n" + HEADER + "\n2017-09-10,NE,KC,27,42,-9.0\n")
         assert len(ds) == 1
 
+    def test_ascii_whitespace_around_numbers_read(self):
+        [record] = parse(HEADER + "2017-09-10,NE,KC, 27 ,\t42\t, -3.5\x0b\n")
+        assert (record.home_score, record.visitor_score, record.spread) == (27, 42, -3.5)
+
     def test_spread_rounded_to_one_decimal(self):
         ds = parse(HEADER + "2017-09-10,NE,KC,27,42,-2.5000001\n")
         assert ds.records[0].spread == -2.5
@@ -150,6 +154,11 @@ class TestParseGames:
             ("2017-09-11,NE,KC,27,\uff13,nan", "non-integer visitor_score '\uff13'"),
             ("2017-09-11,NE,KC,27,42,-1_0.5", "non-numeric spread '-1_0.5'"),
             ("2017-09-11,NE,KC,27,42,\u0663.\u0665", "non-numeric spread '\u0663.\u0665'"),
+            # str.strip() takes these ideographic, no-break and em spaces; only ASCII
+            # whitespace pads a number, and repr() shows the rest escaped.
+            ("2017-09-11,NE,KC,27,42, -3.5\u3000", "non-numeric spread '-3.5\\u3000'"),
+            ("2017-09-11,NE,KC,\xa027,x,nan", "non-integer home_score '\\xa027'"),
+            ("2017-09-11,NE,KC,27,42\u2003,nan", "non-integer visitor_score '42\\u2003'"),
             ("10 Sep 2017,,,x,-1", "expected 6 fields, found 5"),
         ],
     )

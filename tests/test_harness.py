@@ -439,3 +439,83 @@ class TestStreams:
         )
         before, after = result.stdout.split()
         assert after == before
+
+
+class TestHoldoutPicks:
+    """``harness._holdout_picks`` replays ``Generator.choice(n, h, replace=False)``
+    for many keys at once; each key's sorted picks must be the ones numpy's
+    ``default_rng(SeedSequence(key))`` draws."""
+
+    @staticmethod
+    def picks(keys, sizes, holdout):
+        """``_holdout_picks`` for ``keys``, and numpy's sorted picks one key at a time."""
+        words = np.concatenate([harness._seed_words(*key) for key in keys])
+        expected = [
+            np.sort(np.random.default_rng(np.random.SeedSequence(key))
+                    .choice(n, holdout, replace=False)).tolist()
+            for key, n in zip(keys, sizes)
+        ]
+        return harness._holdout_picks(words, np.array(sizes), holdout), expected
+
+    @staticmethod
+    def scalar_floyd(key, n, holdout):
+        """Floyd's loop over Lemire-bounded draws in Python ints, on numpy's
+        own PCG64 outputs (low half first): the sorted picks and how many
+        draws were rejected."""
+        bit_generator = np.random.PCG64(np.random.SeedSequence(key))
+        halves = (half for _ in iter(int, 1)
+                  for out in [int(bit_generator.random_raw())]
+                  for half in (out & 0xFFFFFFFF, out >> 32))
+        picks, rejected = set(), 0
+        for j in range(n - holdout, n):
+            scaled = next(halves) * (j + 1) if j else 0
+            while j and scaled & 0xFFFFFFFF < 2**32 % (j + 1):
+                scaled, rejected = next(halves) * (j + 1), rejected + 1
+            value = scaled >> 32
+            picks.add(j if value in picks else value)
+        return sorted(picks), rejected
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**70 - 1),
+        sims=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3),
+        sizes=st.lists(st.integers(1, 10_000), min_size=1, max_size=5),
+        data=st.data(),
+    )
+    def test_picks_equal_numpy_choice(self, seed, sims, sizes, data):
+        holdout = data.draw(st.integers(1, min(min(sizes), 64)))
+        # The keys and sizes of a TI hash block: every spread of every simulation.
+        keys = [(seed, 0, sim, j) for sim in sims for j in range(len(sizes))]
+        picks, expected = self.picks(keys, sizes * len(sims), holdout)
+        assert picks.dtype == np.int64
+        assert picks.tolist() == expected
+
+    def test_populations_near_3e9_reject_draws(self):
+        # A bound of about 3e9 leaves 2**32 mod bound near 1.3e9: about 30%
+        # of draws are rejected and each takes another word from its stream.
+        sizes = [3_000_000_001, 2_900_000_000, 3_500_000_000, 4_294_967_295]
+        keys = [(2**40 + 9, 0, j) for j in range(len(sizes))]
+        picks, expected = self.picks(keys, sizes, 20)
+        assert picks.tolist() == expected
+        scalar = [self.scalar_floyd(key, n, 20) for key, n in zip(keys, sizes)]
+        assert expected == [p for p, _ in scalar]
+        # 2**32 - 1 games bound the last draw by 2**32 - 1, where 2**32 mod bound is 1.
+        assert [rejected > 0 for _, rejected in scalar] == [True, True, True, False]
+
+    @pytest.mark.parametrize("size, holdout", [(30, 10), (10, 10), (300, 100), (300, 101),
+                                               (10_000, 201), (10_001, 201)])
+    def test_one_key(self, size, holdout):
+        # One key makes one-element arrays: any numpy-scalar arithmetic would
+        # warn on overflow here, and warnings fail the run. Holdouts past
+        # _BATCH_MAX_HOLDOUT = 100 call choice, which tail-shuffles at 10,001.
+        picks, expected = self.picks([(5, 0, 3, 7)], [size], holdout)
+        assert picks.tolist() == expected
+
+    def test_batched_holdouts_stay_below_numpys_tail_shuffle(self):
+        # choice tail-shuffles only where n > 10,000 and holdout > n // 50.
+        assert harness._BATCH_MAX_HOLDOUT <= 10_001 // 50
+
+    def test_population_of_2_32_rejected(self):
+        words = harness._seed_words(0, 0, np.arange(2))
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            harness._holdout_picks(words, np.array([10, 2**32]), 3)

@@ -200,3 +200,28 @@ def test_entropy_tie_breaks_toward_smaller_absolute_spread():
     assert report.to_dict() == scalar_run_ti(dataset, config).to_dict()
     min_ent = report.models[MODEL_NAMES.index(MODEL_MIN_ENTROPY)]
     assert (min_ent.n_wins, min_ent.n_push) == (4 * 10, 0)
+
+
+@pytest.mark.parametrize("size, holdout", [(10_000, 201), (10_001, 201), (300, 100), (300, 101)])
+def test_run_ti_equals_scalar_reference_at_large_holdouts(size, holdout):
+    # choice(n, 201, replace=False) runs Floyd's algorithm at n = 10,000 and
+    # tail-shuffles at 10,001 (n > 10,000 and 201 > n // 50). The harness
+    # draws holdouts of up to 100 for all keys at once and larger ones key by
+    # key. Two spreads, one of 20 games below min_samples, keep the loop quick.
+    rng = np.random.default_rng(size + holdout)
+    records = [
+        GameRecord(dt.date(2000, 1, 1) + dt.timedelta(days=i // 40), f"H{i}", f"V{i}",
+                   30, 30 + int(margin), spread)
+        for i, (spread, margin) in enumerate(
+            [(-3.0, m) for m in rng.integers(-20, 15, size)]
+            + [(3.0, m) for m in rng.integers(-14, 21, 10_000)]
+            + [(7.0, m) for m in rng.integers(-10, 25, 20)]
+        )
+    ]
+    dataset = Dataset(tuple(records))
+    config = TiConfig(
+        n_simulations=2, holdout_per_spread=holdout, min_samples=holdout + 1, seed=11
+    )
+    report = run_ti(dataset, config)
+    assert report.valid_spreads == (-3.0, 3.0)
+    assert report.to_dict() == scalar_run_ti(dataset, config).to_dict()
