@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Iterable
 
 import numpy as np
 
@@ -86,13 +87,6 @@ def profile_arrays(
     return mass, p_home, np.array([binary_entropy(p) for p in p_home.tolist()])
 
 
-def _bucket_counts(buckets: Sequence[SpreadBucket], grid: OutcomeGrid) -> np.ndarray:
-    """The (buckets x grid) block of outcome counts, one row per bucket, that
-    ``profile_arrays`` takes."""
-    rows = [outcome_counts(b.outcomes, grid) for b in buckets]
-    return np.vstack(rows) if rows else np.zeros((0, len(grid)), dtype=np.int64)
-
-
 def build_profile(
     buckets: Iterable[SpreadBucket],
     bandwidth: float = DEFAULT_BANDWIDTH,
@@ -100,18 +94,16 @@ def build_profile(
     threshold: float = DEFAULT_ENTROPY_THRESHOLD,
     kernel: str = "gaussian",
 ) -> BiasProfile:
-    """Estimate one SpreadBias per bucket from its outcome density.
-
-    For each bucket: estimate the outcome density, integrate it up to the
-    bucket's spread to get the home cover probability, and take the binary
-    entropy of that probability. All buckets go through ``profile_arrays``
-    as one block, as in each TI simulation; the densities are kept as the
-    profile's ``mass``.
-    """
+    """One SpreadBias per bucket: the home cover probability of its outcome
+    density up to its spread, and that probability's binary entropy. All
+    buckets are counted and go through ``profile_arrays`` as one block, as
+    in each TI simulation; the densities are kept as the profile's ``mass``."""
     buckets = sorted(buckets, key=lambda b: b.spread)
     spreads = [b.spread for b in buckets]
+    outcomes = np.fromiter(chain.from_iterable(b.outcomes for b in buckets), np.int64)
+    rows = np.repeat(np.arange(len(buckets)), [len(b) for b in buckets])
     mass, p_home, entropy = profile_arrays(
-        _bucket_counts(buckets, grid), spreads, bandwidth, grid, kernel
+        outcome_counts(outcomes, grid, rows, len(buckets)), spreads, bandwidth, grid, kernel
     )
     entries = tuple(
         SpreadBias(spread, p, 1.0 - p, h, len(bucket))

@@ -31,9 +31,9 @@ from .data import (
     SchemaError,
     _ASCII_SPACE,
     _number,
-    bucket_by_spread,
     deduplicate,
     parse_games,
+    spread_groups,
 )
 from .density import KERNELS
 from .harness import (
@@ -272,7 +272,7 @@ def cmd_profile(args: argparse.Namespace, options: dict) -> int:
     config = _config(FitConfig, options)
     buckets = config.valid_buckets(dataset)
     if not buckets:
-        largest = max((len(b) for b in bucket_by_spread(dataset, 1)), default=0)
+        largest = max(Counter(spread_groups(dataset, 1)[1].tolist()).values(), default=0)
         print(
             f"error: no spread has {config.min_samples} samples "
             f"(largest group has {largest}); lower --min-samples",

@@ -1,4 +1,4 @@
-"""Game-record ingestion, validation, deduplication, and spread bucketing."""
+"""Game-record ingestion, validation, deduplication, and spread grouping."""
 
 from __future__ import annotations
 
@@ -8,8 +8,12 @@ import gc
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain
+from functools import cached_property
+from itertools import chain, compress
+from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple
+
+import numpy as np
 
 #: Lines starting with this prefix are treated as comments (run manifests
 #: embedded in emitted CSVs use it) and skipped by the parser.
@@ -66,16 +70,25 @@ class GameRecord(NamedTuple):
         return self[:3]
 
 
-#: ASCII whitespace: all that may pad a number, which a no-break space may not.
+#: ASCII whitespace: all that may pad a field or a header name, which a no-break space may not.
 _ASCII_SPACE = " \t\r\n\v\f"
 
 #: The input header must name every record field, in any order.
 REQUIRED_COLUMNS = GameRecord._fields
 
 
+def _column(values: Iterable, dtype: type) -> np.ndarray:
+    column = np.fromiter(values, dtype)
+    column.flags.writeable = False
+    return column
+
+
 @dataclass(frozen=True)
 class Dataset:
-    """An ordered, immutable collection of game records."""
+    """An ordered, immutable collection of game records, and three read-only
+    columns of one value per record: ``spread`` (float64), ``outcome``
+    (int64) and ``year`` (int64), each computed from ``records`` on first
+    use and kept."""
 
     records: tuple[GameRecord, ...]
 
@@ -84,6 +97,18 @@ class Dataset:
 
     def __iter__(self) -> Iterator[GameRecord]:
         return iter(self.records)
+
+    @cached_property
+    def spread(self) -> np.ndarray:
+        return _column(map(attrgetter("spread"), self.records), np.float64)
+
+    @cached_property
+    def outcome(self) -> np.ndarray:
+        return _column(map(GameRecord.outcome.fget, self.records), np.int64)
+
+    @cached_property
+    def year(self) -> np.ndarray:
+        return _column(map(attrgetter("date.year"), self.records), np.int64)
 
 
 @dataclass(frozen=True)
@@ -121,7 +146,8 @@ def parse_games(source: Iterable[str]) -> Dataset:
     non-negative integers; spreads are finite numbers, rounded to one
     decimal place on input because they are half-point market quotes
     (``-0`` reads as ``0``); both are written in ASCII digits without
-    ``_`` separators, padded with ASCII whitespace only. A leading
+    ``_`` separators. Only ASCII whitespace pads a field or a header name;
+    a team name may not begin or end with other whitespace. A leading
     byte-order mark, blank lines and ``#`` comment lines are skipped; a
     quoted field may not span lines. Row order is preserved.
 
@@ -145,7 +171,7 @@ def parse_games(source: Iterable[str]) -> Dataset:
         line_nums = [n for n, _ in numbered]
         reader = csv.reader([line for _, line in numbered])
         try:
-            header = [name.strip() for name in next(reader)]
+            header = [name.strip(_ASCII_SPACE) for name in next(reader)]
             if reader.line_num != 1:
                 raise ParseError(line_nums[0], "quoted field spans lines")
             missing = [c for c in REQUIRED_COLUMNS if c not in header]
@@ -169,11 +195,11 @@ def parse_games(source: Iterable[str]) -> Dataset:
                 if len(fields) != n_fields:
                     raise ParseError(line_num, f"expected {n_fields} fields, found {len(fields)}")
                 if (date := dates.get(raw := fields[i_date])) is None:
-                    date = dates[raw] = _date(raw.strip(), line_num)
+                    date = dates[raw] = _date(raw.strip(_ASCII_SPACE), line_num)
                 if (home_team := teams.get(raw := fields[i_home])) is None:
-                    home_team = teams[raw] = _team(raw.strip(), "home_team", line_num)
+                    home_team = teams[raw] = _team(raw, "home_team", line_num)
                 if (visitor_team := teams.get(raw := fields[i_visitor])) is None:
-                    visitor_team = teams[raw] = _team(raw.strip(), "visitor_team", line_num)
+                    visitor_team = teams[raw] = _team(raw, "visitor_team", line_num)
                 if (home_score := scores.get(raw := fields[i_hs])) is None:
                     home_score = scores[raw] = _score(raw, "home_score", line_num)
                 if (visitor_score := scores.get(raw := fields[i_vs])) is None:
@@ -199,9 +225,12 @@ def _date(raw: str, line_num: int) -> dt.date:
 
 
 def _team(raw: str, name: str, line_num: int) -> str:
-    if not raw:
+    team = raw.strip(_ASCII_SPACE)
+    if not team:
         raise ParseError(line_num, f"empty {name}")
-    return raw
+    if team != team.strip():
+        raise ParseError(line_num, f"{name} {team!r} begins or ends with whitespace")
+    return team
 
 
 def _number(kind: type, raw: str):
@@ -252,28 +281,38 @@ def deduplicate(dataset: Dataset) -> Dataset:
         return Dataset(tuple(seen.values()))
 
 
-def bucket_by_spread(dataset: Dataset, min_samples: int) -> list[SpreadBucket]:
-    """Group outcomes by exact spread value and keep well-sampled groups.
-
-    Only spreads with at least ``min_samples`` outcomes are returned (the
-    valid spreads); buckets are sorted by spread ascending.
-    """
+def spread_groups(dataset: Dataset, min_samples: int, counted=slice(None)) -> tuple[np.ndarray, ...]:
+    """The spreads, ascending, with at least ``min_samples`` of the games that
+    the boolean mask ``counted`` selects (by default, all), and each game's
+    index among them: -1 for a game at another spread."""
     if min_samples < 1:
         raise ValueError(f"min_samples must be >= 1, got {min_samples}")
-    groups: dict[float, list[int]] = {}
-    for record in dataset:
-        groups.setdefault(record.spread, []).append(record.outcome)
-    return [
-        SpreadBucket(spread, tuple(outcomes))
-        for spread, outcomes in sorted(groups.items())
-        if len(outcomes) >= min_samples
-    ]
+    spreads, inverse = np.unique(dataset.spread, return_inverse=True)
+    valid = np.bincount(inverse[counted], minlength=len(spreads)) >= min_samples
+    return spreads[valid], np.where(valid, np.cumsum(valid) - 1, -1)[inverse]
+
+
+def by_spread(dataset: Dataset, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The outcomes of the games that ``spread_groups``' ``index`` places, spread
+    by spread and each spread's in input order, and how many each spread has."""
+    # numpy's stable sort of 8- or 16-bit ints is a radix sort: narrow the index (signed, for -1).
+    narrow = index.astype(np.min_scalar_type(-1 - index.max(initial=1)))
+    games = np.argsort(narrow, kind="stable")[np.count_nonzero(index < 0):]
+    return dataset.outcome[games], np.bincount(index[games])
+
+
+def _buckets(dataset: Dataset, spreads: np.ndarray, index: np.ndarray) -> list[SpreadBucket]:
+    outcomes, sizes = by_spread(dataset, index)
+    groups = np.split(outcomes, np.cumsum(sizes)[:-1])
+    return [SpreadBucket(s, tuple(o.tolist())) for s, o in zip(spreads.tolist(), groups)]
+
+
+def bucket_by_spread(dataset: Dataset, min_samples: int) -> list[SpreadBucket]:
+    """The buckets of the ``spread_groups``, ascending, each's outcomes in input order."""
+    return _buckets(dataset, *spread_groups(dataset, min_samples))
 
 
 def split_by_date(dataset: Dataset, cutoff_year: int) -> tuple[Dataset, Dataset]:
     """Split into (train, test) by game year: test is year >= cutoff_year."""
-    train = []
-    test = []
-    for record in dataset:
-        (test if record.date.year >= cutoff_year else train).append(record)
-    return Dataset(tuple(train)), Dataset(tuple(test))
+    test = dataset.year >= cutoff_year
+    return tuple(Dataset(tuple(compress(dataset.records, mask.tolist()))) for mask in (~test, test))

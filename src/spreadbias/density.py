@@ -46,18 +46,9 @@ class OutcomeGrid:
 
 @dataclass(frozen=True)
 class OutcomeDensity:
-    """A probability mass vector over an OutcomeGrid.
-
-    Attributes
-    ----------
-    grid : OutcomeGrid
-        The support of the distribution.
-    mass : np.ndarray
-        Non-negative probabilities, one per grid point, summing to 1.
-    n_clamped : int
-        How many input outcomes fell outside the grid and were clamped
-        to the nearest bound before estimation.
-    """
+    """A probability mass vector over ``grid``: non-negative, one entry per
+    grid point, summing to 1. ``n_clamped`` counts the input outcomes that
+    fell outside the grid and were clamped to the nearest bound."""
 
     grid: OutcomeGrid
     mass: np.ndarray = field(repr=False)
@@ -78,14 +69,14 @@ def _kernel_matrix(lo: int, hi: int, bandwidth: float, kernel: str) -> np.ndarra
     raise ValueError(f"unknown kernel {kernel!r}; expected one of {KERNELS}")
 
 
-def outcome_counts(outcomes, grid: OutcomeGrid) -> np.ndarray:
-    """Histogram of integer outcomes over the grid points, one row of
-    counts per row of a 2-D input. Outcomes off the grid are clamped to
-    the nearest bound."""
-    values = np.clip(np.atleast_2d(np.asarray(outcomes, dtype=np.int64)), grid.lo, grid.hi)
-    rows, width = len(values), len(grid)
-    flat = (values - grid.lo + width * np.arange(rows)[:, None]).ravel()
-    return np.bincount(flat, minlength=rows * width).reshape(rows, width)
+def outcome_counts(outcomes, grid: OutcomeGrid, rows=0, n_rows: int = 1) -> np.ndarray:
+    """The (n_rows x grid) block of outcome counts that counts each outcome
+    in its row of ``rows`` (by default all in one row), with one offset
+    bincount. Outcomes off the grid are clamped to the nearest bound."""
+    values = np.clip(np.asarray(outcomes, dtype=np.int64), grid.lo, grid.hi)
+    width = len(grid)
+    flat = values - grid.lo + width * np.asarray(rows, dtype=np.int64)
+    return np.bincount(flat, minlength=n_rows * width).reshape(n_rows, width)
 
 
 def densities(
@@ -127,26 +118,11 @@ def estimate_density(
     grid: OutcomeGrid = OutcomeGrid(),
     kernel: str = "gaussian",
 ) -> OutcomeDensity:
-    """Kernel density estimate of the outcome distribution on a grid.
-
-    Parameters
-    ----------
-    outcomes : iterable of int
-        Observed margins (visitor minus home). Must be non-empty. Values
-        outside the grid are clamped to the nearest bound and counted in
-        the result's ``n_clamped``.
-    bandwidth : float
-        Kernel width parameter, in points. Must be positive and finite.
-    grid : OutcomeGrid
-        Quantized evaluation support.
-    kernel : str
-        One of ``KERNELS``.
-
-    Returns
-    -------
-    OutcomeDensity
-        Mass renormalized to sum to 1 over the grid.
-    """
+    """Kernel density estimate on ``grid`` of a non-empty set of outcomes
+    (visitor-minus-home margins): the ``densities`` row of their one-row
+    count block. Outcomes off the grid are clamped to the nearest bound and
+    counted in ``n_clamped``. ``bandwidth`` is the kernel width in points,
+    positive and finite; ``kernel`` is one of ``KERNELS``."""
     values = np.asarray(tuple(outcomes), dtype=np.int64)
     n_clamped = int(np.count_nonzero((values < grid.lo) | (values > grid.hi)))
     mass = densities(outcome_counts(values, grid), bandwidth, grid, kernel)[0]

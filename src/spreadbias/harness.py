@@ -8,7 +8,8 @@ The temporally-independent (TI) harness ignores game dates and makes N
 splits, each holding out a fixed number of outcomes per valid spread.
 The temporally-dependent (TD) harness is the single-split case: it
 splits once by date, fits on the past, wagers on the future, and also
-sweeps the k-lowest-entropy strategy over every k.
+sweeps the k-lowest-entropy strategy over every k. Both group, split and
+count games in array passes over the dataset's columns.
 
 All randomness derives from ``default_rng(SeedSequence(key))`` streams keyed
 on the config seed, so a run is reproducible bit for bit and TI simulations
@@ -29,11 +30,10 @@ import numpy as np
 from .bias import (
     DEFAULT_ENTROPY_THRESHOLD,
     BiasProfile,
-    _bucket_counts,
     profile_arrays,
     rank_spreads,
 )
-from .data import Dataset, GameRecord, SpreadBucket, bucket_by_spread, split_by_date
+from .data import Dataset, GameRecord, SpreadBucket, _buckets, by_spread, spread_groups
 from .density import (
     DEFAULT_BANDWIDTH,
     DEFAULT_GRID_HI,
@@ -227,21 +227,22 @@ class FitConfig:
     def grid(self) -> OutcomeGrid:
         return OutcomeGrid(self.grid_lo, self.grid_hi)
 
-    def valid_buckets(self, dataset: Dataset) -> list[SpreadBucket]:
-        """The buckets of ``dataset`` with at least ``min_samples`` outcomes.
+    def valid_spreads(self, dataset: Dataset, counted=slice(None)) -> tuple[np.ndarray, ...]:
+        """``spread_groups(dataset, min_samples, counted)``, refusing a valid
+        spread outside ``[grid_lo, grid_hi)`` (NaN too) with ValueError: its
+        cover probability, and so its entropy, would be pinned whatever its games did."""
+        spreads, index = spread_groups(dataset, self.min_samples, counted)
+        off_grid = spreads[~((self.grid_lo <= spreads) & (spreads < self.grid_hi))]
+        if off_grid.size:
+            raise ValueError(
+                f"spread {off_grid[0]:g} lies outside the outcome grid "
+                f"[{self.grid_lo}, {self.grid_hi})"
+            )
+        return spreads, index
 
-        Raises ValueError for a valid spread outside ``[grid_lo, grid_hi)``:
-        its home cover probability would be pinned to 0 or 1, and so its
-        entropy to 0 bits, whatever its games did.
-        """
-        buckets = bucket_by_spread(dataset, self.min_samples)
-        for bucket in buckets:
-            if not self.grid_lo <= bucket.spread < self.grid_hi:
-                raise ValueError(
-                    f"spread {bucket.spread:g} lies outside the outcome grid "
-                    f"[{self.grid_lo}, {self.grid_hi})"
-                )
-        return buckets
+    def valid_buckets(self, dataset: Dataset) -> list[SpreadBucket]:
+        """The buckets of ``dataset`` at its ``valid_spreads``."""
+        return _buckets(dataset, *self.valid_spreads(dataset))
 
 
 @dataclass(frozen=True)
@@ -458,28 +459,26 @@ def _backtest(
     return report, entropy, ranked_total, k
 
 
-def _holdout_splits(buckets: list[SpreadBucket], config: TiConfig) -> Iterator[_Split]:
-    """TI's splits, one per simulation: each bucket's holdouts are its test
-    games, and its full counts minus theirs its training block."""
+def _holdout_splits(dataset: Dataset, index: np.ndarray, config: TiConfig) -> Iterator[_Split]:
+    """TI's splits, one per simulation: the holdouts drawn from each valid spread's games in
+    input order are its test games, and its full counts minus theirs its training block."""
     grid = config.grid()
     holdout = config.holdout_per_spread
-    sizes = np.array([len(b) for b in buckets])
+    outcomes, sizes = by_spread(dataset, index)
     starts = np.cumsum(sizes) - sizes
-    all_outcomes = np.concatenate([np.asarray(b.outcomes, dtype=np.int64) for b in buckets])
-    full_counts = _bucket_counts(buckets, grid)
-    rows = np.repeat(np.arange(len(buckets)), holdout)
-    block = max(1, _HASH_BLOCK // (len(buckets) + 1))
+    full_counts = outcome_counts(outcomes, grid, np.repeat(np.arange(len(sizes)), sizes), len(sizes))
+    rows = np.repeat(np.arange(len(sizes)), holdout)
+    block = max(1, _HASH_BLOCK // (len(sizes) + 1))
     for first in range(0, config.n_simulations, block):
         sims = np.arange(first, min(first + block, config.n_simulations))
         words = _seed_words(config.seed, _HOLDOUT_STREAM, sims[:, None], np.arange(len(sizes)))
         picks = _holdout_picks(words, np.tile(sizes, len(sims)), holdout)
-        # Holdouts in bucket order, so they pair with the coin flips exactly
-        # as a per-outcome loop would.
+        # Holdouts in spread-then-holdout order: the order their coin flips are drawn in.
         picks = picks.reshape(len(sims), len(sizes), holdout) + starts[:, None]
-        for tests, guess in zip(all_outcomes[picks], _streams(config.seed, _GUESS_STREAM, sims)):
-            # Coin flips in spread-then-holdout order.
-            flips = guess.random(tests.size)
-            yield _Split(full_counts - outcome_counts(tests, grid), rows, tests.ravel(), flips)
+        tests = outcomes[picks].reshape(len(sims), -1)
+        for test, guess in zip(tests, _streams(config.seed, _GUESS_STREAM, sims)):
+            flips = guess.random(test.size)
+            yield _Split(full_counts - outcome_counts(test, grid, rows, len(sizes)), rows, test, flips)
 
 
 def run_ti(dataset: Dataset, config: TiConfig) -> EvaluationReport:
@@ -493,26 +492,17 @@ def run_ti(dataset: Dataset, config: TiConfig) -> EvaluationReport:
     aggregated across simulations as mean and SEM.
     """
     # TiConfig keeps min_samples above holdout_per_spread, so every valid
-    # bucket keeps at least one training outcome.
-    buckets = config.valid_buckets(dataset)
-    if not buckets:
+    # spread keeps at least one training outcome.
+    spreads, index = config.valid_spreads(dataset)
+    if not spreads.size:
         raise ValueError(
             f"no spread has at least min_samples={config.min_samples} outcomes"
         )
-    spreads = np.array([b.spread for b in buckets])
-    report, entropy, _, _ = _backtest("ti", config, spreads, _holdout_splits(buckets, config))
+    report, entropy, _, _ = _backtest("ti", config, spreads, _holdout_splits(dataset, index, config))
     return replace(report, profile=tuple(
         {**row, "entropy_sd": float(np.std(h, ddof=1)) if len(h) > 1 else None}
         for row, h in zip(report.profile, entropy)
     ))
-
-
-def _games_at(index: dict[float, int], records: Iterable[GameRecord]) -> tuple[np.ndarray, ...]:
-    """Spread indices and outcomes of the ``records`` at a spread in
-    ``index``, in record order."""
-    return np.array(
-        [(index[r.spread], r.outcome) for r in records if r.spread in index], dtype=np.int64
-    ).reshape(-1, 2).T
 
 
 def _sweep_rows(ranked: np.ndarray, k_threshold: int) -> list[dict]:
@@ -531,10 +521,12 @@ def sweep_k(profile: BiasProfile, records: Sequence[GameRecord]) -> list[dict]:
     count; the row whose k equals the threshold-mode selection is flagged.
     """
     index = {e.spread: j for j, e in enumerate(profile.entries)}
+    games = [(index[r.spread], r.outcome) for r in records if r.spread in index]
     _, k, ranked = _max_prob_ranked(
         np.array([e.p_home for e in profile.entries]),
         [e.entropy_bits for e in profile.entries],
-        np.array(list(index)), profile.threshold, *_games_at(index, records),
+        np.array(list(index)), profile.threshold,
+        *np.array(games, dtype=np.int64).reshape(-1, 2).T,
     )
     return _sweep_rows(ranked, k)
 
@@ -542,30 +534,31 @@ def sweep_k(profile: BiasProfile, records: Sequence[GameRecord]) -> list[dict]:
 def run_td(dataset: Dataset, config: TdConfig) -> EvaluationReport:
     """One-shot backtest: train strictly before the cutoff year, test at it.
 
-    Valid spreads are determined from training bucket sizes only; test
-    games at other spreads are dropped. All strategies are settled once,
-    and the full k sweep is included.
+    Valid spreads are determined from training games only; test games at
+    other spreads are dropped. All strategies are settled once, and the
+    full k sweep is included.
     """
-    train, test = split_by_date(dataset, config.cutoff_year)
-    if not train.records:
+    test = dataset.year >= config.cutoff_year
+    n_test = int(np.count_nonzero(test))
+    if n_test == len(dataset):
         raise ValueError(f"no training games before year {config.cutoff_year}")
-    if not test.records:
+    if not n_test:
         raise ValueError(f"no test games in year {config.cutoff_year} or later")
 
-    buckets = config.valid_buckets(train)
-    if not buckets:
+    spreads, index = config.valid_spreads(dataset, ~test)
+    if not spreads.size:
         raise ValueError(
             f"no training spread has at least min_samples={config.min_samples} outcomes"
         )
-    index = {b.spread: j for j, b in enumerate(buckets)}
-    # The test games in the order their coin flips are drawn.
-    rows, outcomes = _games_at(index, sorted(
-        test, key=lambda r: (r.spread, r.date, r.home_team, r.visitor_team)
-    ))
-    flips = next(_streams(config.seed, _GUESS_STREAM)).random(len(outcomes))
-    split = _Split(_bucket_counts(buckets, config.grid()), rows, outcomes, flips)
-    report, _, ranked, k = _backtest("td", config, np.array(list(index)), [split])
+    train = ~test & (index >= 0)
+    counts = outcome_counts(dataset.outcome[train], config.grid(), index[train], len(spreads))
+    # Test games in coin-flip order: by spread, then key (date, home, visitor), then input order.
+    games = sorted(np.flatnonzero(test & (index >= 0)).tolist(), key=lambda i: dataset.records[i][:3])
+    games = np.array(games, dtype=np.intp)[np.argsort(index[games], kind="stable")]
+    flips = next(_streams(config.seed, _GUESS_STREAM)).random(len(games))
+    split = _Split(counts, index[games], dataset.outcome[games], flips)
+    report, _, ranked, k = _backtest("td", config, spreads, [split])
     return replace(
         report, ksweep=tuple(_sweep_rows(ranked, k)),
-        n_train_records=len(train), n_test_records=len(test),
+        n_train_records=len(dataset) - n_test, n_test_records=n_test,
     )

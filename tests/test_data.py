@@ -6,6 +6,7 @@ import datetime as dt
 import gc
 import io
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -159,6 +160,12 @@ class TestParseGames:
             ("2017-09-11,NE,KC,27,42, -3.5\u3000", "non-numeric spread '-3.5\\u3000'"),
             ("2017-09-11,NE,KC,\xa027,x,nan", "non-integer home_score '\\xa027'"),
             ("2017-09-11,NE,KC,27,42\u2003,nan", "non-integer visitor_score '42\\u2003'"),
+            # Only ASCII whitespace pads a date or a team name either. Kept, a padded
+            # team would be a different game key from the plain one.
+            ("\u30002017-09-11\xa0,,,x,-1,nan",
+             "invalid date '\\u30002017-09-11\\xa0' (expected YYYY-MM-DD)"),
+            ("2017-09-11,NE\u3000,,x,-1,nan", "home_team 'NE\\u3000' begins or ends with whitespace"),
+            ("2017-09-11,NE, \xa0KC,x,-1,nan", "visitor_team '\\xa0KC' begins or ends with whitespace"),
             ("10 Sep 2017,,,x,-1", "expected 6 fields, found 5"),
         ],
     )
@@ -172,6 +179,12 @@ class TestParseGames:
             parse(text)
         assert exc.value.line_num == 5
         assert str(exc.value) == f"line 5: {message}"
+
+    def test_header_names_padded_with_ascii_whitespace_only(self):
+        padded = HEADER.replace("home_team", " home_team\t")
+        assert parse(padded + GOOD_ROW).records == parse(HEADER + GOOD_ROW).records
+        with pytest.raises(SchemaError, match=r"missing required column\(s\): home_team$"):
+            parse(HEADER.replace("home_team", "home_team\xa0") + GOOD_ROW)
 
     def test_field_over_csv_size_limit_reports_line_number(self):
         with pytest.raises(ParseError) as exc:
@@ -422,6 +435,44 @@ class TestRecordTable:
             with pytest.raises(error):
                 build()
         assert gc.isenabled() is enabled
+
+
+class TestColumns:
+    """``Dataset``'s cached, read-only columns."""
+
+    TEXT = HEADER + GOOD_ROW + "2016-12-31,GB,SEA,30,7,-3.5\n2018-01-07,SEA,GB,0,0,0\n"
+
+    def test_columns_equal_the_per_record_values(self):
+        ds = parse(self.TEXT)
+        assert ds.spread.tolist() == [r.spread for r in ds] == [-9.0, -3.5, 0.0]
+        assert ds.outcome.tolist() == [r.outcome for r in ds] == [15, -23, 0]
+        assert ds.year.tolist() == [r.date.year for r in ds] == [2017, 2016, 2018]
+
+    @pytest.mark.parametrize(
+        "name,dtype", [("spread", np.float64), ("outcome", np.int64), ("year", np.int64)]
+    )
+    def test_empty_dataset_gives_empty_columns(self, name, dtype):
+        column = getattr(Dataset(()), name)
+        assert column.shape == (0,) and column.dtype == dtype
+
+    @pytest.mark.parametrize("name", ["spread", "outcome", "year"])
+    def test_column_is_computed_once_and_read_only(self, name):
+        ds = parse(self.TEXT)
+        column = getattr(ds, name)
+        assert getattr(ds, name) is column
+        with pytest.raises(ValueError, match="read-only"):
+            column[:] = 0
+        assert getattr(ds, name).tolist() == getattr(parse(self.TEXT), name).tolist()
+
+    def test_subclass_has_the_columns(self):
+        class Tagged(Dataset):
+            def __iter__(self):
+                return reversed(self.records)
+
+        ds = Tagged(parse(self.TEXT).records)
+        assert ds.spread.tolist() == [-9.0, -3.5, 0.0]
+        assert [b.spread for b in bucket_by_spread(ds, 1)] == [-9.0, -3.5, 0.0]
+        assert split_by_date(ds, 2017)[0].records == (ds.records[1],)
 
 
 class TestBucketBySpread:
