@@ -12,7 +12,6 @@ from .bias import (
     BiasProfile,
     SpreadBias,
     binary_entropy,
-    build_profile,
     k_lowest_spreads,
     min_entropy_spread,
     rank_spreads,
@@ -23,11 +22,8 @@ from .data import (
     GameRecord,
     ParseError,
     SchemaError,
-    SpreadBucket,
-    bucket_by_spread,
     deduplicate,
     parse_games,
-    split_by_date,
 )
 from .density import (
     DEFAULT_BANDWIDTH,
@@ -46,7 +42,6 @@ from .harness import (
     run_td,
     run_ti,
     summarize,
-    sweep_k,
 )
 from .models import (
     AtsResult,
@@ -73,15 +68,12 @@ __all__ = [
     "ParseError",
     "SchemaError",
     "SpreadBias",
-    "SpreadBucket",
     "TdConfig",
     "TiConfig",
     "DEFAULT_BANDWIDTH",
     "DEFAULT_ENTROPY_THRESHOLD",
     "KERNELS",
     "binary_entropy",
-    "bucket_by_spread",
-    "build_profile",
     "deduplicate",
     "estimate_density",
     "home_cover_probability",
@@ -94,7 +86,5 @@ __all__ = [
     "run_td",
     "run_ti",
     "score_ats",
-    "split_by_date",
     "summarize",
-    "sweep_k",
 ]

@@ -10,20 +10,11 @@ wagering.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from itertools import chain
-from typing import Iterable
+from dataclasses import dataclass
 
 import numpy as np
 
-from .data import SpreadBucket
-from .density import (
-    DEFAULT_BANDWIDTH,
-    OutcomeGrid,
-    cover_probabilities,
-    densities,
-    outcome_counts,
-)
+from .density import OutcomeGrid, cover_probabilities, densities
 
 DEFAULT_ENTROPY_THRESHOLD = 0.95
 
@@ -56,15 +47,10 @@ class SpreadBias:
 
 @dataclass(frozen=True)
 class BiasProfile:
-    """Per-spread bias entries, sorted by spread, plus the entropy threshold.
-
-    ``mass`` holds the estimated outcome density behind each entry, one
-    grid row per entry, when the profile came from ``build_profile``.
-    """
+    """Per-spread bias entries, sorted by spread, plus the entropy threshold."""
 
     entries: tuple[SpreadBias, ...]
     threshold: float = DEFAULT_ENTROPY_THRESHOLD
-    mass: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         spreads = [e.spread for e in self.entries]
@@ -85,31 +71,6 @@ def profile_arrays(
     mass = densities(counts, bandwidth, grid, kernel)
     p_home = np.minimum(cover_probabilities(mass, grid, spreads), 1.0)
     return mass, p_home, np.array([binary_entropy(p) for p in p_home.tolist()])
-
-
-def build_profile(
-    buckets: Iterable[SpreadBucket],
-    bandwidth: float = DEFAULT_BANDWIDTH,
-    grid: OutcomeGrid = OutcomeGrid(),
-    threshold: float = DEFAULT_ENTROPY_THRESHOLD,
-    kernel: str = "gaussian",
-) -> BiasProfile:
-    """One SpreadBias per bucket: the home cover probability of its outcome
-    density up to its spread, and that probability's binary entropy. All
-    buckets are counted and go through ``profile_arrays`` as one block, as
-    in each TI simulation; the densities are kept as the profile's ``mass``."""
-    buckets = sorted(buckets, key=lambda b: b.spread)
-    spreads = [b.spread for b in buckets]
-    outcomes = np.fromiter(chain.from_iterable(b.outcomes for b in buckets), np.int64)
-    rows = np.repeat(np.arange(len(buckets)), [len(b) for b in buckets])
-    mass, p_home, entropy = profile_arrays(
-        outcome_counts(outcomes, grid, rows, len(buckets)), spreads, bandwidth, grid, kernel
-    )
-    entries = tuple(
-        SpreadBias(spread, p, 1.0 - p, h, len(bucket))
-        for spread, p, h, bucket in zip(spreads, p_home.tolist(), entropy.tolist(), buckets)
-    )
-    return BiasProfile(entries, threshold, mass)
 
 
 def rank_spreads(entropy, spreads, threshold: float) -> tuple[np.ndarray, int]:

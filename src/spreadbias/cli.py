@@ -16,13 +16,14 @@ import hashlib
 import json
 import statistics
 import sys
-from collections import Counter
 from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
-from .bias import build_profile
+from .bias import profile_arrays
 from .data import (
     REQUIRED_COLUMNS,
     Dataset,
@@ -37,7 +38,7 @@ from .data import (
 )
 from .density import KERNELS
 from .harness import (
-    EvaluationReport, FitConfig, TdConfig, TiConfig, _field_error, run_td, run_ti,
+    EvaluationReport, FitConfig, TdConfig, TiConfig, _field_error, _grouped_counts, run_td, run_ti,
 )
 from .models import MODEL_K_LOWEST, MODEL_MAX_PROB, MODEL_MIN_ENTROPY, MODEL_RANDOM
 
@@ -93,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_config_file(path: str) -> dict:
-    values = {}
+    values, first_line = {}, {}
     for n, line in enumerate(Path(path).read_bytes().removeprefix(b"\xef\xbb\xbf").splitlines(), 1):
         try:
             line = line.decode("utf-8").strip(_ASCII_SPACE)
@@ -107,6 +108,8 @@ def _read_config_file(path: str) -> dict:
         key = key.strip(_ASCII_SPACE).replace("-", "_")
         if key not in _OPTION_TYPES:
             raise ValueError(f"{path}:{n}: unknown option {key!r}")
+        if (first := first_line.setdefault(key, n)) != n:
+            raise ValueError(f"{path}:{n}: repeated option {key!r} (first on line {first})")
         try:
             values[key] = _parse_option(key, raw.strip(_ASCII_SPACE))
         except ValueError as exc:
@@ -270,9 +273,9 @@ def cmd_ingest(args: argparse.Namespace, options: dict) -> int:
 def cmd_profile(args: argparse.Namespace, options: dict) -> int:
     _, dataset = _load_dataset(args.input)
     config = _config(FitConfig, options)
-    buckets = config.valid_buckets(dataset)
-    if not buckets:
-        largest = max(Counter(spread_groups(dataset, 1)[1].tolist()).values(), default=0)
+    spreads, index = config.valid_spreads(dataset)
+    if not spreads.size:
+        largest = np.bincount(spread_groups(dataset, 1)[1]).max(initial=0)
         print(
             f"error: no spread has {config.min_samples} samples "
             f"(largest group has {largest}); lower --min-samples",
@@ -280,35 +283,40 @@ def cmd_profile(args: argparse.Namespace, options: dict) -> int:
         )
         return 1
 
-    profile = build_profile(
-        buckets, config.bandwidth, config.grid(), config.entropy_threshold, config.kernel
-    )
+    grid = config.grid()
+    outcomes, sizes, counts = _grouped_counts(dataset, index, grid)
+    mass, p_home, entropy = profile_arrays(counts, spreads, config.bandwidth, grid, config.kernel)
+    profile = [
+        {"spread": s, "p_home": p, "entropy_bits": h, "n_train": n}
+        for s, p, h, n in zip(spreads.tolist(), p_home.tolist(), entropy.tolist(), sizes.tolist())
+    ]
     out_dir, manifest = _start_output("profile", asdict(config), args)
 
-    header, rows = _profile_rows([asdict(e) for e in profile.entries])
+    header, rows = _profile_rows(profile)
     _write_csv(out_dir / "profile.csv", manifest, header, rows)
-    points = config.grid().points.tolist()
-    for bucket, mass in zip(buckets, profile.mass.tolist()):
-        tag = _spread_tag(bucket.spread)
-        counts = Counter(bucket.outcomes)
+    points = grid.points.tolist()
+    groups = np.split(outcomes, np.cumsum(sizes)[:-1])
+    for row, spread_outcomes, spread_mass in zip(profile, groups, mass.tolist()):
+        tag = _spread_tag(row["spread"])
+        values, value_counts = np.unique(spread_outcomes, return_counts=True)
         _write_csv(
             out_dir / f"hist_{tag}.csv",
             manifest,
             ["outcome", "count"],
-            ([str(v), str(c)] for v, c in sorted(counts.items())),
+            zip(map(str, values.tolist()), map(str, value_counts.tolist())),
         )
         _write_csv(
             out_dir / f"pdf_{tag}.csv",
             manifest,
             ["grid_point", "mass"],
-            ([str(p), repr(m)] for p, m in zip(points, mass)),
+            ([str(p), repr(m)] for p, m in zip(points, spread_mass)),
         )
-    for entry in profile.entries:
+    for row in profile:
         print(
-            f"spread {entry.spread:+.1f}: p_home={entry.p_home:.4f} "
-            f"entropy={entry.entropy_bits:.4f} bits (n={entry.n_train})"
+            f"spread {row['spread']:+.1f}: p_home={row['p_home']:.4f} "
+            f"entropy={row['entropy_bits']:.4f} bits (n={row['n_train']})"
         )
-    print(f"wrote {len(buckets)} histogram/density pairs to {out_dir}")
+    print(f"wrote {len(profile)} histogram/density pairs to {out_dir}")
     return 0
 
 

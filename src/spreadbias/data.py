@@ -1,4 +1,5 @@
-"""Game-record ingestion, validation, deduplication, and spread grouping."""
+"""Game-record ingestion, validation and deduplication, and the column passes
+that group games by spread."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress
+from itertools import chain
 from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple
 
@@ -98,6 +99,11 @@ class Dataset:
     def __iter__(self) -> Iterator[GameRecord]:
         return iter(self.records)
 
+    def __getstate__(self) -> dict:
+        # Only the records: numpy does not keep a column's read-only flag
+        # through pickling, so a copy builds its own columns on first read.
+        return {"records": self.records}
+
     @cached_property
     def spread(self) -> np.ndarray:
         return _column(map(attrgetter("spread"), self.records), np.float64)
@@ -109,17 +115,6 @@ class Dataset:
     @cached_property
     def year(self) -> np.ndarray:
         return _column(map(attrgetter("date.year"), self.records), np.int64)
-
-
-@dataclass(frozen=True)
-class SpreadBucket:
-    """All observed outcomes for games quoted at one exact spread value."""
-
-    spread: float
-    outcomes: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.outcomes)
 
 
 @contextmanager
@@ -300,19 +295,3 @@ def by_spread(dataset: Dataset, index: np.ndarray) -> tuple[np.ndarray, np.ndarr
     games = np.argsort(narrow, kind="stable")[np.count_nonzero(index < 0):]
     return dataset.outcome[games], np.bincount(index[games])
 
-
-def _buckets(dataset: Dataset, spreads: np.ndarray, index: np.ndarray) -> list[SpreadBucket]:
-    outcomes, sizes = by_spread(dataset, index)
-    groups = np.split(outcomes, np.cumsum(sizes)[:-1])
-    return [SpreadBucket(s, tuple(o.tolist())) for s, o in zip(spreads.tolist(), groups)]
-
-
-def bucket_by_spread(dataset: Dataset, min_samples: int) -> list[SpreadBucket]:
-    """The buckets of the ``spread_groups``, ascending, each's outcomes in input order."""
-    return _buckets(dataset, *spread_groups(dataset, min_samples))
-
-
-def split_by_date(dataset: Dataset, cutoff_year: int) -> tuple[Dataset, Dataset]:
-    """Split into (train, test) by game year: test is year >= cutoff_year."""
-    test = dataset.year >= cutoff_year
-    return tuple(Dataset(tuple(compress(dataset.records, mask.tolist()))) for mask in (~test, test))

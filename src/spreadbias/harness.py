@@ -9,7 +9,9 @@ splits, each holding out a fixed number of outcomes per valid spread.
 The temporally-dependent (TD) harness is the single-split case: it
 splits once by date, fits on the past, wagers on the future, and also
 sweeps the k-lowest-entropy strategy over every k. Both group, split and
-count games in array passes over the dataset's columns.
+count games in array passes over the dataset's columns. The count block
+of all games at the valid spreads (``_grouped_counts``), which TI's
+splits start from, is also the one the ``profile`` command fits.
 
 All randomness derives from ``default_rng(SeedSequence(key))`` streams keyed
 on the config seed, so a run is reproducible bit for bit and TI simulations
@@ -27,13 +29,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .bias import (
-    DEFAULT_ENTROPY_THRESHOLD,
-    BiasProfile,
-    profile_arrays,
-    rank_spreads,
-)
-from .data import Dataset, GameRecord, SpreadBucket, _buckets, by_spread, spread_groups
+from .bias import DEFAULT_ENTROPY_THRESHOLD, profile_arrays, rank_spreads
+from .data import Dataset, by_spread, spread_groups
 from .density import (
     DEFAULT_BANDWIDTH,
     DEFAULT_GRID_HI,
@@ -240,10 +237,6 @@ class FitConfig:
             )
         return spreads, index
 
-    def valid_buckets(self, dataset: Dataset) -> list[SpreadBucket]:
-        """The buckets of ``dataset`` at its ``valid_spreads``."""
-        return _buckets(dataset, *self.valid_spreads(dataset))
-
 
 @dataclass(frozen=True)
 class TiConfig(FitConfig):
@@ -343,19 +336,6 @@ def _ranked_counts(results: np.ndarray, rows: np.ndarray, order: np.ndarray) -> 
     return np.vstack([np.zeros((1, 3), dtype=counts.dtype), np.cumsum(counts[order], axis=0)])
 
 
-def _max_prob_ranked(
-    p_home: np.ndarray, entropy, spreads: np.ndarray, threshold: float,
-    rows: np.ndarray, outcomes: np.ndarray,
-) -> tuple[np.ndarray, int, np.ndarray]:
-    """Rank the spreads and settle Max-Prob on the test games at them
-    (``rows`` indexes ``spreads``): the rank order and threshold k from
-    ``rank_spreads``, and the ``_ranked_counts`` of the Max-Prob results."""
-    order, k = rank_spreads(entropy, spreads, threshold)
-    # Max-Prob backs the Visitor only on a strict edge; ties go Home.
-    results = settle_ats((1.0 - p_home > p_home)[rows], outcomes, spreads[rows])
-    return order, k, _ranked_counts(results, rows, order)
-
-
 def summarize(per_simulation_win_pcts: Sequence[float]) -> tuple[float, float | None]:
     """Mean and standard error of per-simulation win percentages.
 
@@ -409,8 +389,11 @@ def _backtest(
         _, p_home, entropy = profile_arrays(
             split.train, spreads, config.bandwidth, grid, config.kernel
         )
-        order, k, ranked = _max_prob_ranked(
-            p_home, entropy, spreads, config.entropy_threshold, split.rows, split.outcomes
+        order, k = rank_spreads(entropy, spreads, config.entropy_threshold)
+        # Max-Prob backs the Visitor only on a strict edge; ties go Home.
+        max_prob = (1.0 - p_home > p_home)[split.rows]
+        ranked = _ranked_counts(
+            settle_ats(max_prob, split.outcomes, spreads[split.rows]), split.rows, order
         )
         random_results = settle_ats(split.flips < 0.5, split.outcomes, spreads[split.rows])
         random_counts = np.bincount(random_results + 1, minlength=3)
@@ -459,14 +442,23 @@ def _backtest(
     return report, entropy, ranked_total, k
 
 
+def _grouped_counts(
+    dataset: Dataset, index: np.ndarray, grid: OutcomeGrid
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``by_spread``'s outcomes and sizes at ``index``'s spreads, and their
+    (spreads x grid) block of outcome counts."""
+    outcomes, sizes = by_spread(dataset, index)
+    rows = np.repeat(np.arange(len(sizes)), sizes)
+    return outcomes, sizes, outcome_counts(outcomes, grid, rows, len(sizes))
+
+
 def _holdout_splits(dataset: Dataset, index: np.ndarray, config: TiConfig) -> Iterator[_Split]:
     """TI's splits, one per simulation: the holdouts drawn from each valid spread's games in
     input order are its test games, and its full counts minus theirs its training block."""
     grid = config.grid()
     holdout = config.holdout_per_spread
-    outcomes, sizes = by_spread(dataset, index)
+    outcomes, sizes, full_counts = _grouped_counts(dataset, index, grid)
     starts = np.cumsum(sizes) - sizes
-    full_counts = outcome_counts(outcomes, grid, np.repeat(np.arange(len(sizes)), sizes), len(sizes))
     rows = np.repeat(np.arange(len(sizes)), holdout)
     block = max(1, _HASH_BLOCK // (len(sizes) + 1))
     for first in range(0, config.n_simulations, block):
@@ -511,24 +503,6 @@ def _sweep_rows(ranked: np.ndarray, k_threshold: int) -> list[dict]:
          "n_push": t.pushes, "threshold_selected": k == k_threshold}
         for k, t in enumerate(map(_Tally._make, ranked[1:].tolist()), start=1)
     ]
-
-
-def sweep_k(profile: BiasProfile, records: Sequence[GameRecord]) -> list[dict]:
-    """Settle the k-lowest-entropy strategy for every k from 1 to all spreads.
-
-    ``records`` are the test games; those at spreads outside the profile
-    are ignored. Each row carries the pooled win percentage and settled
-    count; the row whose k equals the threshold-mode selection is flagged.
-    """
-    index = {e.spread: j for j, e in enumerate(profile.entries)}
-    games = [(index[r.spread], r.outcome) for r in records if r.spread in index]
-    _, k, ranked = _max_prob_ranked(
-        np.array([e.p_home for e in profile.entries]),
-        [e.entropy_bits for e in profile.entries],
-        np.array(list(index)), profile.threshold,
-        *np.array(games, dtype=np.int64).reshape(-1, 2).T,
-    )
-    return _sweep_rows(ranked, k)
 
 
 def run_td(dataset: Dataset, config: TdConfig) -> EvaluationReport:

@@ -143,15 +143,27 @@ def write_dataset_csv(path: Path, dataset: Dataset) -> Path:
     return path
 
 
+def reference_buckets(records, min_samples: int) -> list[tuple[float, list[int]]]:
+    """Reference for ``spread_groups`` and ``by_spread``: each spread with at
+    least ``min_samples`` records, ascending, and its outcomes in input
+    order, grouped in a dict of lists."""
+    groups: dict[float, list[int]] = {}
+    for record in records:
+        groups.setdefault(record.spread, []).append(record.visitor_score - record.home_score)
+    return [(spread, outcomes) for spread, outcomes in sorted(groups.items())
+            if len(outcomes) >= min_samples]
+
+
 def scalar_profile(buckets, bandwidth, grid, threshold, kernel) -> BiasProfile:
-    """Reference for ``build_profile``: one bucket at a time through the
-    scalar wrappers, with cover probabilities capped at 1.0."""
+    """Reference for the fit that ``profile_arrays`` makes from one count
+    block: each ``(spread, outcomes)`` bucket, in the order given, through
+    the scalar wrappers, with cover probabilities capped at 1.0."""
     entries = []
-    for bucket in sorted(buckets, key=lambda b: b.spread):
-        density = estimate_density(bucket.outcomes, bandwidth, grid, kernel)
-        p_home = min(home_cover_probability(density, bucket.spread), 1.0)
+    for spread, outcomes in buckets:
+        density = estimate_density(outcomes, bandwidth, grid, kernel)
+        p_home = min(home_cover_probability(density, spread), 1.0)
         entries.append(
-            SpreadBias(bucket.spread, p_home, 1.0 - p_home, binary_entropy(p_home), len(bucket))
+            SpreadBias(spread, p_home, 1.0 - p_home, binary_entropy(p_home), len(outcomes))
         )
     return BiasProfile(tuple(entries), threshold)
 

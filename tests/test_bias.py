@@ -12,15 +12,15 @@ from spreadbias import (
     BiasProfile,
     OutcomeGrid,
     SpreadBias,
-    SpreadBucket,
     binary_entropy,
-    build_profile,
     estimate_density,
     home_cover_probability,
     k_lowest_spreads,
     min_entropy_spread,
     rank_spreads,
 )
+from spreadbias.bias import profile_arrays
+from spreadbias.density import outcome_counts
 from conftest import reference_ranking, scalar_profile
 
 
@@ -63,34 +63,34 @@ class TestBinaryEntropy:
         assert all(b - a > 1e-12 for a, b in zip(values, values[1:]))
 
 
-class TestBuildProfile:
-    def test_entries_sorted_with_exact_entropy(self):
-        buckets = [
-            SpreadBucket(3.5, tuple(range(-6, 6))),
-            SpreadBucket(-2.5, tuple(range(-10, 2))),
-        ]
-        profile = build_profile(buckets, bandwidth=4.0)
-        assert [e.spread for e in profile.entries] == [-2.5, 3.5]
-        for e in profile.entries:
-            assert e.entropy_bits == binary_entropy(e.p_home)
-            assert e.p_home + e.p_visitor == 1.0
-        assert [e.n_train for e in profile.entries] == [12, 12]
+def block_fit(buckets, bandwidth=4.0, grid=OutcomeGrid(), kernel="gaussian"):
+    """``profile_arrays`` over one ``outcome_counts`` block of ``(spread,
+    outcomes)`` buckets, one row each in the order given."""
+    outcomes = [v for _, group in buckets for v in group]
+    rows = [j for j, (_, group) in enumerate(buckets) for _ in group]
+    counts = outcome_counts(outcomes, grid, rows, len(buckets))
+    return profile_arrays(counts, np.array([s for s, _ in buckets]), bandwidth, grid, kernel)
+
+
+class TestProfileArrays:
+    def test_entropy_is_exactly_that_of_the_cover_probability(self):
+        _, p_home, entropy = block_fit([(3.5, range(-6, 6)), (-2.5, range(-10, 2))])
+        assert entropy.tolist() == [binary_entropy(p) for p in p_home.tolist()]
 
     def test_one_sided_bucket_is_near_certain(self):
         # Outcomes far below the spread: the home side all but surely covers.
-        bucket = SpreadBucket(-2.5, tuple(range(-30, -20)))
-        profile = build_profile([bucket], bandwidth=4.0)
-        assert profile.entries[0].p_home > 0.999
-        assert profile.entries[0].entropy_bits < 0.01
+        _, (p_home,), (entropy,) = block_fit([(-2.5, range(-30, -20))])
+        assert p_home > 0.999
+        assert entropy < 0.01
 
     def test_outcomes_mirrored_about_spread_give_full_entropy(self):
         # Pairs (v, -5 - v) are symmetric about -2.5.
         outcomes = []
         for v in (-3, -4, -8, -13):
             outcomes += [v, -5 - v]
-        profile = build_profile([SpreadBucket(-2.5, tuple(outcomes))], bandwidth=4.0)
-        assert profile.entries[0].p_home == pytest.approx(0.5, abs=1e-9)
-        assert profile.entries[0].entropy_bits == pytest.approx(1.0, abs=1e-9)
+        _, (p_home,), (entropy,) = block_fit([(-2.5, outcomes)])
+        assert p_home == pytest.approx(0.5, abs=1e-9)
+        assert entropy == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("bandwidth", [0.7, 3.0, 12.0])
@@ -98,28 +98,30 @@ class TestBuildProfile:
     def test_block_equals_bucket_by_bucket(self, kernel, bandwidth, grid):
         rng = np.random.default_rng(11)
         buckets = [
-            SpreadBucket(spread, tuple(rng.integers(-30, 31, size=int(rng.integers(1, 40))).tolist()))
+            (spread, rng.integers(-30, 31, size=int(rng.integers(1, 40))).tolist())
             for spread in (6.5, -14.0, -3.0, 0.0, 2.5, 10.0, 45.5)
         ]
-        profile = build_profile(buckets, bandwidth, grid, 0.95, kernel)
-        assert profile == scalar_profile(buckets, bandwidth, grid, 0.95, kernel)
-        for entry, mass in zip(profile.entries, profile.mass):
-            bucket = next(b for b in buckets if b.spread == entry.spread)
-            expected = estimate_density(bucket.outcomes, bandwidth, grid, kernel).mass
-            assert mass.tolist() == expected.tolist()
+        mass, p_home, entropy = block_fit(buckets, bandwidth, grid, kernel)
+        expected = scalar_profile(buckets, bandwidth, grid, 0.95, kernel).entries
+        assert p_home.tolist() == [e.p_home for e in expected]
+        assert entropy.tolist() == [e.entropy_bits for e in expected]
+        for row, (_, outcomes) in zip(mass, buckets):
+            assert row.tolist() == estimate_density(outcomes, bandwidth, grid, kernel).mass.tolist()
 
     def test_cover_probability_rounding_past_one_is_capped(self):
         # The prefix sum of this boxcar density at 7.5 rounds to just above 1.
-        bucket = SpreadBucket(7.5, tuple(-12 + i % 13 for i in range(30)))
-        density = estimate_density(bucket.outcomes, 3.0, kernel="boxcar")
+        outcomes = [-12 + i % 13 for i in range(30)]
+        density = estimate_density(outcomes, 3.0, kernel="boxcar")
         assert home_cover_probability(density, 7.5) == 1.0000000000000002
-        (entry,) = build_profile([bucket], 3.0, kernel="boxcar").entries
-        assert (entry.p_home, entry.p_visitor, entry.entropy_bits) == (1.0, 0.0, 0.0)
+        _, p_home, entropy = block_fit([(7.5, outcomes)], 3.0, kernel="boxcar")
+        assert (p_home.tolist(), entropy.tolist()) == ([1.0], [0.0])
 
-    def test_empty_bucket_rejected(self):
+    def test_empty_row_rejected(self):
         with pytest.raises(ValueError, match="zero outcomes"):
-            build_profile([SpreadBucket(1.5, (3, 4)), SpreadBucket(2.5, ())])
+            block_fit([(1.5, (3, 4)), (2.5, ())])
 
+
+class TestBiasProfile:
     def test_duplicate_spreads_rejected(self):
         with pytest.raises(ValueError, match="unique"):
             BiasProfile((entry(1.0, 0.9), entry(1.0, 0.8)))

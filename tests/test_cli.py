@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -21,15 +22,17 @@ from spreadbias import (
     Dataset,
     FitConfig,
     GameRecord,
+    OutcomeGrid,
     TdConfig,
     TiConfig,
-    bucket_by_spread,
     deduplicate,
     estimate_density,
     parse_games,
 )
 from spreadbias.cli import _config, _resolve_options, build_parser, main
-from conftest import GAME_RECORDS, synthetic_spread_dataset, write_dataset_csv
+from conftest import (
+    GAME_RECORDS, reference_buckets, scalar_profile, synthetic_spread_dataset, write_dataset_csv,
+)
 
 SPREADS = [-6.5, -4.5, -2.5, 1.5, 3.5]
 
@@ -200,11 +203,11 @@ class TestProfile:
         main(["profile", "--input", str(games_csv), "--out-dir", str(out_dir),
               "--min-samples", "25", "--bandwidth", "3", "--kernel", "triangular"])
         with open(games_csv, encoding="utf-8", newline="") as fh:
-            buckets = bucket_by_spread(deduplicate(parse_games(fh)), 25)
+            buckets = reference_buckets(deduplicate(parse_games(fh)), 25)
         assert len(buckets) == len(SPREADS)
-        for bucket in buckets:
-            rows = read_csv_rows(out_dir / f"pdf_{bucket.spread:.1f}.csv")
-            density = estimate_density(bucket.outcomes, 3.0, kernel="triangular")
+        for spread, outcomes in buckets:
+            rows = read_csv_rows(out_dir / f"pdf_{spread:.1f}.csv")
+            density = estimate_density(outcomes, 3.0, kernel="triangular")
             assert [int(r["grid_point"]) for r in rows] == density.grid.points.tolist()
             assert [float(r["mass"]) for r in rows] == density.mass.tolist()
 
@@ -214,6 +217,50 @@ class TestProfile:
               "--min-samples", "25"])
         rows = read_csv_rows(out_dir / "hist_-2.5.csv")
         assert sum(int(r["count"]) for r in rows) == 36
+
+    def test_files_on_a_narrow_grid_equal_the_references(self, tmp_path):
+        # Groups of 30 and 42 games, so each file must take its own spread's games.
+        records = (synthetic_spread_dataset(SPREADS, 30, seed=31).records
+                   + synthetic_spread_dataset([-2.5, 3.5], 12, seed=33, start="2017-01-02").records)
+        games = write_dataset_csv(tmp_path / "games.csv", Dataset(records))
+        out_dir = tmp_path / "out"
+        assert main(["profile", "--input", str(games), "--out-dir", str(out_dir),
+                     "--min-samples", "25", "--grid-lo", "-10", "--grid-hi", "10"]) == 0
+        # Margins run off the grid on both sides.
+        assert min(r.outcome for r in records) < -10 and max(r.outcome for r in records) > 10
+        grid = OutcomeGrid(-10, 10)
+        buckets = reference_buckets(records, 25)
+        entries = scalar_profile(buckets, 4.0, grid, 0.95, "gaussian").entries
+        assert read_csv_rows(out_dir / "profile.csv") == [
+            {"spread": f"{e.spread:g}", "p_home": repr(e.p_home),
+             "entropy_bits": repr(e.entropy_bits), "n_train": str(e.n_train)}
+            for e in entries
+        ]
+        for spread, outcomes in buckets:
+            # The histogram counts each raw margin, off the grid too.
+            counts = Counter(r.outcome for r in records if r.spread == spread)
+            assert read_csv_rows(out_dir / f"hist_{spread:.1f}.csv") == [
+                {"outcome": str(v), "count": str(n)} for v, n in sorted(counts.items())
+            ]
+            density = estimate_density(outcomes, 4.0, grid)
+            assert read_csv_rows(out_dir / f"pdf_{spread:.1f}.csv") == [
+                {"grid_point": str(p), "mass": repr(m)}
+                for p, m in zip(grid.points.tolist(), density.mass.tolist())
+            ]
+
+    def test_too_few_samples_names_the_largest_deduplicated_group(self, tmp_path, capsys):
+        games = synthetic_spread_dataset([-2.5, 1.5], 30, seed=3)
+        big = synthetic_spread_dataset([6.5], 41, seed=4, start="2017-01-01")
+        # 15 exact repeats would make -2.5 the largest group before deduplication.
+        dataset = Dataset(games.records + big.records + games.records[:15])
+        path = write_dataset_csv(tmp_path / "games.csv", dataset)
+        code = main(["profile", "--input", str(path), "--out-dir", str(tmp_path / "o"),
+                     "--min-samples", "42"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: no spread has 42 samples (largest group has 41); lower --min-samples\n"
+        )
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("first", ["-0.0", "0"])
     def test_pickem_files_labelled_zero_in_either_row_order(self, tmp_path, first):
@@ -398,12 +445,15 @@ class TestConfigFile:
         ("bandwidth = 0", "bandwidth must be positive and finite"),
         ("seed = -1", "seed must be non-negative"),
         ("holdout = 0", "holdout_per_spread must be >= 1"),
+        ("cutoff-year = 2017", "repeated option 'cutoff_year' (first on line 2)"),
+        # A key is compared after "-" becomes "_".
+        ("cutoff_year = 2018", "repeated option 'cutoff_year' (first on line 2)"),
     ])
     def test_value_breaking_its_rule_fails_with_location(
         self, games_csv, tmp_path, capsys, command, line, message
     ):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"# header\nseed = 1\n{line}\n")
+        cfg.write_text(f"# header\ncutoff-year = 2017\n{line}\n")
         code = main([command, "--input", str(games_csv),
                      "--out-dir", str(tmp_path / "o"), "--config", str(cfg)])
         assert code == 1

@@ -1,10 +1,12 @@
-"""Ingestion, deduplication, bucketing, and date-split behavior."""
+"""Ingestion, deduplication, the columns, and grouping games by spread."""
 
 from __future__ import annotations
 
+import copy
 import datetime as dt
 import gc
 import io
+import pickle
 
 import numpy as np
 import pytest
@@ -17,11 +19,12 @@ from spreadbias import (
     GameRecord,
     ParseError,
     SchemaError,
-    bucket_by_spread,
+    TdConfig,
     deduplicate,
     parse_games,
-    split_by_date,
+    run_td,
 )
+from spreadbias.data import by_spread, spread_groups
 from conftest import (
     GAME_RECORDS, dataset_csv_text, make_record, reference_parse, synthetic_spread_dataset,
 )
@@ -119,10 +122,11 @@ class TestParseGames:
             + f"2017-09-10,NE,KC,27,42,{first}\n"
             + f"2017-09-11,GB,SEA,20,17,{second}\n"
         )
-        [bucket] = bucket_by_spread(ds, 1)
-        assert len(bucket) == 2
-        assert f"{bucket.spread:g}" == "0"
-        assert f"{bucket.spread:.1f}" == "0.0"
+        spreads, index = spread_groups(ds, 1)
+        [spread] = spreads.tolist()
+        assert by_spread(ds, index)[1].tolist() == [2]
+        assert f"{spread:g}" == "0"
+        assert f"{spread:.1f}" == "0.0"
 
     def test_row_order_preserved(self):
         ds = parse(
@@ -471,53 +475,82 @@ class TestColumns:
 
         ds = Tagged(parse(self.TEXT).records)
         assert ds.spread.tolist() == [-9.0, -3.5, 0.0]
-        assert [b.spread for b in bucket_by_spread(ds, 1)] == [-9.0, -3.5, 0.0]
-        assert split_by_date(ds, 2017)[0].records == (ds.records[1],)
+        assert spread_groups(ds, 1)[0].tolist() == [-9.0, -3.5, 0.0]
+        assert ds.year.tolist() == [2017, 2016, 2018]
+
+    @pytest.mark.parametrize(
+        "copied", [lambda ds: pickle.loads(pickle.dumps(ds)), copy.deepcopy],
+        ids=["pickle", "deepcopy"],
+    )
+    def test_copy_has_equal_read_only_columns(self, copied):
+        ds = parse(self.TEXT)
+        columns = {name: getattr(ds, name) for name in ("spread", "outcome", "year")}
+        twin = copied(ds)
+        assert twin == ds
+        for name, column in columns.items():
+            assert getattr(twin, name).tolist() == column.tolist()
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(twin, name)[:] = 0
 
 
-class TestBucketBySpread:
-    def test_threshold_filters_buckets(self):
+class TestSpreadGroups:
+    """``spread_groups``, and ``by_spread`` over its index."""
+
+    def test_threshold_filters_spreads(self):
         ds = synthetic_spread_dataset([-2.5, 1.5, 6.5], 30, seed=3)
         small = synthetic_spread_dataset([9.5], 10, seed=4, start="2016-01-01")
         merged = Dataset(ds.records + small.records)
-        buckets = bucket_by_spread(merged, 25)
-        assert [b.spread for b in buckets] == [-2.5, 1.5, 6.5]
-        assert all(len(b) == 30 for b in buckets)
+        spreads, index = spread_groups(merged, 25)
+        assert spreads.tolist() == [-2.5, 1.5, 6.5]
+        assert index.tolist() == [i // 30 for i in range(90)] + [-1] * 10
+        assert by_spread(merged, index)[1].tolist() == [30, 30, 30]
 
     def test_sorted_ascending(self):
         ds = synthetic_spread_dataset([6.5, -2.5, 1.5], 5)
-        buckets = bucket_by_spread(ds, 1)
-        assert [b.spread for b in buckets] == [-2.5, 1.5, 6.5]
+        spreads, index = spread_groups(ds, 1)
+        assert spreads.tolist() == [-2.5, 1.5, 6.5]
+        assert index.tolist() == [2] * 5 + [0] * 5 + [1] * 5
 
-    def test_below_threshold_gives_empty_list(self):
-        ds = synthetic_spread_dataset([-2.5], 3)
-        assert bucket_by_spread(ds, 4) == []
-
-    def test_empty_dataset(self):
-        assert bucket_by_spread(Dataset(()), 1) == []
+    @pytest.mark.parametrize("ds, min_samples", [
+        (synthetic_spread_dataset([-2.5], 3), 4),
+        (Dataset(()), 1),
+    ], ids=["below-threshold", "empty"])
+    def test_no_valid_spread(self, ds, min_samples):
+        spreads, index = spread_groups(ds, min_samples)
+        assert spreads.tolist() == []
+        assert index.tolist() == [-1] * len(ds)
+        outcomes, sizes = by_spread(ds, index)
+        assert (outcomes.tolist(), sizes.tolist()) == ([], [])
 
     def test_min_samples_validation(self):
         with pytest.raises(ValueError):
-            bucket_by_spread(Dataset(()), 0)
+            spread_groups(Dataset(()), 0)
 
     def test_partition_property(self):
         ds = synthetic_spread_dataset([-2.5, 1.5, 6.5], 20, seed=11)
         for min_samples in (1, 10, 21):
-            buckets = bucket_by_spread(ds, min_samples)
+            _, sizes = by_spread(ds, spread_groups(ds, min_samples)[1])
             eligible = sum(
                 1
                 for r in ds
                 if sum(1 for q in ds if q.spread == r.spread) >= min_samples
             )
-            assert sum(len(b) for b in buckets) == eligible
+            assert sizes.sum() == eligible
 
-    def test_outcomes_match_records(self):
-        ds = synthetic_spread_dataset([-2.5], 8, seed=2)
-        (bucket,) = bucket_by_spread(ds, 1)
-        assert sorted(bucket.outcomes) == sorted(r.outcome for r in ds)
+    def test_outcomes_in_input_order(self):
+        ds = synthetic_spread_dataset([1.5, -2.5], 8, seed=2)
+        outcomes, sizes = by_spread(ds, spread_groups(ds, 1)[1])
+        assert outcomes.tolist() == [r.outcome for r in ds.records[8:]] + [
+            r.outcome for r in ds.records[:8]
+        ]
+        assert sizes.tolist() == [8, 8]
 
 
-class TestSplitByDate:
+class TestTdSplit:
+    """``run_td`` splits the games by year: ``n_train_records`` before the
+    cutoff, ``n_test_records`` in it or later, whatever their spreads.
+    ``test_harness.TestRunTd`` covers a cutoff past or before every game."""
+
     def _mixed_years(self):
         old = synthetic_spread_dataset([-2.5], 563, seed=1, start="2014-12-01")
         new = synthetic_spread_dataset([3.0], 85, seed=2, start="2017-01-01")
@@ -526,32 +559,20 @@ class TestSplitByDate:
         return Dataset(old.records + new.records)
 
     def test_cutoff_counts(self):
-        train, test = split_by_date(self._mixed_years(), 2017)
-        assert (len(train), len(test)) == (563, 85)
-
-    def test_disjoint_union(self):
-        ds = self._mixed_years()
-        train, test = split_by_date(ds, 2017)
-        assert len(train) + len(test) == len(ds)
-        assert set(r.key for r in train).isdisjoint(r.key for r in test)
-
-    def test_cutoff_beyond_all_dates(self):
-        ds = self._mixed_years()
-        train, test = split_by_date(ds, 3000)
-        assert test.records == ()
-        assert train == ds
-
-    def test_cutoff_before_all_dates(self):
-        ds = self._mixed_years()
-        train, test = split_by_date(ds, 1900)
-        assert train.records == ()
-        assert test == ds
+        report = run_td(self._mixed_years(), TdConfig(cutoff_year=2017))
+        assert (report.n_train_records, report.n_test_records) == (563, 85)
+        # No test game is at the one training spread.
+        assert report.n_test_samples == 0
 
     def test_membership_by_year_only(self):
-        ds = self._mixed_years()
-        train, test = split_by_date(ds, 2017)
-        assert all(r.date.year < 2017 for r in train)
-        assert all(r.date.year >= 2017 for r in test)
+        # Games on the last day before the cutoff year train; the first day of it tests.
+        ds = Dataset(
+            synthetic_spread_dataset([-2.5], 20, seed=5, start="2016-12-12").records
+            + synthetic_spread_dataset([-2.5], 10, seed=6, start="2017-12-22").records
+        )
+        report = run_td(ds, TdConfig(cutoff_year=2017))
+        assert (report.n_train_records, report.n_test_records) == (20, 10)
+        assert report.n_test_samples == 10
 
 
 def test_outcome_is_visitor_minus_home():

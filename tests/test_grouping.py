@@ -1,11 +1,12 @@
 """The column passes that group, split and count games, against the
 per-record code they replaced, restated here.
 
-The restatement groups outcomes in a dict of lists keyed by spread, in
-input order; histograms each group on its own, clamping off-grid outcomes;
-splits by testing each record's year; and orders TD's test games with a
-stable sort on (spread, date, home team, visitor team). The datasets are
-library input that was never deduplicated, so keys repeat.
+The restatement groups outcomes with ``conftest.reference_buckets`` (a
+dict of lists keyed by spread, in input order); histograms each group on
+its own, clamping off-grid outcomes; splits by testing each record's
+year; and orders TD's test games with a stable sort on (spread, date, home
+team, visitor team). The datasets are library input that was never
+deduplicated, so keys repeat.
 """
 
 from __future__ import annotations
@@ -18,19 +19,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spreadbias import (
-    Dataset,
-    FitConfig,
-    GameRecord,
-    SpreadBucket,
-    TdConfig,
-    TiConfig,
-    bucket_by_spread,
-    run_td,
-    run_ti,
-)
+from spreadbias import Dataset, FitConfig, GameRecord, TdConfig, TiConfig, run_td, run_ti
 from spreadbias import harness
-from spreadbias.data import spread_groups
+from spreadbias.data import by_spread, spread_groups
+from conftest import reference_buckets
 
 GRID_LO, GRID_HI = -20, 20
 TEAMS = ["NE", "KC", "GB"]
@@ -55,14 +47,6 @@ MANY_TIES = [
                i % 50, i * 7 % 60, SPREADS[i * 5 % 3])
     for i in range(900)
 ]
-
-
-def old_buckets(records, min_samples: int) -> list[tuple[float, list[int]]]:
-    groups: dict[float, list[int]] = {}
-    for record in records:
-        groups.setdefault(record.spread, []).append(record.visitor_score - record.home_score)
-    return [(spread, outcomes) for spread, outcomes in sorted(groups.items())
-            if len(outcomes) >= min_samples]
 
 
 def old_counts(buckets) -> list[list[int]]:
@@ -95,17 +79,19 @@ def test_column_passes_equal_the_per_record_code(records, min_samples):
     dataset = Dataset(tuple(records))
     grid = dict(grid_lo=GRID_LO, grid_hi=GRID_HI)
 
-    # The valid-spread index and the buckets.
-    expected = old_buckets(records, min_samples)
+    # The valid-spread index, and each valid spread's outcomes and size.
+    expected = reference_buckets(records, min_samples)
     valid = [spread for spread, _ in expected]
     spreads, index = spread_groups(dataset, min_samples)
     assert spreads.tolist() == valid
     assert index.tolist() == [valid.index(r.spread) if r.spread in valid else -1 for r in records]
-    assert bucket_by_spread(dataset, min_samples) == [SpreadBucket(s, tuple(o)) for s, o in expected]
+    outcomes, sizes = by_spread(dataset, index)
+    assert outcomes.tolist() == [v for _, group in expected for v in group]
+    assert sizes.tolist() == [len(group) for _, group in expected]
 
     # TI: every split's training block plus its holdouts' counts is the full count block.
     ti = TiConfig(min_samples=min_samples + 1, holdout_per_spread=1, n_simulations=2, **grid)
-    ti_buckets = old_buckets(records, ti.min_samples)
+    ti_buckets = reference_buckets(records, ti.min_samples)
     if not ti_buckets:
         with pytest.raises(ValueError, match="no spread has at least"):
             run_ti(dataset, ti)
@@ -121,7 +107,7 @@ def test_column_passes_equal_the_per_record_code(records, min_samples):
     td = TdConfig(min_samples=min_samples, **grid)
     train = [r for r in records if r.date.year < td.cutoff_year]
     test = [r for r in records if r.date.year >= td.cutoff_year]
-    td_buckets = old_buckets(train, min_samples)
+    td_buckets = reference_buckets(train, min_samples)
     if not (train and test and td_buckets):
         with pytest.raises(ValueError, match="^no (training|test) "):
             run_td(dataset, td)
@@ -137,7 +123,7 @@ def test_column_passes_equal_the_per_record_code(records, min_samples):
 
 
 @pytest.mark.parametrize("fit", [
-    lambda ds: FitConfig().valid_buckets(ds),
+    lambda ds: FitConfig().valid_spreads(ds),
     lambda ds: run_ti(ds, TiConfig()),
     lambda ds: run_td(ds, TdConfig()),
 ])

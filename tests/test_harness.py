@@ -23,11 +23,8 @@ from spreadbias import (
     run_td,
     run_ti,
     summarize,
-    sweep_k,
 )
 from spreadbias import harness
-from spreadbias.bias import build_profile
-from spreadbias.data import bucket_by_spread
 from spreadbias.models import (
     MODEL_K_LOWEST,
     MODEL_MAX_PROB,
@@ -106,17 +103,17 @@ class TestFitConfigs:
         with pytest.raises(ValueError, match="grid_lo must be below grid_hi"):
             cls(grid_lo=5, grid_hi=5)
 
-    def test_valid_buckets_reject_spreads_off_the_grid(self):
+    def test_valid_spreads_reject_spreads_off_the_grid(self):
         ds = synthetic_spread_dataset([-10.0, 9.5, 10.0], 30, seed=4)
         config = FitConfig(grid_lo=-10, grid_hi=11)
-        assert [b.spread for b in config.valid_buckets(ds)] == [-10.0, 9.5, 10.0]
+        assert config.valid_spreads(ds)[0].tolist() == [-10.0, 9.5, 10.0]
         message = r"spread 10 lies outside the outcome grid \[-10, 10\)"
         with pytest.raises(ValueError, match=message):
-            FitConfig(grid_lo=-10, grid_hi=10).valid_buckets(ds)
+            FitConfig(grid_lo=-10, grid_hi=10).valid_spreads(ds)
         with pytest.raises(ValueError, match=r"spread -10 lies outside"):
-            FitConfig(grid_lo=-9, grid_hi=11).valid_buckets(ds)
+            FitConfig(grid_lo=-9, grid_hi=11).valid_spreads(ds)
         # Spreads under min_samples are not fitted, so they are not checked.
-        assert FitConfig(grid_lo=-9, grid_hi=10, min_samples=31).valid_buckets(ds) == []
+        assert FitConfig(grid_lo=-9, grid_hi=10, min_samples=31).valid_spreads(ds)[0].size == 0
 
 
 class TestRunTi:
@@ -343,40 +340,6 @@ def test_run_td_invariant_under_row_order_and_spread_spelling(order, spellings):
     shuffled = parse_games(io.StringIO("\n".join(lines) + "\n"))
     config = TdConfig(min_samples=15, seed=3)
     assert run_td(shuffled, config).to_dict() == run_td(TD_DATASET, config).to_dict()
-
-
-class TestSweepK:
-    def test_counts_accumulate_per_selected_spread(self):
-        ds = synthetic_spread_dataset(HALF_SPREADS, 30, seed=20)
-        profile = build_profile(bucket_by_spread(ds, 25))
-        records = list(ds)[:40]
-        rows = sweep_k(profile, records)
-        assert [row["k"] for row in rows] == list(range(1, len(HALF_SPREADS) + 1))
-        # Each row's sample count equals the records at its k selected spreads.
-        from spreadbias import k_lowest_spreads
-
-        for row in rows:
-            chosen = {e.spread for e in k_lowest_spreads(profile, row["k"])}
-            expected = sum(1 for r in records if r.spread in chosen)
-            assert row["n_test"] + row["n_push"] == expected
-
-    def test_no_record_at_a_profile_spread(self):
-        ds = synthetic_spread_dataset(HALF_SPREADS, 30, seed=20)
-        profile = build_profile(bucket_by_spread(ds, 25))
-        elsewhere = list(synthetic_spread_dataset([9.5, 12.0], 5, seed=21))
-        for records in ([], elsewhere):
-            rows = sweep_k(profile, records)
-            assert [row["k"] for row in rows] == list(range(1, len(HALF_SPREADS) + 1))
-            for row in rows:
-                assert row["ats_win_pct"] is None
-                assert (row["n_test"], row["n_push"], row["n_wins"]) == (0, 0, 0)
-
-    def test_full_sweep_pools_everything(self):
-        ds = synthetic_spread_dataset(HALF_SPREADS, 30, seed=20)
-        profile = build_profile(bucket_by_spread(ds, 25))
-        records = list(ds)
-        rows = sweep_k(profile, records)
-        assert rows[-1]["n_test"] + rows[-1]["n_push"] == len(records)
 
 
 class TestStreams:

@@ -1,7 +1,8 @@
 """The array-native TD harness against a scalar reference implementation.
 
-``scalar_run_td`` is the plain per-record loop: fit the profile bucket by
-bucket with ``conftest.scalar_profile``, flip one coin per test game with
+``scalar_run_td`` is the plain per-record loop: split by each record's
+year, group the training games with ``conftest.reference_buckets``, fit
+the profile bucket by bucket with ``conftest.scalar_profile``, flip one coin per test game with
 ``predict_random``, and settle every wager one at a time with
 ``score_ats``. ``scalar_sweep_k`` pools the Max-Prob wagers spread by
 spread in the order of its own tuple sort. They share the random stream
@@ -25,16 +26,13 @@ from spreadbias import (
     GameRecord,
     ModelSummary,
     TdConfig,
-    bucket_by_spread,
     predict_max_prob,
     predict_random,
     run_td,
     score_ats,
-    split_by_date,
-    sweep_k,
 )
 from spreadbias.models import MODEL_K_LOWEST, MODEL_MAX_PROB, MODEL_MIN_ENTROPY, MODEL_RANDOM
-from conftest import reference_ranking, scalar_profile
+from conftest import reference_buckets, reference_ranking, scalar_profile
 
 
 def _pct(tally: Counter) -> float | None:
@@ -74,9 +72,10 @@ def scalar_sweep_k(profile, records) -> tuple[list[dict], list[Counter]]:
 
 
 def scalar_run_td(dataset: Dataset, config: TdConfig) -> EvaluationReport:
-    train, test = split_by_date(dataset, config.cutoff_year)
+    train = [r for r in dataset if r.date.year < config.cutoff_year]
+    test = [r for r in dataset if r.date.year >= config.cutoff_year]
     profile = scalar_profile(
-        bucket_by_spread(train, config.min_samples),
+        reference_buckets(train, config.min_samples),
         config.bandwidth, config.grid(), config.entropy_threshold, config.kernel,
     )
     entry_by_spread = {e.spread: e for e in profile.entries}
@@ -163,18 +162,6 @@ def test_run_td_equals_scalar_reference(overrides):
     config = TdConfig(**{"min_samples": 20, **overrides})
     expected = scalar_run_td(dataset, config).to_dict()
     assert run_td(dataset, config).to_dict() == expected
-
-
-def test_sweep_k_equals_scalar_reference_on_unfiltered_records():
-    # Games at spreads outside the profile are ignored.
-    dataset = td_dataset()
-    config = TdConfig(min_samples=20)
-    train, test = split_by_date(dataset, config.cutoff_year)
-    profile = scalar_profile(
-        bucket_by_spread(train, config.min_samples),
-        config.bandwidth, config.grid(), config.entropy_threshold, config.kernel,
-    )
-    assert sweep_k(profile, list(test)) == scalar_sweep_k(profile, list(test))[0]
 
 
 def test_reference_dataset_exercises_pushes_clamping_and_capping():

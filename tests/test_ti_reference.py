@@ -1,11 +1,11 @@
 """The array-native TI harness against a scalar reference implementation.
 
-``scalar_run_ti`` is the plain per-(simulation, spread) loop: draw the
-holdout, rebuild the training bucket, fit the profile bucket by bucket
-with ``conftest.scalar_profile``, rank it with its own tuple sort, and
-settle every wager one at a time with ``score_ats``. It shares the
-random stream keys with ``run_ti`` and nothing else, so ``run_ti`` must
-reproduce its report exactly.
+``scalar_run_ti`` is the plain per-(simulation, spread) loop over the
+``conftest.reference_buckets``: draw the holdout, rebuild the training
+bucket, fit the profile bucket by bucket with ``conftest.scalar_profile``,
+rank it with its own tuple sort, and settle every wager one at a time
+with ``score_ats``. It shares the random stream keys with ``run_ti`` and
+nothing else, so ``run_ti`` must reproduce its report exactly.
 """
 
 from __future__ import annotations
@@ -24,9 +24,7 @@ from spreadbias import (
     EvaluationReport,
     GameRecord,
     ModelSummary,
-    SpreadBucket,
     TiConfig,
-    bucket_by_spread,
     predict_max_prob,
     predict_random,
     run_ti,
@@ -40,7 +38,7 @@ from spreadbias.models import (
     MODEL_NAMES,
     MODEL_RANDOM,
 )
-from conftest import reference_ranking, scalar_profile
+from conftest import reference_buckets, reference_ranking, scalar_profile
 
 
 def _stream(*key: int) -> np.random.Generator:
@@ -48,8 +46,8 @@ def _stream(*key: int) -> np.random.Generator:
 
 
 def scalar_run_ti(dataset: Dataset, config: TiConfig) -> EvaluationReport:
-    buckets = bucket_by_spread(dataset, config.min_samples)
-    spreads = [b.spread for b in buckets]
+    buckets = reference_buckets(dataset, config.min_samples)
+    spreads = [spread for spread, _ in buckets]
     results = {name: Counter() for name in MODEL_NAMES}
     sim_pcts = {name: [] for name in MODEL_NAMES}
     selections: Counter[float] = Counter()
@@ -57,16 +55,13 @@ def scalar_run_ti(dataset: Dataset, config: TiConfig) -> EvaluationReport:
     profiles = []
     for sim in range(config.n_simulations):
         train, tests = [], []
-        for j, bucket in enumerate(buckets):
+        for j, (spread, outcomes) in enumerate(buckets):
             rng = _stream(config.seed, 0, sim, j)
             held = set(
-                rng.choice(len(bucket), size=config.holdout_per_spread, replace=False).tolist()
+                rng.choice(len(outcomes), size=config.holdout_per_spread, replace=False).tolist()
             )
-            train.append(SpreadBucket(
-                bucket.spread,
-                tuple(v for i, v in enumerate(bucket.outcomes) if i not in held),
-            ))
-            tests.append([v for i, v in enumerate(bucket.outcomes) if i in held])
+            train.append((spread, [v for i, v in enumerate(outcomes) if i not in held]))
+            tests.append([v for i, v in enumerate(outcomes) if i in held])
         profile = scalar_profile(
             train, config.bandwidth, config.grid(), config.entropy_threshold, config.kernel
         )
@@ -112,14 +107,14 @@ def scalar_run_ti(dataset: Dataset, config: TiConfig) -> EvaluationReport:
         ))
 
     profile_rows = []
-    for j, bucket in enumerate(buckets):
+    for j, (spread, outcomes) in enumerate(buckets):
         entropies = [p.entries[j].entropy_bits for p in profiles]
         profile_rows.append({
-            "spread": bucket.spread,
+            "spread": spread,
             "p_home": float(np.mean([p.entries[j].p_home for p in profiles])),
             "entropy_bits": float(np.mean(entropies)),
             "entropy_sd": float(np.std(entropies, ddof=1)) if len(entropies) > 1 else None,
-            "n_train": len(bucket) - config.holdout_per_spread,
+            "n_train": len(outcomes) - config.holdout_per_spread,
         })
     return EvaluationReport(
         protocol="ti",
