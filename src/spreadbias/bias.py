@@ -62,7 +62,8 @@ def profile_arrays(
     counts: np.ndarray, spreads, bandwidth: float, grid: OutcomeGrid, kernel: str
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Densities, home cover probabilities and entropies of a
-    (spreads x grid) block of outcome counts, one row per spread.
+    (... x spreads x grid) block of outcome counts, one row per spread
+    along the last two axes (a leading axis stacks splits).
 
     A prefix sum over a mass row that sums to 1 can round to just above
     1 (1.0000000000000002), so cover probabilities are capped at 1.0
@@ -70,20 +71,25 @@ def profile_arrays(
     """
     mass = densities(counts, bandwidth, grid, kernel)
     p_home = np.minimum(cover_probabilities(mass, grid, spreads), 1.0)
-    return mass, p_home, np.array([binary_entropy(p) for p in p_home.tolist()])
+    entropy = np.array([binary_entropy(p) for p in p_home.ravel().tolist()])
+    return mass, p_home, entropy.reshape(p_home.shape)
 
 
-def rank_spreads(entropy, spreads, threshold: float) -> tuple[np.ndarray, int]:
+def rank_spreads(entropy, spreads, threshold: float) -> tuple[np.ndarray, int | np.ndarray]:
     """Rank spreads from most to least biased, and count the biased ones.
 
     ``order`` sorts by entropy ascending, ties by |spread| then spread;
     ``k`` is the number of entropies strictly below ``threshold``
     (possibly zero). The k-Lowest strategy wagers at ``order[:k]`` and
-    Min-Ent at ``order[0]``.
+    Min-Ent at ``order[0]``. Both work along the last axis: a
+    (... x spreads) block of entropies gives one ``order`` row and one
+    ``k`` (an int array) per leading index.
     """
     entropy = np.asarray(entropy, dtype=np.float64)
+    spreads = np.broadcast_to(spreads, entropy.shape)
     order = np.lexsort((spreads, np.abs(spreads), entropy))
-    return order, int(np.count_nonzero(entropy < threshold))
+    k = np.count_nonzero(entropy < threshold, axis=-1)
+    return order, k if entropy.ndim > 1 else int(k)
 
 
 def min_entropy_spread(profile: BiasProfile) -> SpreadBias:

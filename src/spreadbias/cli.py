@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import statistics
 import sys
@@ -148,12 +149,11 @@ def _config(cls, options: dict):
     return cls(**{name: options[flag] for name, flag in flags.items() if flag in options})
 
 
-def _start_output(command: str, config: dict, args: argparse.Namespace) -> tuple[Path, dict]:
+def _start_output(command: str, config: dict, args, digest: str) -> tuple[Path, dict]:
     """Create the output directory; return it and the run manifest that
-    each output file embeds."""
+    each output file embeds, with ``digest`` as the input's."""
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    digest = hashlib.sha256(Path(args.input).read_bytes()).hexdigest()
     return out_dir, {
         "command": command,
         "config": config,
@@ -164,20 +164,22 @@ def _start_output(command: str, config: dict, args: argparse.Namespace) -> tuple
     }
 
 
-def _load_dataset(path: str) -> tuple[Dataset, Dataset]:
-    """Return (raw, deduplicated) datasets from a games file."""
+def _load_dataset(path: str) -> tuple[Dataset, Dataset, str]:
+    """Return (raw, deduplicated) datasets from a games file, read once,
+    and the SHA-256 hex digest of the bytes that were parsed."""
+    data = Path(path).read_bytes()
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            raw = parse_games(fh)
+        # A text file over the bytes read, so lines split as open(..., newline="") splits them.
+        raw = parse_games(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
     except UnicodeDecodeError:
         # The error's position counts from a read buffer, not the file: decode by line.
-        for n, line in enumerate(Path(path).read_bytes().splitlines(), 1):
+        for n, line in enumerate(data.splitlines(), 1):
             try:
                 line.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise ParseError(n, str(exc)) from None
         raise
-    return raw, deduplicate(raw)
+    return raw, deduplicate(raw), hashlib.sha256(data).hexdigest()
 
 
 def _write_csv(path: Path, manifest: dict, header: list[str], rows) -> None:
@@ -244,8 +246,8 @@ def _profile_rows(profile) -> tuple[list[str], list[list[str]]]:
 
 
 def cmd_ingest(args: argparse.Namespace, options: dict) -> int:
-    raw, unique = _load_dataset(args.input)
-    out_dir, manifest = _start_output("ingest", dict(options), args)
+    raw, unique, digest = _load_dataset(args.input)
+    out_dir, manifest = _start_output("ingest", dict(options), args, digest)
 
     # Written column by column: each distinct date and spread is formatted
     # once, and csv.writer writes the int scores with str().
@@ -271,7 +273,7 @@ def cmd_ingest(args: argparse.Namespace, options: dict) -> int:
 
 
 def cmd_profile(args: argparse.Namespace, options: dict) -> int:
-    _, dataset = _load_dataset(args.input)
+    _, dataset, digest = _load_dataset(args.input)
     config = _config(FitConfig, options)
     spreads, index = config.valid_spreads(dataset)
     if not spreads.size:
@@ -290,7 +292,7 @@ def cmd_profile(args: argparse.Namespace, options: dict) -> int:
         {"spread": s, "p_home": p, "entropy_bits": h, "n_train": n}
         for s, p, h, n in zip(spreads.tolist(), p_home.tolist(), entropy.tolist(), sizes.tolist())
     ]
-    out_dir, manifest = _start_output("profile", asdict(config), args)
+    out_dir, manifest = _start_output("profile", asdict(config), args, digest)
 
     header, rows = _profile_rows(profile)
     _write_csv(out_dir / "profile.csv", manifest, header, rows)
@@ -320,8 +322,8 @@ def cmd_profile(args: argparse.Namespace, options: dict) -> int:
     return 0
 
 
-def _run_and_write(command: str, report: EvaluationReport, args) -> int:
-    out_dir, manifest = _start_output(command, dict(report.config), args)
+def _run_and_write(command: str, report: EvaluationReport, args, digest: str) -> int:
+    out_dir, manifest = _start_output(command, dict(report.config), args, digest)
     _write_report(out_dir / "report.json", manifest, report)
     summary = _summary_rows(report)
     _write_csv(
@@ -344,13 +346,13 @@ def _run_and_write(command: str, report: EvaluationReport, args) -> int:
 
 
 def cmd_simulate_ti(args: argparse.Namespace, options: dict) -> int:
-    _, dataset = _load_dataset(args.input)
-    return _run_and_write("simulate-ti", run_ti(dataset, _config(TiConfig, options)), args)
+    _, dataset, digest = _load_dataset(args.input)
+    return _run_and_write("simulate-ti", run_ti(dataset, _config(TiConfig, options)), args, digest)
 
 
 def cmd_backtest_td(args: argparse.Namespace, options: dict) -> int:
-    _, dataset = _load_dataset(args.input)
-    return _run_and_write("backtest-td", run_td(dataset, _config(TdConfig, options)), args)
+    _, dataset, digest = _load_dataset(args.input)
+    return _run_and_write("backtest-td", run_td(dataset, _config(TdConfig, options)), args, digest)
 
 
 #: Each command's handler and help line; the parser's subcommands come from here.

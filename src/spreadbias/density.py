@@ -71,18 +71,20 @@ def _kernel_matrix(lo: int, hi: int, bandwidth: float, kernel: str) -> np.ndarra
 
 def outcome_counts(outcomes, grid: OutcomeGrid, rows=0, n_rows: int = 1) -> np.ndarray:
     """The (n_rows x grid) block of outcome counts that counts each outcome
-    in its row of ``rows`` (by default all in one row), with one offset
-    bincount. Outcomes off the grid are clamped to the nearest bound."""
+    in its row of ``rows`` (by default all in one row; any shape that
+    broadcasts with ``outcomes``), with one offset bincount. Outcomes off
+    the grid are clamped to the nearest bound."""
     values = np.clip(np.asarray(outcomes, dtype=np.int64), grid.lo, grid.hi)
     width = len(grid)
     flat = values - grid.lo + width * np.asarray(rows, dtype=np.int64)
-    return np.bincount(flat, minlength=n_rows * width).reshape(n_rows, width)
+    return np.bincount(flat.ravel(), minlength=n_rows * width).reshape(n_rows, width)
 
 
 def densities(
     counts: np.ndarray, bandwidth: float, grid: OutcomeGrid, kernel: str
 ) -> np.ndarray:
-    """Kernel density estimates from a (rows x grid) array of outcome counts.
+    """Kernel density estimates from a (... x rows x grid) array of outcome
+    counts, one per row along the last axis.
 
     All rows are smoothed by one stacked product, which numpy's matmul
     runs as one kernel-matrix-vector product per row: a single
@@ -94,22 +96,25 @@ def densities(
     if not 0 < bandwidth < math.inf:
         raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
     weights = _kernel_matrix(grid.lo, grid.hi, float(bandwidth), kernel)
-    counts = np.asarray(counts, dtype=np.float64)
+    counts = np.array(counts, dtype=np.float64)  # a copy: a block is divided in place
     n = counts.sum(axis=-1, keepdims=True)
     if not n.all():
         raise ValueError("cannot estimate a density from zero outcomes")
     # Relative frequencies keep the estimate exactly invariant to
     # duplicating the whole sample (n identical points == one point).
-    smoothed = (weights @ (counts / n)[..., None])[..., 0]
-    return smoothed / smoothed.sum(axis=-1, keepdims=True)
+    counts /= n
+    smoothed = (weights @ counts[..., None])[..., 0]
+    smoothed /= smoothed.sum(axis=-1, keepdims=True)
+    return smoothed
 
 
 def cover_probabilities(mass: np.ndarray, grid: OutcomeGrid, spreads) -> np.ndarray:
-    """Home cover probability of each row of ``mass`` at its spread: the
-    mass at grid points <= spread, as a sequential prefix sum."""
+    """Home cover probability of each row of a (... x spreads x grid) block
+    of ``mass`` at its spread: the mass at grid points <= spread, as a
+    sequential prefix sum along the last axis."""
     idx = np.searchsorted(grid.points, spreads, side="right")
     cumulative = np.cumsum(mass, axis=-1)
-    return np.where(idx > 0, cumulative[np.arange(len(idx)), idx - 1], 0.0)
+    return np.where(idx > 0, cumulative[..., np.arange(len(idx)), idx - 1], 0.0)
 
 
 def estimate_density(

@@ -1,17 +1,18 @@
 """Backtest harnesses: repeated-random-holdout and date-split evaluations.
 
-Both protocols run one evaluation step over a list of train/test splits
+Both protocols run one evaluation step over blocks of train/test splits
 of the valid spreads: fit the bias profile on each split's training
 games, rank the spreads, and let every strategy wager on the split's test
-games; the splits' win percentages are then reduced to a mean and SEM.
-The temporally-independent (TI) harness ignores game dates and makes N
-splits, each holding out a fixed number of outcomes per valid spread.
-The temporally-dependent (TD) harness is the single-split case: it
-splits once by date, fits on the past, wagers on the future, and also
-sweeps the k-lowest-entropy strategy over every k. Both group, split and
-count games in array passes over the dataset's columns. The count block
-of all games at the valid spreads (``_grouped_counts``), which TI's
-splits start from, is also the one the ``profile`` command fits.
+games, each step one array pass over a whole block; the splits' win
+percentages are then reduced to a mean and SEM. The temporally-independent
+(TI) harness ignores game dates and makes N splits, each holding out a
+fixed number of outcomes per valid spread, in blocks of about 1,024
+stream keys. The temporally-dependent (TD) harness is the one-split
+block: it splits once by date, fits on the past, wagers on the future,
+and also sweeps the k-lowest-entropy strategy over every k. Both group,
+split and count games in array passes over the dataset's columns. The
+count block of all games at the valid spreads (``_grouped_counts``),
+which TI's splits start from, is also the one the ``profile`` command fits.
 
 All randomness derives from ``default_rng(SeedSequence(key))`` streams keyed
 on the config seed, so a run is reproducible bit for bit and TI simulations
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import Counter
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -47,8 +47,9 @@ _HOLDOUT_STREAM = 0
 _GUESS_STREAM = 1
 
 
-#: About how many stream keys ``_holdout_splits`` hashes at a time.
-_HASH_BLOCK = 4096
+#: About how many stream keys ``_holdout_splits`` hashes, and so how many
+#: (simulation, spread) fits ``_backtest`` makes, at a time.
+_HASH_BLOCK = 1024
 
 # numpy's SeedSequence hash (bit_generator.pyx), fixed under NEP 19.
 _MASK32 = 0xFFFFFFFF
@@ -326,14 +327,18 @@ class _Tally(NamedTuple):
 
 
 def _ranked_counts(results: np.ndarray, rows: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Loss/push/win counts of ``settle_ats`` results pooled over the first
-    k spreads of ``order``, one row for each k from 0 to all spreads.
+    """Loss/push/win counts of a (splits x test games) block of ``settle_ats``
+    results, each split's pooled over the first k spreads of its row of
+    ``order``: a (splits x (spreads + 1) x 3) block, one row for each k
+    from 0 to all spreads.
 
-    ``rows`` holds the spread index of each result.
+    ``rows`` holds the spread index of each test game, shared by every split.
     """
-    n = len(order)
-    counts = np.bincount(3 * rows + results + 1, minlength=3 * n).reshape(n, 3)
-    return np.vstack([np.zeros((1, 3), dtype=counts.dtype), np.cumsum(counts[order], axis=0)])
+    splits, n = order.shape
+    flat = 3 * (n * np.arange(splits)[:, None] + rows) + results + 1
+    counts = np.bincount(flat.ravel(), minlength=3 * n * splits).reshape(splits, n, 3)
+    ranked = np.cumsum(np.take_along_axis(counts, order[..., None], axis=1), axis=1)
+    return np.concatenate([np.zeros((splits, 1, 3), ranked.dtype), ranked], axis=1)
 
 
 def summarize(per_simulation_win_pcts: Sequence[float]) -> tuple[float, float | None]:
@@ -351,31 +356,28 @@ def summarize(per_simulation_win_pcts: Sequence[float]) -> tuple[float, float | 
     return mean, float(np.std(values, ddof=1) / math.sqrt(len(values)))
 
 
-def _modal_k(ks: Iterable[int]) -> int:
-    counts = Counter(ks)
-    return min(counts, key=lambda k: (-counts[k], k))
-
-
 class _Split(NamedTuple):
-    """One train/test split of the valid spreads."""
+    """A block of train/test splits of the valid spreads, fitted, ranked and
+    settled at once; splits along the leading axis."""
 
-    train: np.ndarray     # (spreads x grid) training outcome counts
-    rows: np.ndarray      # spread index of each test game, in coin-flip order
-    outcomes: np.ndarray  # outcome of each test game
-    flips: np.ndarray     # one uniform draw per test game; below 0.5 backs the Visitor
+    train: np.ndarray     # (splits x spreads x grid) training outcome counts
+    rows: np.ndarray      # spread index of each test game, in coin-flip order; shared by all splits
+    outcomes: np.ndarray  # (splits x test games) outcome of each test game
+    flips: np.ndarray     # (splits x test games) uniform draws; below 0.5 backs the Visitor
 
 
 def _backtest(
     protocol: str, config: FitConfig, spreads: np.ndarray, splits: Iterable[_Split]
 ) -> tuple[EvaluationReport, np.ndarray, np.ndarray, int]:
-    """Fit, rank and settle every strategy on each split, then reduce.
+    """Fit, rank and settle every strategy on each block of splits, then reduce.
 
-    A strategy's win percentage is the mean (and SEM) of its per-split
-    percentages where it settled a wager; its counts are pooled. Max-Prob
-    wagers at every spread, Min-Ent at the most biased one and k-Lowest at
-    the split's threshold k most biased. A profile row averages a spread's
-    fit over the splits; its ``n_train`` is from the last split, as every
-    TI split trains on as many games per spread.
+    Each block is fitted, ranked and settled at once, one array pass per
+    step along its splits axis. A strategy's win percentage is the mean
+    (and SEM) of its per-split percentages where it settled a wager; its
+    counts are pooled. Max-Prob wagers at every spread, Min-Ent at the most
+    biased one and k-Lowest at the split's threshold k most biased. A
+    profile row averages a spread's fit over the splits; its ``n_train`` is
+    from the last split, as every TI split trains on as many games per spread.
 
     Returns the report parts both protocols share, the (spreads x splits)
     entropies, the Max-Prob ``_ranked_counts`` summed over the splits and
@@ -383,31 +385,33 @@ def _backtest(
     """
     grid = config.grid()
     split_counts, ks, p_homes, entropies = [], [], [], []
-    selection_counter: Counter[float] = Counter()
+    selections = np.zeros(len(spreads), dtype=np.int64)
     ranked_total = 0
     for split in splits:
-        _, p_home, entropy = profile_arrays(
+        # The block's densities are not kept: a block of many splits is large.
+        p_home, entropy = profile_arrays(
             split.train, spreads, config.bandwidth, grid, config.kernel
-        )
+        )[1:]
         order, k = rank_spreads(entropy, spreads, config.entropy_threshold)
+        test_spreads = spreads[split.rows]
         # Max-Prob backs the Visitor only on a strict edge; ties go Home.
-        max_prob = (1.0 - p_home > p_home)[split.rows]
-        ranked = _ranked_counts(
-            settle_ats(max_prob, split.outcomes, spreads[split.rows]), split.rows, order
-        )
-        random_results = settle_ats(split.flips < 0.5, split.outcomes, spreads[split.rows])
-        random_counts = np.bincount(random_results + 1, minlength=3)
-        split_counts.append([random_counts, ranked[-1], ranked[1], ranked[k]])
+        max_prob = (1.0 - p_home > p_home)[:, split.rows]
+        ranked = _ranked_counts(settle_ats(max_prob, split.outcomes, test_spreads), split.rows, order)
+        random_results = settle_ats(split.flips < 0.5, split.outcomes, test_spreads)
+        random_counts = _ranked_counts(random_results, split.rows, order)[:, -1]
+        each = np.arange(len(order))
+        split_counts.append(np.stack([random_counts, ranked[:, -1], ranked[:, 1], ranked[each, k]], 1))
         ks.append(k)
-        selection_counter.update(spreads[order[:k]].tolist())
+        # k-Lowest selects the spreads whose rank position is below the split's k.
+        selections += np.count_nonzero(np.argsort(order) < k[:, None], axis=0)
         p_homes.append(p_home)
         entropies.append(entropy)
-        ranked_total = ranked_total + ranked
-        n_train = split.train.sum(axis=1).tolist()
+        ranked_total = ranked_total + ranked.sum(axis=0)
+        n_train = split.train[-1].sum(axis=-1).tolist()
 
-    split_counts = np.array(split_counts)
+    split_counts = np.concatenate(split_counts)
     totals = split_counts.sum(axis=0).tolist()
-    k = _modal_k(ks)
+    k = int(np.bincount(np.concatenate(ks)).argmax())  # the modal k; ties go to the smaller
     model_k = {MODEL_MIN_ENTROPY: 1, MODEL_K_LOWEST: k}
     models = []
     per_model = split_counts.transpose(1, 0, 2).tolist()
@@ -419,8 +423,8 @@ def _backtest(
             name, pct, sem, tally.settled, tally.pushes, tally.wins, model_k.get(name)
         ))
 
-    p_home = np.ascontiguousarray(np.transpose(p_homes))
-    entropy = np.ascontiguousarray(np.transpose(entropies))
+    p_home = np.ascontiguousarray(np.concatenate(p_homes).T)
+    entropy = np.ascontiguousarray(np.concatenate(entropies).T)
     profile = tuple(
         {
             "spread": spread,
@@ -437,7 +441,7 @@ def _backtest(
         n_test_samples=sum(totals[0]),  # Random wagers on every test game
         models=tuple(models),
         profile=profile,
-        selection_counts=dict(selection_counter),
+        selection_counts={s: n for s, n in zip(spreads.tolist(), selections.tolist()) if n},
     )
     return report, entropy, ranked_total, k
 
@@ -453,24 +457,28 @@ def _grouped_counts(
 
 
 def _holdout_splits(dataset: Dataset, index: np.ndarray, config: TiConfig) -> Iterator[_Split]:
-    """TI's splits, one per simulation: the holdouts drawn from each valid spread's games in
-    input order are its test games, and its full counts minus theirs its training block."""
+    """TI's splits, one block per hash block of simulations: the holdouts drawn from each
+    valid spread's games in input order are a simulation's test games, and the full counts
+    minus theirs its training block."""
     grid = config.grid()
     holdout = config.holdout_per_spread
     outcomes, sizes, full_counts = _grouped_counts(dataset, index, grid)
+    n = len(sizes)
     starts = np.cumsum(sizes) - sizes
-    rows = np.repeat(np.arange(len(sizes)), holdout)
-    block = max(1, _HASH_BLOCK // (len(sizes) + 1))
+    rows = np.repeat(np.arange(n), holdout)
+    block = max(1, _HASH_BLOCK // (n + 1))
     for first in range(0, config.n_simulations, block):
         sims = np.arange(first, min(first + block, config.n_simulations))
-        words = _seed_words(config.seed, _HOLDOUT_STREAM, sims[:, None], np.arange(len(sizes)))
+        words = _seed_words(config.seed, _HOLDOUT_STREAM, sims[:, None], np.arange(n))
         picks = _holdout_picks(words, np.tile(sizes, len(sims)), holdout)
         # Holdouts in spread-then-holdout order: the order their coin flips are drawn in.
-        picks = picks.reshape(len(sims), len(sizes), holdout) + starts[:, None]
+        picks = picks.reshape(len(sims), n, holdout) + starts[:, None]
         tests = outcomes[picks].reshape(len(sims), -1)
-        for test, guess in zip(tests, _streams(config.seed, _GUESS_STREAM, sims)):
-            flips = guess.random(test.size)
-            yield _Split(full_counts - outcome_counts(test, grid, rows, len(sizes)), rows, test, flips)
+        flips = np.array([g.random(len(rows)) for g in _streams(config.seed, _GUESS_STREAM, sims)])
+        held = outcome_counts(tests, grid, n * np.arange(len(sims))[:, None] + rows, len(sims) * n)
+        held = held.reshape(len(sims), n, -1)
+        # The training block overwrites the holdouts' counts: a block of many splits is large.
+        yield _Split(np.subtract(full_counts, held, out=held), rows, tests, flips)
 
 
 def run_ti(dataset: Dataset, config: TiConfig) -> EvaluationReport:
@@ -530,7 +538,7 @@ def run_td(dataset: Dataset, config: TdConfig) -> EvaluationReport:
     games = sorted(np.flatnonzero(test & (index >= 0)).tolist(), key=lambda i: dataset.records[i][:3])
     games = np.array(games, dtype=np.intp)[np.argsort(index[games], kind="stable")]
     flips = next(_streams(config.seed, _GUESS_STREAM)).random(len(games))
-    split = _Split(counts, index[games], dataset.outcome[games], flips)
+    split = _Split(counts[None], index[games], dataset.outcome[games][None], flips[None])
     report, _, ranked, k = _backtest("td", config, spreads, [split])
     return replace(
         report, ksweep=tuple(_sweep_rows(ranked, k)),

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from spreadbias import (
@@ -108,6 +108,19 @@ class TestProfileArrays:
         for row, (_, outcomes) in zip(mass, buckets):
             assert row.tolist() == estimate_density(outcomes, bandwidth, grid, kernel).mass.tolist()
 
+        # A (splits x spreads x grid) block, each split a different draw of
+        # every spread's games, fits as each split does on its own.
+        spreads = np.array([spread for spread, _ in buckets])
+        block = np.stack([
+            outcome_counts(rng.integers(-30, 31, size=(len(spreads), 12)), grid,
+                           np.arange(len(spreads))[:, None], len(spreads))
+            for _ in range(5)
+        ])
+        stacked = profile_arrays(block, spreads, bandwidth, grid, kernel)
+        for i, counts in enumerate(block):
+            for got, want in zip(stacked, profile_arrays(counts, spreads, bandwidth, grid, kernel)):
+                assert got[i].tobytes() == want.tobytes()
+
     def test_cover_probability_rounding_past_one_is_capped(self):
         # The prefix sum of this boxcar density at 7.5 rounds to just above 1.
         outcomes = [-12 + i % 13 for i in range(30)]
@@ -146,6 +159,20 @@ class TestRankSpreads:
         order, k = rank_spreads([0.8, 0.8, 0.8, 0.8], [6.5, 2.5, -2.5, -6.5], 0.8)
         assert order.tolist() == [2, 1, 3, 0]
         assert k == 0
+
+    @given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+        st.lists(st.integers(-30, 30), min_size=n, max_size=n, unique=True),
+        st.lists(st.lists(ENTROPIES, min_size=n, max_size=n), min_size=1, max_size=6),
+    )))
+    @example(([-5, 5, 1], [[0.25, 0.25, 0.25], [1.0, 0.75, 0.5], [0.0, 0.0, 0.0]]))
+    def test_block_equals_split_by_split(self, spreads_and_entropies):
+        # Coarse entropies tie often; with threshold 0.5 a split selects
+        # nothing, some or every spread.
+        halves, entropies = spreads_and_entropies
+        spreads = np.array(halves) / 2
+        order, k = rank_spreads(np.array(entropies), spreads, 0.5)
+        assert k.tolist() == [rank_spreads(row, spreads, 0.5)[1] for row in entropies]
+        assert order.tolist() == [rank_spreads(row, spreads, 0.5)[0].tolist() for row in entropies]
 
     @given(PROFILES)
     def test_equals_tuple_sort(self, profile):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -101,6 +102,27 @@ class TestIngest:
         assert manifest["command"] == "ingest"
         assert manifest["version"]
         assert len(manifest["input_digest"]) == 64
+
+    @pytest.mark.parametrize("command,output", [
+        ("ingest", "dataset.csv"), ("profile", "profile.csv"),
+        ("simulate-ti", "profile.csv"), ("backtest-td", "profile.csv"),
+    ])
+    def test_digest_is_of_the_bytes_parsed(self, games_csv, tmp_path, monkeypatch,
+                                           command, output):
+        # The input changes on disk right after it is parsed.
+        parsed = games_csv.read_bytes()
+
+        def parse_then_rewrite(source):
+            dataset = parse_games(source)
+            games_csv.write_bytes(parsed + parsed.splitlines(keepends=True)[1])
+            return dataset
+
+        monkeypatch.setattr(spreadbias.cli, "parse_games", parse_then_rewrite)
+        out_dir = tmp_path / "out"
+        assert main([command, "--input", str(games_csv), "--out-dir", str(out_dir)]) == 0
+        assert games_csv.read_bytes() != parsed
+        manifest = read_manifest(out_dir / output)
+        assert manifest["input_digest"] == hashlib.sha256(parsed).hexdigest()
 
     def test_empty_but_valid_file(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"

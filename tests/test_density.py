@@ -10,7 +10,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spreadbias import KERNELS, OutcomeGrid, estimate_density, home_cover_probability
-from spreadbias.density import OutcomeDensity, _kernel_matrix, densities, outcome_counts
+from spreadbias.density import (
+    OutcomeDensity, _kernel_matrix, cover_probabilities, densities, outcome_counts,
+)
 
 
 def brute_force_cover(density: OutcomeDensity, spread: float) -> float:
@@ -188,6 +190,24 @@ class TestHomeCoverProbability:
             assert home_cover_probability(density, spread) == brute_force_cover(
                 density, spread
             )
+
+    def test_block_equals_split_by_split(self):
+        # Spreads below, inside and at or above the grid, over a
+        # (splits x spreads x grid) block of densities.
+        grid = OutcomeGrid(-10, 10)
+        spreads = [-11.0, -10.0, -2.5, 0.0, 3.0, 9.5, 10.0, 12.0]
+        rng = np.random.default_rng(5)
+        counts = rng.integers(0, 4, size=(6, len(spreads), len(grid)))
+        counts[..., 0] += 1  # no all-zero row
+        mass = densities(counts, 4.0, grid, "gaussian")
+        stacked = cover_probabilities(mass, grid, spreads)
+        assert stacked.shape == (6, len(spreads))
+        for got, split in zip(stacked, mass):
+            assert got.tobytes() == cover_probabilities(split, grid, spreads).tobytes()
+            assert got.tolist() == [
+                home_cover_probability(OutcomeDensity(grid, row), spread)
+                for row, spread in zip(split, spreads)
+            ]
 
     def test_complement_is_exact(self):
         rng = np.random.default_rng(3)

@@ -58,7 +58,8 @@ def old_counts(buckets) -> list[list[int]]:
 
 
 def splits_of(run, dataset: Dataset, config) -> tuple[np.ndarray, list]:
-    """The valid spreads and the splits that ``run`` hands to the backtest core."""
+    """The valid spreads and the splits that ``run`` hands to the backtest core,
+    one per row of each block it hands over."""
     seen = []
 
     def spy(protocol, config, spreads, splits):
@@ -68,8 +69,11 @@ def splits_of(run, dataset: Dataset, config) -> tuple[np.ndarray, list]:
     backtest = harness._backtest
     with mock.patch.object(harness, "_backtest", spy):
         run(dataset, config)
-    (spreads_and_splits,) = seen
-    return spreads_and_splits
+    ((spreads, blocks),) = seen
+    return spreads, [
+        harness._Split(block.train[i], block.rows, block.outcomes[i], block.flips[i])
+        for block in blocks for i in range(len(block.train))
+    ]
 
 
 @settings(max_examples=150, deadline=None)

@@ -385,9 +385,28 @@ class TestStreams:
         # 6 spreads make 7 keys a simulation; 13 simulations leave a partial block.
         dataset = synthetic_spread_dataset(HALF_SPREADS, 30, cover_probs={-2.5: 0.9}, seed=8)
         config = TiConfig(n_simulations=13, seed=2**32 + 3)
-        expected = run_ti(dataset, config).to_dict()
+        report = run_ti(dataset, config)
+        expected = report.to_dict()
         monkeypatch.setattr(harness, "_HASH_BLOCK", block)
-        assert run_ti(dataset, config).to_dict() == expected
+        blocked = run_ti(dataset, config)
+        assert blocked.to_dict() == expected
+        # Keyed in ascending spread order, whatever order the splits ran in.
+        assert list(blocked.selection_counts) == list(report.selection_counts)
+        assert list(blocked.selection_counts) == sorted(blocked.selection_counts)
+
+    @pytest.mark.parametrize("n_spreads,n_simulations", [(1, 3000), (6, 500), (40, 60)])
+    def test_no_block_holds_more_splits_than_a_hash_block(self, n_spreads, n_simulations):
+        # A block stacks its splits' (spreads x grid) training counts, so
+        # no run may build every simulation at once.
+        dataset = synthetic_spread_dataset([s + 0.5 for s in range(n_spreads)], 12, seed=4)
+        config = TiConfig(n_simulations=n_simulations, min_samples=12, holdout_per_spread=1)
+        spreads, index = config.valid_spreads(dataset)
+        limit = max(1, harness._HASH_BLOCK // (len(spreads) + 1))
+        sizes = []
+        for split in harness._holdout_splits(dataset, index, config):
+            sizes.append(len(split.train))
+            assert len(split.outcomes) == len(split.flips) == sizes[-1] <= limit
+        assert sum(sizes) == n_simulations
 
     def test_importing_the_cli_leaves_numpy_random_unloaded(self):
         # numpy 2 loads numpy.random on first use; older numpy loads it with
