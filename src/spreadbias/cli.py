@@ -15,7 +15,7 @@ import csv
 import hashlib
 import io
 import json
-import statistics
+import math
 import sys
 from dataclasses import asdict, fields
 from datetime import datetime, timezone
@@ -267,7 +267,7 @@ def cmd_ingest(args: argparse.Namespace, options: dict) -> int:
     )
     print(f"{len(raw)} rows, {len(unique)} unique ({len(raw) - len(unique)} duplicates removed)")
     if len(unique):
-        print(f"spread mean: {statistics.fmean(spreads):.2f}")
+        print(f"spread mean: {math.fsum(spreads) / len(spreads):.2f}")
     print(f"wrote {out_dir / 'dataset.csv'}")
     return 0
 

@@ -111,9 +111,10 @@ def densities(
 def cover_probabilities(mass: np.ndarray, grid: OutcomeGrid, spreads) -> np.ndarray:
     """Home cover probability of each row of a (... x spreads x grid) block
     of ``mass`` at its spread: the mass at grid points <= spread, as a
-    sequential prefix sum along the last axis."""
+    sequential prefix sum along the last axis, taken only as far as the
+    highest grid point any spread reads."""
     idx = np.searchsorted(grid.points, spreads, side="right")
-    cumulative = np.cumsum(mass, axis=-1)
+    cumulative = np.cumsum(mass[..., :idx.max(initial=1)], axis=-1)
     return np.where(idx > 0, cumulative[..., np.arange(len(idx)), idx - 1], 0.0)
 
 

@@ -371,8 +371,11 @@ def _backtest(
 ) -> tuple[EvaluationReport, np.ndarray, np.ndarray, int]:
     """Fit, rank and settle every strategy on each block of splits, then reduce.
 
-    Each block is fitted, ranked and settled at once, one array pass per
-    step along its splits axis. A strategy's win percentage is the mean
+    Each block takes one array pass per step along its splits axis and adds
+    one tuple to one list: its splits' p_home, entropy, threshold k,
+    strategy counts and k-Lowest selection mask. Only the Max-Prob
+    ``_ranked_counts`` are summed as blocks come; the list is joined along
+    the splits axis once, at the end. A strategy's win percentage is the mean
     (and SEM) of its per-split percentages where it settled a wager; its
     counts are pooled. Max-Prob wagers at every spread, Min-Ent at the most
     biased one and k-Lowest at the split's threshold k most biased. A
@@ -380,12 +383,10 @@ def _backtest(
     from the last split, as every TI split trains on as many games per spread.
 
     Returns the report parts both protocols share, the (spreads x splits)
-    entropies, the Max-Prob ``_ranked_counts`` summed over the splits and
-    the modal threshold k.
+    entropies, the summed Max-Prob ``_ranked_counts`` and the modal k.
     """
     grid = config.grid()
-    split_counts, ks, p_homes, entropies = [], [], [], []
-    selections = np.zeros(len(spreads), dtype=np.int64)
+    blocks = []
     ranked_total = 0
     for split in splits:
         # The block's densities are not kept: a block of many splits is large.
@@ -399,19 +400,16 @@ def _backtest(
         ranked = _ranked_counts(settle_ats(max_prob, split.outcomes, test_spreads), split.rows, order)
         random_results = settle_ats(split.flips < 0.5, split.outcomes, test_spreads)
         random_counts = _ranked_counts(random_results, split.rows, order)[:, -1]
-        each = np.arange(len(order))
-        split_counts.append(np.stack([random_counts, ranked[:, -1], ranked[:, 1], ranked[each, k]], 1))
-        ks.append(k)
+        counts = np.stack([random_counts, ranked[:, -1], ranked[:, 1], ranked[np.arange(len(k)), k]], 1)
         # k-Lowest selects the spreads whose rank position is below the split's k.
-        selections += np.count_nonzero(np.argsort(order) < k[:, None], axis=0)
-        p_homes.append(p_home)
-        entropies.append(entropy)
+        blocks.append((p_home, entropy, k, counts, np.argsort(order) < k[:, None]))
         ranked_total = ranked_total + ranked.sum(axis=0)
-        n_train = split.train[-1].sum(axis=-1).tolist()
 
-    split_counts = np.concatenate(split_counts)
+    p_home, entropy, ks, split_counts, selected = map(np.concatenate, zip(*blocks))
+    selections = np.count_nonzero(selected, axis=0).tolist()
+    k = int(np.bincount(ks).argmax())  # the modal k; ties go to the smaller
+    n_train = split.train[-1].sum(axis=-1).tolist()
     totals = split_counts.sum(axis=0).tolist()
-    k = int(np.bincount(np.concatenate(ks)).argmax())  # the modal k; ties go to the smaller
     model_k = {MODEL_MIN_ENTROPY: 1, MODEL_K_LOWEST: k}
     models = []
     per_model = split_counts.transpose(1, 0, 2).tolist()
@@ -423,8 +421,7 @@ def _backtest(
             name, pct, sem, tally.settled, tally.pushes, tally.wins, model_k.get(name)
         ))
 
-    p_home = np.ascontiguousarray(np.concatenate(p_homes).T)
-    entropy = np.ascontiguousarray(np.concatenate(entropies).T)
+    p_home, entropy = np.ascontiguousarray(p_home.T), np.ascontiguousarray(entropy.T)
     profile = tuple(
         {
             "spread": spread,
@@ -441,7 +438,7 @@ def _backtest(
         n_test_samples=sum(totals[0]),  # Random wagers on every test game
         models=tuple(models),
         profile=profile,
-        selection_counts={s: n for s, n in zip(spreads.tolist(), selections.tolist()) if n},
+        selection_counts={s: n for s, n in zip(spreads.tolist(), selections) if n},
     )
     return report, entropy, ranked_total, k
 

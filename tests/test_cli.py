@@ -84,6 +84,17 @@ class TestIngest:
         assert code == 0
         assert "220 rows, 180 unique (40 duplicates removed)" in capsys.readouterr().out
 
+    def test_spread_mean_is_exactly_rounded(self, tmp_path, capsys):
+        # A plain left-to-right sum loses the 0.1 to 1e16 and prints 0.00.
+        rows = [f"2017-09-1{i},H{i},V{i},20,17,{spread}"
+                for i, spread in enumerate(["1e16", "0.1", "-1e16"])]
+        path = tmp_path / "games.csv"
+        path.write_text("\n".join(["date,home_team,visitor_team,home_score,visitor_score,spread",
+                                   *rows]) + "\n", encoding="utf-8")
+        code = main(["ingest", "--input", str(path), "--out-dir", str(tmp_path / "out")])
+        assert code == 0
+        assert "spread mean: 0.03\n" in capsys.readouterr().out
+
     def test_output_reingests_identically(self, games_csv, tmp_path, capsys):
         out_dir = tmp_path / "out"
         main(["ingest", "--input", str(games_csv), "--out-dir", str(out_dir)])

@@ -408,19 +408,48 @@ class TestStreams:
             assert len(split.outcomes) == len(split.flips) == sizes[-1] <= limit
         assert sum(sizes) == n_simulations
 
+    def test_backtest_does_not_depend_on_how_splits_are_blocked(self, monkeypatch):
+        # Blocks of 5 simulations leave a partial block; the single-split
+        # blocks check the sweep TI reports drop, summed across blocks.
+        monkeypatch.setattr(harness, "_HASH_BLOCK", 40)
+        dataset = synthetic_spread_dataset(
+            HALF_SPREADS, 30, cover_probs={-2.5: 0.9, 1.5: 0.15}, seed=8
+        )
+        config = TiConfig(n_simulations=13, seed=5)
+        spreads, index = config.valid_spreads(dataset)
+        blocks = list(harness._holdout_splits(dataset, index, config))
+        assert [len(block.train) for block in blocks] == [5, 5, 3]
+        singles = [
+            harness._Split(block.train[i:i + 1], block.rows, block.outcomes[i:i + 1],
+                           block.flips[i:i + 1])
+            for block in blocks for i in range(len(block.train))
+        ]
+        report, entropy, ranked, k = harness._backtest("ti", config, spreads, blocks)
+        single_report, single_entropy, single_ranked, single_k = harness._backtest(
+            "ti", config, spreads, singles
+        )
+        assert single_report == report
+        assert np.array_equal(single_entropy, entropy)
+        assert np.array_equal(single_ranked, ranked)
+        assert ranked[-1].sum() == 13 * len(blocks[0].rows)
+        assert single_k == k
+
     def test_importing_the_cli_leaves_numpy_random_unloaded(self):
         # numpy 2 loads numpy.random on first use; older numpy loads it with
-        # numpy itself, and then the package cannot avoid it.
+        # numpy itself, and then the package cannot avoid it. No command
+        # needs ``statistics`` (nor the decimal and fractions it loads).
         code = ("import sys, numpy; before = 'numpy.random' in sys.modules; "
-                "import spreadbias.cli; print(before, 'numpy.random' in sys.modules)")
+                "import spreadbias.cli; print(before, 'numpy.random' in sys.modules, "
+                "'statistics' in sys.modules)")
         src = str(Path(harness.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))}
         result = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
         )
-        before, after = result.stdout.split()
+        before, after, statistics = result.stdout.split()
         assert after == before
+        assert statistics == "False"
 
 
 class TestHoldoutPicks:
