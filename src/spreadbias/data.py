@@ -244,6 +244,8 @@ def _score(raw: str, name: str, line_num: int) -> int:
         raise ParseError(line_num, f"non-integer {name} {raw!r}") from None
     if score < 0:
         raise ParseError(line_num, f"negative {name} {raw!r}")
+    if score > 2**63 - 1:  # then every visitor-minus-home margin fits int64
+        raise ParseError(line_num, f"out-of-range {name} {raw!r} (above 2**63 - 1)")
     return score
 
 

@@ -3,8 +3,9 @@
 Both protocols run one evaluation step over blocks of train/test splits
 of the valid spreads: fit the bias profile on each split's training
 games, rank the spreads, and let every strategy wager on the split's test
-games, each step one array pass over a whole block; the splits' win
-percentages are then reduced to a mean and SEM. The temporally-independent
+games, each step one array pass over a whole block (``_backtest``). The
+per-split results are then reduced, once, to each strategy's mean and SEM
+win percentage and pooled counts (``_report``). The temporally-independent
 (TI) harness ignores game dates and makes N splits, each holding out a
 fixed number of outcomes per valid spread, in blocks of about 1,024
 stream keys. The temporally-dependent (TD) harness is the one-split
@@ -307,25 +308,6 @@ class EvaluationReport:
         return out
 
 
-class _Tally(NamedTuple):
-    """Loss, push and win counts (``settle_ats`` codes -1, 0 and 1, in
-    that order) with a push-excluded win percentage."""
-
-    losses: int
-    pushes: int
-    wins: int
-
-    @property
-    def settled(self) -> int:
-        return self.wins + self.losses
-
-    @property
-    def pct(self) -> float | None:
-        if self.settled == 0:
-            return None
-        return 100.0 * self.wins / self.settled
-
-
 def _ranked_counts(results: np.ndarray, rows: np.ndarray, order: np.ndarray) -> np.ndarray:
     """Loss/push/win counts of a (splits x test games) block of ``settle_ats``
     results, each split's pooled over the first k spreads of its row of
@@ -366,24 +348,34 @@ class _Split(NamedTuple):
     flips: np.ndarray     # (splits x test games) uniform draws; below 0.5 backs the Visitor
 
 
-def _backtest(
-    protocol: str, config: FitConfig, spreads: np.ndarray, splits: Iterable[_Split]
-) -> tuple[EvaluationReport, np.ndarray, np.ndarray, int]:
-    """Fit, rank and settle every strategy on each block of splits, then reduce.
+class _SplitResults(NamedTuple):
+    """``_backtest``'s per-split arrays, splits along the leading axis, with the
+    summed Max-Prob sweep and the last split's training sizes."""
+
+    p_home: np.ndarray    # (splits x spreads) fitted home-cover probabilities
+    entropy: np.ndarray   # (splits x spreads) entropies, in bits
+    k: np.ndarray         # each split's threshold k
+    counts: np.ndarray    # (splits x 4 x 3) loss/push/win counts of each of MODEL_NAMES
+    selected: np.ndarray  # (splits x spreads) k-Lowest selection mask
+    ranked: np.ndarray    # ((spreads + 1) x 3) Max-Prob ``_ranked_counts``, summed over the splits
+    n_train: np.ndarray   # training games at each spread in the last split
+
+    @property
+    def modal_k(self) -> int:
+        """The most frequent threshold k; ties go to the smaller."""
+        return int(np.bincount(self.k).argmax())
+
+
+def _backtest(config: FitConfig, spreads: np.ndarray, splits: Iterable[_Split]) -> _SplitResults:
+    """Fit, rank and settle every strategy on each block of splits.
 
     Each block takes one array pass per step along its splits axis and adds
     one tuple to one list: its splits' p_home, entropy, threshold k,
     strategy counts and k-Lowest selection mask. Only the Max-Prob
     ``_ranked_counts`` are summed as blocks come; the list is joined along
-    the splits axis once, at the end. A strategy's win percentage is the mean
-    (and SEM) of its per-split percentages where it settled a wager; its
-    counts are pooled. Max-Prob wagers at every spread, Min-Ent at the most
-    biased one and k-Lowest at the split's threshold k most biased. A
-    profile row averages a spread's fit over the splits; its ``n_train`` is
-    from the last split, as every TI split trains on as many games per spread.
-
-    Returns the report parts both protocols share, the (spreads x splits)
-    entropies, the summed Max-Prob ``_ranked_counts`` and the modal k.
+    the splits axis once, at the end. Max-Prob wagers at every spread,
+    Min-Ent at the most biased one and k-Lowest at the split's threshold k
+    most biased. ``_report`` reduces the result.
     """
     grid = config.grid()
     blocks = []
@@ -404,43 +396,45 @@ def _backtest(
         # k-Lowest selects the spreads whose rank position is below the split's k.
         blocks.append((p_home, entropy, k, counts, np.argsort(order) < k[:, None]))
         ranked_total = ranked_total + ranked.sum(axis=0)
+    return _SplitResults(*map(np.concatenate, zip(*blocks)), ranked_total, split.train[-1].sum(axis=-1))
 
-    p_home, entropy, ks, split_counts, selected = map(np.concatenate, zip(*blocks))
-    selections = np.count_nonzero(selected, axis=0).tolist()
-    k = int(np.bincount(ks).argmax())  # the modal k; ties go to the smaller
-    n_train = split.train[-1].sum(axis=-1).tolist()
-    totals = split_counts.sum(axis=0).tolist()
-    model_k = {MODEL_MIN_ENTROPY: 1, MODEL_K_LOWEST: k}
+
+def _report(
+    protocol: str, config: FitConfig, spreads: np.ndarray, results: _SplitResults
+) -> EvaluationReport:
+    """The report parts both protocols share, reduced from ``_backtest``'s results.
+
+    A strategy's win percentage is the mean (and SEM) of its per-split
+    percentages over the splits where it settled a wager; its counts are
+    pooled over all splits, and k-Lowest reports the modal threshold k. A
+    profile row averages a spread's fit over the splits; its ``n_train`` is
+    from the last split, as every TI split trains on as many games per spread.
+    """
+    losses, pushes, wins = results.counts.T  # each (strategies x splits)
+    settled = wins + losses
+    model_k = {MODEL_MIN_ENTROPY: 1, MODEL_K_LOWEST: results.modal_k}
     models = []
-    per_model = split_counts.transpose(1, 0, 2).tolist()
-    for name, total, per_split in zip(MODEL_NAMES, totals, per_model):
-        pcts = [t.pct for t in map(_Tally._make, per_split) if t.settled]
-        pct, sem = summarize(pcts) if pcts else (None, None)
-        tally = _Tally(*total)
-        models.append(ModelSummary(
-            name, pct, sem, tally.settled, tally.pushes, tally.wins, model_k.get(name)
-        ))
+    for name, n_settled, n_pushes, n_wins in zip(MODEL_NAMES, settled, pushes, wins):
+        pcts = 100.0 * n_wins[n_settled > 0] / n_settled[n_settled > 0]
+        pct, sem = summarize(pcts) if pcts.size else (None, None)
+        models.append(ModelSummary(name, pct, sem, int(n_settled.sum()), int(n_pushes.sum()),
+                                   int(n_wins.sum()), model_k.get(name)))
 
-    p_home, entropy = np.ascontiguousarray(p_home.T), np.ascontiguousarray(entropy.T)
+    p_home, entropy = (np.ascontiguousarray(a.T) for a in (results.p_home, results.entropy))
     profile = tuple(
-        {
-            "spread": spread,
-            "p_home": float(np.mean(p_home[j])),
-            "entropy_bits": float(np.mean(entropy[j])),
-            "n_train": n_train[j],
-        }
-        for j, spread in enumerate(spreads.tolist())
+        {"spread": s, "p_home": float(np.mean(p)), "entropy_bits": float(np.mean(h)), "n_train": n}
+        for s, p, h, n in zip(spreads.tolist(), p_home, entropy, results.n_train.tolist())
     )
-    report = EvaluationReport(
+    selections = np.count_nonzero(results.selected, axis=0).tolist()
+    return EvaluationReport(
         protocol=protocol,
         config=asdict(config),
         valid_spreads=tuple(spreads.tolist()),
-        n_test_samples=sum(totals[0]),  # Random wagers on every test game
+        n_test_samples=int(results.counts[:, 0].sum()),  # Random wagers on every test game
         models=tuple(models),
         profile=profile,
         selection_counts={s: n for s, n in zip(spreads.tolist(), selections) if n},
     )
-    return report, entropy, ranked_total, k
 
 
 def _grouped_counts(
@@ -471,6 +465,7 @@ def _holdout_splits(dataset: Dataset, index: np.ndarray, config: TiConfig) -> It
         # Holdouts in spread-then-holdout order: the order their coin flips are drawn in.
         picks = picks.reshape(len(sims), n, holdout) + starts[:, None]
         tests = outcomes[picks].reshape(len(sims), -1)
+        del words, picks  # so neither is held while _backtest fits the block
         flips = np.array([g.random(len(rows)) for g in _streams(config.seed, _GUESS_STREAM, sims)])
         held = outcome_counts(tests, grid, n * np.arange(len(sims))[:, None] + rows, len(sims) * n)
         held = held.reshape(len(sims), n, -1)
@@ -495,18 +490,19 @@ def run_ti(dataset: Dataset, config: TiConfig) -> EvaluationReport:
         raise ValueError(
             f"no spread has at least min_samples={config.min_samples} outcomes"
         )
-    report, entropy, _, _ = _backtest("ti", config, spreads, _holdout_splits(dataset, index, config))
+    results = _backtest(config, spreads, _holdout_splits(dataset, index, config))
+    report = _report("ti", config, spreads, results)
     return replace(report, profile=tuple(
         {**row, "entropy_sd": float(np.std(h, ddof=1)) if len(h) > 1 else None}
-        for row, h in zip(report.profile, entropy)
+        for row, h in zip(report.profile, np.ascontiguousarray(results.entropy.T))
     ))
 
 
 def _sweep_rows(ranked: np.ndarray, k_threshold: int) -> list[dict]:
     return [
-        {"k": k, "ats_win_pct": t.pct, "n_wins": t.wins, "n_test": t.settled,
-         "n_push": t.pushes, "threshold_selected": k == k_threshold}
-        for k, t in enumerate(map(_Tally._make, ranked[1:].tolist()), start=1)
+        {"k": k, "ats_win_pct": 100.0 * wins / settled if (settled := wins + losses) else None,
+         "n_wins": wins, "n_test": settled, "n_push": pushes, "threshold_selected": k == k_threshold}
+        for k, (losses, pushes, wins) in enumerate(ranked[1:].tolist(), start=1)
     ]
 
 
@@ -536,8 +532,9 @@ def run_td(dataset: Dataset, config: TdConfig) -> EvaluationReport:
     games = np.array(games, dtype=np.intp)[np.argsort(index[games], kind="stable")]
     flips = next(_streams(config.seed, _GUESS_STREAM)).random(len(games))
     split = _Split(counts[None], index[games], dataset.outcome[games][None], flips[None])
-    report, _, ranked, k = _backtest("td", config, spreads, [split])
+    results = _backtest(config, spreads, [split])
     return replace(
-        report, ksweep=tuple(_sweep_rows(ranked, k)),
+        _report("td", config, spreads, results),
+        ksweep=tuple(_sweep_rows(results.ranked, results.modal_k)),
         n_train_records=len(dataset) - n_test, n_test_records=n_test,
     )

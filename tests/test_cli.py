@@ -317,6 +317,19 @@ class TestProfile:
         assert code == 1
         assert "min-samples" in capsys.readouterr().err
 
+    def test_score_beyond_int64_fails_with_its_line(self, tmp_path, capsys):
+        # The largest int64 score is kept; one above it would overflow the outcome column.
+        bad = tmp_path / "bad.csv"
+        bad.write_text(
+            "date,home_team,visitor_team,home_score,visitor_score,spread\n"
+            "2017-09-10,NE,KC,9223372036854775807,0,-9.0\n"
+            "2017-09-11,GB,SEA,100000000000000000000,10,1.5\n"
+        )
+        code = main(["profile", "--input", str(bad), "--out-dir", str(tmp_path / "o"),
+                     "--min-samples", "1"])
+        assert code == 1
+        assert f"error: {bad}: line 3: out-of-range home_score" in capsys.readouterr().err
+
 
 class TestSimulateTi:
     def test_report_and_manifest(self, games_csv, tmp_path):

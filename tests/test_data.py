@@ -151,6 +151,10 @@ class TestParseGames:
             ("2017-09-11,NE,KC,27,x,nan", "non-integer visitor_score 'x'"),
             ("2017-09-11,NE,KC, -3 ,x,nan", "negative home_score '-3'"),
             ("2017-09-11,NE,KC,27,-1,nan", "negative visitor_score '-1'"),
+            ("2017-09-11,NE,KC,9223372036854775808,x,nan",
+             "out-of-range home_score '9223372036854775808' (above 2**63 - 1)"),
+            ("2017-09-11,NE,KC,27,100000000000000000000,nan",
+             "out-of-range visitor_score '100000000000000000000' (above 2**63 - 1)"),
             ("2017-09-11,NE,KC,27,42,pickem", "non-numeric spread 'pickem'"),
             ("2017-09-11,NE,KC,27,42,-inf", "non-finite spread '-inf'"),
             # int() and float() read these as 27, 42, 3, -10.5 and 3.5.

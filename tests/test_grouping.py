@@ -62,9 +62,9 @@ def splits_of(run, dataset: Dataset, config) -> tuple[np.ndarray, list]:
     one per row of each block it hands over."""
     seen = []
 
-    def spy(protocol, config, spreads, splits):
+    def spy(config, spreads, splits):
         seen.append((spreads, list(splits)))
-        return backtest(protocol, config, spreads, seen[-1][1])
+        return backtest(config, spreads, seen[-1][1])
 
     backtest = harness._backtest
     with mock.patch.object(harness, "_backtest", spy):

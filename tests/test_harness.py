@@ -424,15 +424,16 @@ class TestStreams:
                            block.flips[i:i + 1])
             for block in blocks for i in range(len(block.train))
         ]
-        report, entropy, ranked, k = harness._backtest("ti", config, spreads, blocks)
-        single_report, single_entropy, single_ranked, single_k = harness._backtest(
-            "ti", config, spreads, singles
+        results = harness._backtest(config, spreads, blocks)
+        single_results = harness._backtest(config, spreads, singles)
+        for name, single, whole in zip(results._fields, single_results, results):
+            assert np.array_equal(single, whole), name
+        assert len(results.k) == 13
+        assert results.ranked[-1].sum() == 13 * len(blocks[0].rows)
+        assert single_results.modal_k == results.modal_k
+        assert harness._report("ti", config, spreads, single_results) == harness._report(
+            "ti", config, spreads, results
         )
-        assert single_report == report
-        assert np.array_equal(single_entropy, entropy)
-        assert np.array_equal(single_ranked, ranked)
-        assert ranked[-1].sum() == 13 * len(blocks[0].rows)
-        assert single_k == k
 
     def test_importing_the_cli_leaves_numpy_random_unloaded(self):
         # numpy 2 loads numpy.random on first use; older numpy loads it with

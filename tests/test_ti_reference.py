@@ -156,6 +156,9 @@ CASES = {
     "one-simulation": {"n_simulations": 1},
     "threshold-0": {"entropy_threshold": 0.0},
     "threshold-1": {"entropy_threshold": 1.0},
+    # k-Lowest wagers in only some simulations, so its mean and SEM skip the
+    # rest, while its modal k is 0.
+    "threshold-0.8": {"entropy_threshold": 0.8},
     # Seeds of 2**32 or more coerce to several 32-bit words.
     "seed-2^32+5": {"seed": 2**32 + 5},
     "seed-2^64": {"seed": 2**64},
