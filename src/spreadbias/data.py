@@ -77,6 +77,17 @@ _ASCII_SPACE = " \t\r\n\v\f"
 #: The input header must name every record field, in any order.
 REQUIRED_COLUMNS = GameRecord._fields
 
+#: The most characters of a field that an error message repeats.
+_SHOWN_CHARS = 40
+
+
+def _shown(raw: str) -> str:
+    """``raw`` as an error message repeats it: its repr, and for a field
+    longer than ``_SHOWN_CHARS``, that many leading characters and its length."""
+    if len(raw) <= _SHOWN_CHARS:
+        return repr(raw)
+    return f"{raw[:_SHOWN_CHARS]!r}... ({len(raw)} characters)"
+
 
 def _column(values: Iterable, dtype: type) -> np.ndarray:
     column = np.fromiter(values, dtype)
@@ -120,9 +131,11 @@ class Dataset:
 @contextmanager
 def _gc_paused():
     """Hold off the cyclic garbage collector, restoring the caller's state
-    on the way out. A record table holds only dates, strings and numbers,
-    so it cannot form cycles, yet each of its (tuple-subclass) records
-    stays tracked and every collection while it grows walks it again."""
+    on the way out; pauses nest. A record table holds only dates, strings
+    and numbers, so it cannot form cycles, yet each of its (tuple-subclass)
+    records stays tracked and every collection while it is alive walks it
+    again. ``parse_games`` and ``deduplicate`` pause while they build a
+    table, and ``cli.main`` for a whole command."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -216,7 +229,7 @@ def _date(raw: str, line_num: int) -> dt.date:
             return dt.date.fromisoformat(raw)
     except ValueError:
         pass
-    raise ParseError(line_num, f"invalid date {raw!r} (expected YYYY-MM-DD)")
+    raise ParseError(line_num, f"invalid date {_shown(raw)} (expected YYYY-MM-DD)")
 
 
 def _team(raw: str, name: str, line_num: int) -> str:
@@ -224,7 +237,7 @@ def _team(raw: str, name: str, line_num: int) -> str:
     if not team:
         raise ParseError(line_num, f"empty {name}")
     if team != team.strip():
-        raise ParseError(line_num, f"{name} {team!r} begins or ends with whitespace")
+        raise ParseError(line_num, f"{name} {_shown(team)} begins or ends with whitespace")
     return team
 
 
@@ -238,14 +251,21 @@ def _number(kind: type, raw: str):
 
 def _score(raw: str, name: str, line_num: int) -> int:
     raw = raw.strip(_ASCII_SPACE)
+    # int() refuses more than 4,300 digits on Python 3.11+ but not on 3.10. Past
+    # 20 digits, the sign and the first 20 after any leading zeros decide the
+    # score's sign and, as it is then above 2**63 - 1, its range.
+    sign = raw[:1] if raw[:1] in ("+", "-") else ""
+    text = digits = raw[len(sign):]
+    if len(digits) > 20 and digits.isascii() and digits.isdigit():
+        text = digits.lstrip("0")[:20] or "0"
     try:
-        score = _number(int, raw)
+        score = _number(int, sign + text)
     except ValueError:
-        raise ParseError(line_num, f"non-integer {name} {raw!r}") from None
+        raise ParseError(line_num, f"non-integer {name} {_shown(raw)}") from None
     if score < 0:
-        raise ParseError(line_num, f"negative {name} {raw!r}")
+        raise ParseError(line_num, f"negative {name} {_shown(raw)}")
     if score > 2**63 - 1:  # then every visitor-minus-home margin fits int64
-        raise ParseError(line_num, f"out-of-range {name} {raw!r} (above 2**63 - 1)")
+        raise ParseError(line_num, f"out-of-range {name} {_shown(raw)} (above 2**63 - 1)")
     return score
 
 
@@ -254,9 +274,9 @@ def _spread(raw: str, line_num: int) -> float:
     try:
         spread = _number(float, raw)
     except ValueError:
-        raise ParseError(line_num, f"non-numeric spread {raw!r}") from None
+        raise ParseError(line_num, f"non-numeric spread {_shown(raw)}") from None
     if not math.isfinite(spread):
-        raise ParseError(line_num, f"non-finite spread {raw!r}")
+        raise ParseError(line_num, f"non-finite spread {_shown(raw)}")
     # Adding 0.0 turns -0.0 into 0.0, so a pick'em spread gets one label.
     return round(spread, 1) + 0.0
 

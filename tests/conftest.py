@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import gc
 import io
 import math
 import os
@@ -186,3 +187,11 @@ def golden_dataset():
         )
     with open(path, encoding="utf-8", newline="") as fh:
         return deduplicate(parse_games(fh))
+
+
+@pytest.fixture
+def restore_gc():
+    """Leave the cyclic garbage collector on or off as the test found it."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -30,6 +31,7 @@ from spreadbias import (
     estimate_density,
     parse_games,
 )
+from spreadbias import cli
 from spreadbias.cli import _config, _resolve_options, build_parser, main
 from conftest import (
     GAME_RECORDS, reference_buckets, scalar_profile, synthetic_spread_dataset, write_dataset_csv,
@@ -750,3 +752,77 @@ class TestEncoding:
                      "--config", str(cfg)]) == 0
         config = read_manifest(out_dir / "profile.csv")["config"]
         assert (config["min_samples"], config["seed"]) == (20, 9)
+
+
+@pytest.mark.usefixtures("restore_gc")
+class TestCollectorPause:
+    """``main`` runs a command with the cyclic garbage collector paused, and
+    leaves it as it found it on every exit."""
+
+    HEADER_LINE = "date,home_team,visitor_team,home_score,visitor_score,spread\n"
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize(
+        "rows, flags, outcome",
+        [
+            ("2017-09-10,NE,KC,27,42,-9.0\n", [], 0),
+            ("2017-09-10,NE,KC,27,42,-9.0\n2017-09-11,GB,SEA,-3,10,1.5\n", [], 1),
+            ("2017-09-10,NE,KC,27,42,-9.0\n2017-09-10,NE,KC,27,41,-9.0\n", [], 1),
+            ("2017-09-10,NE,KC,27,42,-9.0\n", ["--kernel", "cubic"], 1),
+            ("2017-09-10,NE,KC,27,42,-9.0\n", [], RuntimeError),
+        ],
+        ids=["success", "parse-error", "duplicate-conflict", "config-error", "uncaught"],
+    )
+    def test_command_runs_paused_and_restores_the_caller_state(
+        self, tmp_path, monkeypatch, capsys, rows, flags, outcome, enabled
+    ):
+        handler, help_line = cli._COMMANDS["ingest"]
+        seen = []
+
+        def watched(args, options):
+            seen.append(gc.isenabled())
+            if outcome is RuntimeError:
+                raise RuntimeError("a handler fault main does not catch")
+            return handler(args, options)
+
+        monkeypatch.setitem(cli._COMMANDS, "ingest", (watched, help_line))
+        games = tmp_path / "games.csv"
+        games.write_text(self.HEADER_LINE + rows, encoding="utf-8")
+        argv = ["ingest", "--input", str(games), "--out-dir", str(tmp_path / "o"), *flags]
+        (gc.enable if enabled else gc.disable)()
+        if outcome is RuntimeError:
+            with pytest.raises(RuntimeError):
+                main(argv)
+        else:
+            assert main(argv) == outcome
+        assert gc.isenabled() is enabled
+        assert seen == ([] if flags else [False])
+
+    @pytest.mark.parametrize(
+        "command, small, large",
+        [
+            ("ingest", (20, []), (200, [])),
+            ("profile", (20, []), (200, [])),
+            ("backtest-td", (20, []), (200, [])),
+            ("simulate-ti", (20, ["--simulations", "2"]), (200, ["--simulations", "2"])),
+            ("simulate-ti", (20, ["--simulations", "2"]), (20, ["--simulations", "20"])),
+        ],
+        ids=["ingest", "profile", "backtest-td", "simulate-ti", "simulate-ti-simulations"],
+    )
+    def test_cyclic_garbage_does_not_grow_with_the_work(self, tmp_path, capsys, command, small,
+                                                        large):
+        # The pause is safe only while what a command leaves for the collector
+        # is bounded: a warm command leaves the same cycles whatever its size.
+        def run(per_spread, flags):
+            train = synthetic_spread_dataset(SPREADS, per_spread, seed=41, start="2001-01-01")
+            test = synthetic_spread_dataset(SPREADS, per_spread, seed=42, start="2017-01-01")
+            games = write_dataset_csv(tmp_path / f"games-{per_spread}.csv",
+                                      Dataset(train.records + test.records))
+            gc.disable()
+            gc.collect()
+            assert main([command, "--input", str(games), "--out-dir", str(tmp_path / "o"),
+                         "--min-samples", "15", "--holdout", "5", *flags]) == 0
+            return gc.collect()
+
+        run(*small)
+        assert run(*small) == run(*large)

@@ -175,6 +175,34 @@ class TestParseGames:
             ("2017-09-11,NE\u3000,,x,-1,nan", "home_team 'NE\\u3000' begins or ends with whitespace"),
             ("2017-09-11,NE, \xa0KC,x,-1,nan", "visitor_team '\\xa0KC' begins or ends with whitespace"),
             ("10 Sep 2017,,,x,-1", "expected 6 fields, found 5"),
+            # A long field is repeated as its first 40 characters and its length. int()
+            # refuses over 4,300 digits on Python 3.11+, so a score is judged by its
+            # digits after any leading zeros: Python 3.10 and 3.11+ agree.
+            pytest.param("2017-09-11,NE,KC," + "9" * 5000 + ",x,nan",
+                         f"out-of-range home_score '{'9' * 40}'... (5000 characters) "
+                         "(above 2**63 - 1)", id="long-score"),
+            pytest.param("2017-09-11,NE,KC,27,+" + "0" * 4990 + "9" * 20 + ",nan",
+                         f"out-of-range visitor_score '+{'0' * 39}'... (5011 characters) "
+                         "(above 2**63 - 1)", id="long-signed-score"),
+            pytest.param("2017-09-11,NE,KC,27,-" + "9" * 5000 + ",nan",
+                         f"negative visitor_score '-{'9' * 39}'... (5001 characters)",
+                         id="long-negative-score"),
+            pytest.param("2017-09-11,NE,KC," + "0" * 4998 + "27,x,nan",
+                         "non-integer visitor_score 'x'", id="long-zero-padded-score"),
+            pytest.param("2017-09-11,NE,KC," + "9" * 4999 + "x,x,nan",
+                         f"non-integer home_score '{'9' * 40}'... (5000 characters)",
+                         id="long-non-integer"),
+            pytest.param("2017-09-11,NE,KC,27,42," + "1" * 400,
+                         f"non-finite spread '{'1' * 40}'... (400 characters)", id="long-spread"),
+            pytest.param("2017-09-11,NE,KC,27,42," + "1" * 100 + "x",
+                         f"non-numeric spread '{'1' * 40}'... (101 characters)",
+                         id="long-non-numeric"),
+            pytest.param("2017-09-11" * 10 + ",,,x,-1,nan",
+                         f"invalid date '{'2017-09-11' * 4}'... (100 characters) "
+                         "(expected YYYY-MM-DD)", id="long-date"),
+            pytest.param("2017-09-11," + "N" * 100 + "\u3000,,x,-1,nan",
+                         f"home_team '{'N' * 40}'... (101 characters) begins or ends with "
+                         "whitespace", id="long-team"),
         ],
     )
     def test_bad_row_line_number_and_message(self, row, message):
@@ -374,17 +402,12 @@ class TestDeduplicate:
         assert deduped.records == (a, b)
 
 
+@pytest.mark.usefixtures("restore_gc")
 class TestRecordTable:
     """The table is built without the named tuple's constructor and with the
     cyclic garbage collector paused; neither may show to a caller."""
 
     TEXT = HEADER + GOOD_ROW + "2017-09-10,GB,SEA,7,7,-3.0\n" + GOOD_ROW + "2017-09-11,NE,GB,7,3,-9\n"
-
-    @pytest.fixture(autouse=True)
-    def restore_gc(self):
-        enabled = gc.isenabled()
-        yield
-        (gc.enable if enabled else gc.disable)()
 
     def test_records_are_exact_game_records(self):
         raw = parse(self.TEXT)
