@@ -26,7 +26,9 @@ import math
 import sys
 from dataclasses import asdict, fields
 from datetime import datetime, timezone
+from itertools import islice
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -190,12 +192,13 @@ def _load_dataset(path: str) -> tuple[Dataset, Dataset, str]:
     return raw, deduplicate(raw), hashlib.sha256(data).hexdigest()
 
 
-def _write_csv(path: Path, manifest: dict, header: list[str], rows) -> None:
+def _write_csv(path: Path, manifest: dict, header: list[str], rows=(), lines=()) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("# manifest " + json.dumps(manifest, sort_keys=True) + "\n")
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+        fh.writelines(lines)
 
 
 def _write_report(path: Path, manifest: dict, report: EvaluationReport) -> None:
@@ -257,21 +260,24 @@ def cmd_ingest(args: argparse.Namespace, options: dict) -> int:
     raw, unique, digest = _load_dataset(args.input)
     out_dir, manifest = _start_output("ingest", dict(options), args, digest)
 
-    # Written column by column: each distinct date and spread is formatted
-    # once, and csv.writer writes the int scores with str().
+    # Written column by column: each distinct value is formatted once (teams and
+    # scores by csv.writer, whose writerow returns what its file's write returns;
+    # spreads apart, as 7.0 and 7 are one key), and the rows go out joined,
+    # 4,096 to a write.
     dates, homes, visitors, home_scores, visitor_scores, spreads = (
         zip(*unique) if len(unique) else [()] * len(REQUIRED_COLUMNS)
     )
-    date_text = {d: d.isoformat() for d in set(dates)}
+    field = csv.writer(SimpleNamespace(write=str), lineterminator="").writerow
+    text = {d: d.isoformat() for d in set(dates)}
+    text.update((v, field((v,))) for v in {*homes, *visitors, *home_scores, *visitor_scores})
     spread_text = {s: _spread_tag(s) for s in set(spreads)}
+    rows = map("%s,%s,%s,%s,%s,%s\r\n".__mod__, zip(
+        *(map(text.get, column) for column in (dates, homes, visitors, home_scores, visitor_scores)),
+        map(spread_text.get, spreads),
+    ))
     _write_csv(
-        out_dir / "dataset.csv",
-        manifest,
-        list(REQUIRED_COLUMNS),
-        zip(
-            map(date_text.get, dates), homes, visitors, home_scores, visitor_scores,
-            map(spread_text.get, spreads),
-        ),
+        out_dir / "dataset.csv", manifest, list(REQUIRED_COLUMNS),
+        lines=iter(lambda: "".join(islice(rows, 4096)), ""),
     )
     print(f"{len(raw)} rows, {len(unique)} unique ({len(raw) - len(unique)} duplicates removed)")
     if len(unique):

@@ -7,11 +7,12 @@ import csv
 import datetime as dt
 import gc
 import math
+from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
-from operator import attrgetter
+from itertools import chain, compress, count
+from operator import attrgetter, itemgetter, sub
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -19,6 +20,11 @@ import numpy as np
 #: Lines starting with this prefix are treated as comments (run manifests
 #: embedded in emitted CSVs use it) and skipped by the parser.
 COMMENT_PREFIX = "#"
+
+#: How a line the parser skips may begin: empty, or the comment prefix or one
+#: of the 29 characters that str.isspace() accepts.
+_SKIP_STARTS = frozenset(["", COMMENT_PREFIX, *map(chr, range(0x2000, 0x200B)),
+                          *"\t\n\v\f\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2028\u2029\u202f\u205f\u3000"])
 
 
 class SchemaError(ValueError):
@@ -121,7 +127,8 @@ class Dataset:
 
     @cached_property
     def outcome(self) -> np.ndarray:
-        return _column(map(GameRecord.outcome.fget, self.records), np.int64)
+        records = self.records
+        return _column(map(sub, map(itemgetter(4), records), map(itemgetter(3), records)), np.int64)
 
     @cached_property
     def year(self) -> np.ndarray:
@@ -156,8 +163,9 @@ def parse_games(source: Iterable[str]) -> Dataset:
     (``-0`` reads as ``0``); both are written in ASCII digits without
     ``_`` separators. Only ASCII whitespace pads a field or a header name;
     a team name may not begin or end with other whitespace. A leading
-    byte-order mark, blank lines and ``#`` comment lines are skipped; a
-    quoted field may not span lines. Row order is preserved.
+    byte-order mark, blank lines and ``#`` comment lines are skipped (any
+    ``str.isspace()`` character may open them); a quoted field may not span
+    lines, nor a kept line hold a NUL. Row order is preserved.
 
     Raises SchemaError when the header is absent, incomplete, or repeats
     a required column, and ParseError (carrying the offending line
@@ -165,23 +173,35 @@ def parse_games(source: Iterable[str]) -> Dataset:
     """
     with _gc_paused():
         lines = iter(source)
-        numbered = [
-            (n, line)
-            for n, line in enumerate(chain([next(lines, "").removeprefix("\ufeff")], lines), start=1)
-            if (text := line.lstrip()) and not text.startswith(COMMENT_PREFIX)
-        ]
-        if not numbered:
+        lines = [next(lines, "").removeprefix("\ufeff"), *lines]
+        # A C-level pass finds the lines that may be skipped; only those get the exact test.
+        maybe = compress(count(), map(_SKIP_STARTS.__contains__, map(itemgetter(slice(1)), lines)))
+        skipped = [i for i in maybe if not (text := lines[i].lstrip()) or text.startswith(COMMENT_PREFIX)]
+        for i in skipped:
+            lines[i] = ""  # then all dropped in one pass
+        lines = list(filter(None, lines)) if skipped else lines
+        if not lines:
             raise SchemaError("empty input: a header row is required")
 
+        # Kept line r (the header is 0) is physical line r + 1 plus the number
+        # of skipped lines before it: those j with before[j] <= r.
+        before = [i - j for j, i in enumerate(skipped)]
+
+        def line_of(r: int) -> int:
+            return r + 1 + bisect_right(before, r)
+
+        if "\0" in "".join(lines):
+            nul = next(r for r, line in enumerate(lines) if "\0" in line)
+            lines = chain(lines[:nul], _nul_line(line_of(nul)))
+
         # One reader over the kept lines: reader.line_num counts kept lines, so
-        # row i (the header is row 0) starts on physical line line_nums[i], and
-        # it spans lines if the reader has consumed more than i + 1 of them.
-        line_nums = [n for n, _ in numbered]
-        reader = csv.reader([line for _, line in numbered])
+        # row i (the header is row 0) spans lines if the reader has consumed
+        # more than i + 1 of them.
+        reader = csv.reader(lines)
         try:
             header = [name.strip(_ASCII_SPACE) for name in next(reader)]
             if reader.line_num != 1:
-                raise ParseError(line_nums[0], "quoted field spans lines")
+                raise ParseError(line_of(0), "quoted field spans lines")
             missing = [c for c in REQUIRED_COLUMNS if c not in header]
             if missing:
                 raise SchemaError(f"missing required column(s): {', '.join(missing)}")
@@ -197,29 +217,35 @@ def parse_games(source: Iterable[str]) -> Dataset:
             # The same exact GameRecord, without the named tuple's Python-level __new__ frame.
             new = tuple.__new__
             for i, fields in enumerate(reader, start=1):
-                line_num = line_nums[i]
                 if reader.line_num != i + 1:
-                    raise ParseError(line_num, "quoted field spans lines")
+                    raise ParseError(line_of(i), "quoted field spans lines")
                 if len(fields) != n_fields:
-                    raise ParseError(line_num, f"expected {n_fields} fields, found {len(fields)}")
+                    raise ParseError(line_of(i), f"expected {n_fields} fields, found {len(fields)}")
                 if (date := dates.get(raw := fields[i_date])) is None:
-                    date = dates[raw] = _date(raw.strip(_ASCII_SPACE), line_num)
+                    date = dates[raw] = _date(raw.strip(_ASCII_SPACE), line_of(i))
                 if (home_team := teams.get(raw := fields[i_home])) is None:
-                    home_team = teams[raw] = _team(raw, "home_team", line_num)
+                    home_team = teams[raw] = _team(raw, "home_team", line_of(i))
                 if (visitor_team := teams.get(raw := fields[i_visitor])) is None:
-                    visitor_team = teams[raw] = _team(raw, "visitor_team", line_num)
+                    visitor_team = teams[raw] = _team(raw, "visitor_team", line_of(i))
                 if (home_score := scores.get(raw := fields[i_hs])) is None:
-                    home_score = scores[raw] = _score(raw, "home_score", line_num)
+                    home_score = scores[raw] = _score(raw, "home_score", line_of(i))
                 if (visitor_score := scores.get(raw := fields[i_vs])) is None:
-                    visitor_score = scores[raw] = _score(raw, "visitor_score", line_num)
+                    visitor_score = scores[raw] = _score(raw, "visitor_score", line_of(i))
                 if (spread := spreads.get(raw := fields[i_spread])) is None:
-                    spread = spreads[raw] = _spread(raw, line_num)
+                    spread = spreads[raw] = _spread(raw, line_of(i))
                 records.append(
                     new(GameRecord, (date, home_team, visitor_team, home_score, visitor_score, spread))
                 )
         except csv.Error as exc:
-            raise ParseError(line_nums[reader.line_num - 1], f"unreadable CSV: {exc}") from None
+            raise ParseError(line_of(reader.line_num - 1), f"unreadable CSV: {exc}") from None
         return Dataset(tuple(records))
+
+
+def _nul_line(line_num: int) -> Iterator[str]:
+    """A line holding a NUL: it fails once the reader reaches it, as csv fails it
+    on Python 3.10 (3.11+ would read the NUL as text)."""
+    raise ParseError(line_num, "unreadable CSV: line contains NUL")
+    yield
 
 
 def _date(raw: str, line_num: int) -> dt.date:

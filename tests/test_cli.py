@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import datetime as dt
 import gc
 import hashlib
 import io
@@ -16,7 +17,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spreadbias
@@ -34,7 +35,8 @@ from spreadbias import (
 from spreadbias import cli
 from spreadbias.cli import _config, _resolve_options, build_parser, main
 from conftest import (
-    GAME_RECORDS, reference_buckets, scalar_profile, synthetic_spread_dataset, write_dataset_csv,
+    GAME_RECORDS, make_record, reference_buckets, scalar_profile, synthetic_spread_dataset,
+    write_dataset_csv,
 )
 
 SPREADS = [-6.5, -4.5, -2.5, 1.5, 3.5]
@@ -155,22 +157,30 @@ class TestIngest:
         "2017-09-24,KC,GB,3,21,6.5\n",
     ]
 
-    @pytest.mark.parametrize("rows", [REPEATS, []], ids=["repeats", "header-only"])
+    # More unique rows than one joined write of dataset.csv holds (4,096).
+    CHUNKS = [
+        f"{dt.date(2000, 1, 1) + dt.timedelta(days=i)},T{i % 32},U{i % 7},{i % 40},{i % 37},"
+        f"{i % 61 / 2 - 15:.1f}\n"
+        for i in range(5000)
+    ]
+
+    @pytest.mark.parametrize(
+        "rows", [REPEATS, [], CHUNKS], ids=["repeats", "header-only", "over-one-chunk"]
+    )
     def test_dataset_csv_equals_per_record_formatting(self, tmp_path, capsys, rows):
         games = tmp_path / "games.csv"
         games.write_text(",".join(GameRecord._fields) + "\n" + "".join(rows), encoding="utf-8")
-        assert main(["ingest", "--input", str(games), "--out-dir", str(tmp_path / "o")]) == 0
-        expected = io.StringIO()
-        writer = csv.writer(expected)
-        writer.writerow(GameRecord._fields)
-        for r in deduplicate(parse_games(io.StringIO(games.read_text(encoding="utf-8")))):
-            writer.writerow([r.date.isoformat(), r.home_team, r.visitor_team,
-                             str(r.home_score), str(r.visitor_score), f"{r.spread:.1f}"])
-        with open(tmp_path / "o" / "dataset.csv", encoding="utf-8", newline="") as fh:
-            manifest, written = fh.read().split("\n", 1)
-        assert manifest.startswith("# manifest ")
-        assert written == expected.getvalue()
+        written = ingested_dataset_csv(games, tmp_path / "o")
+        assert written == per_record_dataset_csv(games)
         assert written.count("\r\n") == 1 + len(set(rows))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(GAME_RECORDS, max_size=15, unique_by=lambda r: r.key))
+    @example([make_record(home_team="Big, Red", visitor_team='Say "Hi"')])
+    def test_dataset_csv_of_any_records_equals_per_record_formatting(self, records):
+        with tempfile.TemporaryDirectory() as name:
+            games = write_dataset_csv(Path(name) / "games.csv", Dataset(tuple(records * 2)))
+            assert ingested_dataset_csv(games, Path(name) / "o") == per_record_dataset_csv(games)
 
     def test_parse_error_exit_code_and_diagnostics(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -208,6 +218,27 @@ class TestIngest:
             second_lines = second.read_bytes().split(b"\n", 1)
             assert first_lines[0].startswith(b"# manifest ")
             assert first_lines[1] == second_lines[1]
+
+
+def ingested_dataset_csv(games: Path, out_dir: Path) -> str:
+    """``dataset.csv`` as ``ingest`` writes it from ``games``, less its manifest line."""
+    assert main(["ingest", "--input", str(games), "--out-dir", str(out_dir)]) == 0
+    with open(out_dir / "dataset.csv", encoding="utf-8", newline="") as fh:
+        manifest, written = fh.read().split("\n", 1)
+    assert manifest.startswith("# manifest ")
+    return written
+
+
+def per_record_dataset_csv(games: Path) -> str:
+    """Reference for ``ingested_dataset_csv``: each unique record of ``games``
+    written by csv.writer on its own."""
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    writer.writerow(GameRecord._fields)
+    for r in deduplicate(parse_games(io.StringIO(games.read_text(encoding="utf-8")))):
+        writer.writerow([r.date.isoformat(), r.home_team, r.visitor_team,
+                         str(r.home_score), str(r.visitor_score), f"{r.spread:.1f}"])
+    return expected.getvalue()
 
 
 class TestProfile:

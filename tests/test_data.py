@@ -7,10 +7,11 @@ import datetime as dt
 import gc
 import io
 import pickle
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spreadbias import (
@@ -175,6 +176,9 @@ class TestParseGames:
             ("2017-09-11,NE\u3000,,x,-1,nan", "home_team 'NE\\u3000' begins or ends with whitespace"),
             ("2017-09-11,NE, \xa0KC,x,-1,nan", "visitor_team '\\xa0KC' begins or ends with whitespace"),
             ("10 Sep 2017,,,x,-1", "expected 6 fields, found 5"),
+            # csv reads a NUL on Python 3.11+ but refuses its line on 3.10; the parser
+            # refuses it on both.
+            ("2017-09-11,N\x00E,KC,27,42,-3", "unreadable CSV: line contains NUL"),
             # A long field is repeated as its first 40 characters and its length. int()
             # refuses over 4,300 digits on Python 3.11+, so a score is judged by its
             # digits after any leading zeros: Python 3.10 and 3.11+ agree.
@@ -215,6 +219,17 @@ class TestParseGames:
             parse(text)
         assert exc.value.line_num == 5
         assert str(exc.value) == f"line 5: {message}"
+
+    def test_nul_fails_only_when_the_reader_reaches_its_line(self):
+        nul_row = "2017-09-12,N\x00E,KC,27,42,-3\n"
+        assert parse(HEADER + "# a \x00 in a comment\n" + GOOD_ROW) == parse(HEADER + GOOD_ROW)
+        with pytest.raises(ParseError, match=r"^line 2: negative home_score '-3'$"):
+            parse(HEADER + "2017-09-11,GB,SEA,-3,10,1.5\n" + nul_row)
+        # A quoted field left open reads on into the NUL's line, which fails first.
+        with pytest.raises(ParseError, match=r"^line 3: unreadable CSV: line contains NUL$"):
+            parse(HEADER + '2017-09-11,"GB\n' + nul_row)
+        with pytest.raises(ParseError, match=r"^line 2: unreadable CSV: line contains NUL$"):
+            parse("# manifest\n" + HEADER.replace("spread", "spr\x00ead"))
 
     def test_header_names_padded_with_ascii_whitespace_only(self):
         padded = HEADER.replace("home_team", " home_team\t")
@@ -330,6 +345,75 @@ class TestPerValueParse:
     def test_parse_equals_field_by_field_reference_with_exact_types(self, rows):
         text = HEADER + "".join(",".join(row) + "\n" for row in rows)
         assert typed(parse(text)) == typed(reference_parse(text))
+
+
+#: Every character str.isspace() accepts, all of which lstrip() strips, less the
+#: two that end a line: a whitespace-only line of \x1c, \x85 or \u2028 is one line.
+WHITESPACE = "".join(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace() and c not in "\r\n")
+#: What follows the first character of a skipped line.
+SKIP_TAILS = st.sampled_from(["", " \u3000", '# manifest, a "comment"'])
+KEPT_ROWS = st.sampled_from([GOOD_ROW.strip(), " 2017-09-11,GB,SEA,20,17,3.5", "2017-09-12,KC,NE,0,0,-0"])
+BAD_ROWS = st.sampled_from([
+    "2017-09-13,NE,KC,-3,42,1.0",
+    "2017-09-13,NE,KC,27,42",
+    '2017-09-13,"N\nE",KC,27,42,1.0',
+    '2017-09-13,"N\n# E",KC,27,42,1.0',
+    "2017-09-13," + "N" * 200_000 + ",KC,27,42,1.0",
+])
+
+
+@st.composite
+def files_with_skipped_lines(draw) -> str:
+    """A games file in which each whitespace character begins a skipped line,
+    beside an empty line and a comment line; skipped lines come before the
+    header and among good rows and at most one bad row, each line ends in
+    CR, LF or CRLF, and a BOM may open the file."""
+    skipped = [char + draw(SKIP_TAILS) for char in draw(st.permutations(WHITESPACE))]
+    skipped += ["", "# manifest"]
+    n_before = draw(st.integers(0, len(skipped)))
+    body = draw(st.permutations(skipped[n_before:] + draw(st.lists(KEPT_ROWS, max_size=8))))
+    if bad := draw(st.none() | BAD_ROWS):
+        body.insert(draw(st.integers(0, len(body))), bad)
+    lines = skipped[:n_before] + [HEADER.strip()] + body
+    endings = draw(st.lists(st.sampled_from(["\n", "\r", "\r\n"]), min_size=len(lines), max_size=len(lines)))
+    return draw(st.sampled_from(["", "\ufeff"])) + "".join(map(str.__add__, lines, endings))
+
+
+def parse_file(text: str) -> Dataset:
+    """``text`` parsed as the CLI reads a file: lines end at CR, LF or CRLF."""
+    return parse_games(io.StringIO(text, newline=""))
+
+
+def skip_reference(text: str):
+    """Reference for ``parse_file``: its records, or its ParseError's line and
+    message, from the skip rule applied line by line and the kept lines
+    parsed alone, renumbered to their physical lines."""
+    lines = list(io.StringIO(text.removeprefix("\ufeff"), newline=""))
+    kept = [(n, line) for n, line in enumerate(lines, 1)
+            if (stripped := line.lstrip()) and not stripped.startswith("#")]
+    try:
+        return parse_file("".join(line for _, line in kept)).records
+    except ParseError as exc:
+        return kept[exc.line_num - 1][0], str(exc).partition(": ")[2]
+
+
+class TestSkippedLines:
+    @settings(deadline=None)
+    @given(files_with_skipped_lines())
+    def test_records_and_line_numbers_equal_the_line_by_line_skip(self, text):
+        try:
+            result = parse_file(text).records
+        except ParseError as exc:
+            result = exc.line_num, str(exc).partition(": ")[2]
+        assert result == skip_reference(text)
+
+    @pytest.mark.parametrize("char", list(WHITESPACE + "\r\n"))
+    def test_every_whitespace_character_starts_a_skipped_line(self, char):
+        assert parse_file(f"{char}# manifest\n{char}\n" + HEADER + GOOD_ROW) == parse(HEADER + GOOD_ROW)
+
+    def test_line_number_after_many_skipped_lines(self):
+        with pytest.raises(ParseError, match=r"^line 200002: negative home_score '-3'$"):
+            parse(HEADER + "\n# comment\n" * 100_000 + "2017-09-11,GB,SEA,-3,10,1.5\n")
 
 
 class TestByteOrderMark:
@@ -478,6 +562,19 @@ class TestColumns:
         assert ds.spread.tolist() == [r.spread for r in ds] == [-9.0, -3.5, 0.0]
         assert ds.outcome.tolist() == [r.outcome for r in ds] == [15, -23, 0]
         assert ds.year.tolist() == [r.date.year for r in ds] == [2017, 2016, 2018]
+
+    @pytest.mark.parametrize(
+        "home,visitor,margin", [(0, 2**63 - 1, 2**63 - 1), (2**63, 0, -(2**63))]
+    )
+    def test_outcome_holds_every_int64_margin(self, home, visitor, margin):
+        ds = Dataset((make_record(home_score=home, visitor_score=visitor),))
+        assert ds.outcome.tolist() == [ds.records[0].outcome] == [margin]
+
+    # The parser caps scores at 2**63 - 1; a record built in code may pass it.
+    @pytest.mark.parametrize("home,visitor", [(0, 2**63), (2**64, 0)])
+    def test_outcome_beyond_int64_raises_overflow(self, home, visitor):
+        with pytest.raises(OverflowError):
+            Dataset((make_record(home_score=home, visitor_score=visitor),)).outcome
 
     @pytest.mark.parametrize(
         "name,dtype", [("spread", np.float64), ("outcome", np.int64), ("year", np.int64)]

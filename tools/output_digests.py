@@ -6,10 +6,14 @@ Usage: python tools/output_digests.py SRC_DIR
 SRC_DIR is a checkout's ``src`` directory; its ``spreadbias`` is imported
 and run in this process. The tool writes the three workloads' CSVs
 (``perfbench/workloads.py``) at seeds 0 and 7 into a temporary directory,
-runs each of the four commands on each CSV under each option set, and
-prints one line per run: CSV, options, command, exit code and a SHA-256
-over stdout, stderr and every output file with its manifest left out
-(``perfbench/check.py``'s ``fingerprint``). Compare two checkouts with
+and two more built from the ti-wide seed-0 CSV: one with the lines the
+parser skips (a ``# manifest`` line and whitespace-only lines), CRLF
+endings and two team names that need quoting, and a copy of it with a bad
+score after the skipped lines. It runs each of the four commands on each
+CSV under each option set, and prints one line per run: CSV, options,
+command, exit code and a SHA-256 over stdout, stderr and every output file
+with its manifest left out (``perfbench/check.py``'s ``fingerprint``).
+Compare two checkouts with
 
     diff <(python tools/output_digests.py OLD/src) <(python tools/output_digests.py src)
 """
@@ -17,6 +21,7 @@ over stdout, stderr and every output file with its manifest left out
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
 import io
 import itertools
@@ -36,6 +41,32 @@ OPTION_SETS = (
     ("--simulations", "1"),
     ("--kernel", "boxcar"),
 )
+
+
+#: Two ti-wide teams renamed to names that csv.writer quotes.
+RENAMED = {"T00": "Big, Red", "T01": 'Say "Hi"'}
+
+
+def write_skips_and_quotes(source: str, name: str, bad: str | None = None) -> None:
+    """Write ``source`` to ``name`` with CRLF endings, the ``RENAMED`` teams,
+    a ``# manifest`` line and whitespace-only lines (one a lone ideographic
+    space) before and inside its rows; ``bad`` replaces the home score of the
+    first row after the skipped lines in the middle."""
+    with open(source, encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    rows = [[RENAMED.get(field, field) for field in row] for row in rows]
+    middle = len(rows) // 2
+    if bad is not None:
+        rows[middle][header.index("home_score")] = bad
+    text = io.StringIO()
+    writer = csv.writer(text)
+    text.write("# manifest {}\r\n \t\r\n")
+    writer.writerow(header)
+    text.write("\u3000\r\n")
+    writer.writerows(rows[:middle])
+    text.write("\r\n  # a comment after spaces\r\n\u3000 \r\n")
+    writer.writerows(rows[middle:])
+    Path(name).write_text(text.getvalue(), encoding="utf-8", newline="")
 
 
 def run_digest(main, fingerprint, csv_name: str, command: str, options: tuple[str, ...]):
@@ -67,12 +98,16 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as scratch:
         os.chdir(scratch)
         try:
+            csv_names = []
             for (name, workload), seed in itertools.product(workloads.WORKLOADS.items(), SEEDS):
-                csv_name = f"{name}-{seed}.csv"
-                workloads.write_csv(workloads.generate(workload.shape, seed), csv_name)
-                for options, command in itertools.product(OPTION_SETS, COMMANDS):
-                    code, digest = run_digest(cli_main, fingerprint, csv_name, command, options)
-                    print(csv_name, " ".join(options) or "-", command, code, digest)
+                csv_names.append(f"{name}-{seed}.csv")
+                workloads.write_csv(workloads.generate(workload.shape, seed), csv_names[-1])
+            write_skips_and_quotes("ti-wide-0.csv", "ti-wide-0-skips.csv")
+            write_skips_and_quotes("ti-wide-0.csv", "ti-wide-0-skips-bad.csv", bad="-3")
+            csv_names += ["ti-wide-0-skips.csv", "ti-wide-0-skips-bad.csv"]
+            for csv_name, options, command in itertools.product(csv_names, OPTION_SETS, COMMANDS):
+                code, digest = run_digest(cli_main, fingerprint, csv_name, command, options)
+                print(csv_name, " ".join(options) or "-", command, code, digest)
         finally:
             os.chdir(start)
     return 0
