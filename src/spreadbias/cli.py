@@ -292,12 +292,10 @@ def cmd_profile(args: argparse.Namespace, options: dict) -> int:
     spreads, index = config.valid_spreads(dataset)
     if not spreads.size:
         largest = np.bincount(spread_groups(dataset, 1)[1]).max(initial=0)
-        print(
-            f"error: no spread has {config.min_samples} samples "
-            f"(largest group has {largest}); lower --min-samples",
-            file=sys.stderr,
+        raise ValueError(
+            f"no spread has {config.min_samples} samples "
+            f"(largest group has {largest}); lower --min-samples"
         )
-        return 1
 
     grid = config.grid()
     outcomes, sizes, counts = _grouped_counts(dataset, index, grid)

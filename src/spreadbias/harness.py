@@ -157,30 +157,24 @@ _BATCH_MAX_HOLDOUT = 100
 
 def _holdout_picks(words: np.ndarray, sizes: np.ndarray, holdout: int) -> np.ndarray:
     """``np.sort(_generator(w).choice(n, holdout, replace=False))`` for each key's row ``w``
-    of ``_seed_words`` and population ``n`` in ``sizes``. Up to ``_BATCH_MAX_HOLDOUT``, all
-    keys replay ``choice``'s Floyd loop together, each on its own draws: for j = n - holdout
-    ... n - 1, a Lemire-bounded draw on [0, j], or j if that is picked already."""
-    if np.any(sizes >= 2**32):
-        raise ValueError("a holdout draws from fewer than 2**32 games")
-    if holdout > _BATCH_MAX_HOLDOUT:
-        return np.array([np.sort(_generator(w).choice(n, holdout, replace=False))
-                         for w, n in zip(words, sizes)])
-    draws, keys = _uint32_draws(words), np.arange(len(sizes))
-    # Each key's draws so far, and how many of them it has taken.
-    stream, used = np.empty((len(sizes), 0), np.uint64), np.zeros(len(sizes), np.intp)
+    of ``_seed_words`` and population ``n`` in ``sizes``. Keys of fewer than 2**32 games
+    replay ``choice``'s Floyd loop together, up to a holdout of ``_BATCH_MAX_HOLDOUT``: for
+    j = n - holdout ... n - 1, each takes its next 32-bit draw, Lemire-bounded on [0, j],
+    or j if that is picked already. A key leaves the replay at the first step where Lemire
+    would reject its draw or j < 1 (``choice`` takes no draw on [0, 0] and refuses n < holdout);
+    ``choice`` itself draws every key that leaves the replay or never enters it."""
     picks = np.empty((len(sizes), holdout), np.uint64)
-    for t in range(holdout):
-        j = (sizes - (holdout - t)).astype(np.uint64)
-        bound, value = j + _U1, np.zeros_like(j)
-        threshold, todo = (_2POW32 - bound) % bound, bound > _U1  # [0, 0] takes no draw
-        while todo.any():
-            if used.max() >= stream.shape[1]:
-                stream = np.column_stack([stream, *(next(draws) for _ in range(holdout + 1))])
-            scaled = stream[keys, used] * bound
-            used += todo
-            value = np.where(todo, scaled >> _U32, value)
-            todo &= scaled & _LO32 < threshold
+    replay = (sizes < 2**32) & (holdout <= _BATCH_MAX_HOLDOUT)
+    draws = _uint32_draws(words)
+    for t in range(holdout if replay.any() else 0):
+        j = np.maximum(sizes - (holdout - t), 0).astype(np.uint64)
+        bound = j + _U1
+        scaled = next(draws) * bound
+        value = scaled >> _U32
+        replay &= (j > 0) & (scaled & _LO32 >= (_2POW32 - bound) % bound)
         picks[:, t] = np.where((picks[:, :t] == value[:, None]).any(axis=1), j, value)
+    for i in np.flatnonzero(~replay):
+        picks[i] = _generator(words[i]).choice(sizes[i], holdout, replace=False)
     return np.sort(picks).astype(np.int64)
 
 

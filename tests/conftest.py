@@ -8,6 +8,7 @@ import gc
 import io
 import math
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -124,8 +125,11 @@ def dataset_csv_text(dataset: Dataset) -> str:
 
 def reference_parse(text: str) -> list[tuple]:
     """Reference for ``parse_games`` on valid input: every field of every
-    row converted on its own, with no state shared between fields or rows."""
-    lines = [line for line in text.splitlines() if line.strip() and line.lstrip()[0] != "#"]
+    row converted on its own, with no state shared between fields or rows. Lines
+    end only at CR, LF and CRLF, as ``open(..., newline="")`` splits them;
+    ``str.splitlines()`` would also split at \\v, \\x1c-\\x1e, \\x85, \\u2028 and \\u2029."""
+    lines = [line for line in re.split("\r\n?|\n", text)
+             if line.strip() and line.lstrip()[0] != "#"]
     header, *rows = csv.reader(lines)
     columns = [[name.strip() for name in header].index(c) for c in GameRecord._fields]
     records = []

@@ -297,7 +297,11 @@ DATE_TEXT = st.builds(
     lambda date, pad: pad + date.isoformat() + pad,
     st.dates(dt.date(2016, 12, 25), dt.date(2017, 1, 5)), PADS,
 )
-TEAM_TEXT = st.builds(lambda name, pad: pad + name + pad, st.sampled_from(["NE", "KC", "7", "-1"]), PADS)
+#: Names may hold characters that str.splitlines() breaks at but a line read does not.
+TEAM_TEXT = st.builds(
+    lambda name, pad: pad + name + pad,
+    st.sampled_from(["NE", "KC", "7", "-1", "N\x85E", "N\u2028E", "K\x1cC", "K\vC"]), PADS,
+)
 SPELLED_ROWS = st.lists(
     st.tuples(DATE_TEXT, TEAM_TEXT, TEAM_TEXT, SCORE_TEXT, SCORE_TEXT, SPREAD_TEXT), max_size=30
 )

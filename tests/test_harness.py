@@ -504,7 +504,8 @@ class TestHoldoutPicks:
 
     def test_populations_near_3e9_reject_draws(self):
         # A bound of about 3e9 leaves 2**32 mod bound near 1.3e9: about 30%
-        # of draws are rejected and each takes another word from its stream.
+        # of draws are rejected, and a key whose draw is rejected leaves the
+        # replay for choice.
         sizes = [3_000_000_001, 2_900_000_000, 3_500_000_000, 4_294_967_295]
         keys = [(2**40 + 9, 0, j) for j in range(len(sizes))]
         picks, expected = self.picks(keys, sizes, 20)
@@ -513,6 +514,18 @@ class TestHoldoutPicks:
         assert expected == [p for p, _ in scalar]
         # 2**32 - 1 games bound the last draw by 2**32 - 1, where 2**32 mod bound is 1.
         assert [rejected > 0 for _, rejected in scalar] == [True, True, True, False]
+
+    @pytest.mark.filterwarnings("error")
+    def test_block_mixing_keys_that_leave_the_replay(self):
+        # Keys that leave the replay (a rejected draw, or n == holdout, whose
+        # first step draws on [0, 0]) sit between keys that stay: every key
+        # that stays must still take its own draws, one per step.
+        sizes = [50, 3_000_000_001, 1_000, 20, 2_900_000_000, 10_000, 21]
+        keys = [(17, 0, 4, j) for j in range(len(sizes))]
+        picks, expected = self.picks(keys, sizes, 20)
+        assert picks.tolist() == expected
+        rejected = [self.scalar_floyd(key, n, 20)[1] for key, n in zip(keys, sizes)]
+        assert [r > 0 for r in rejected] == [n > 2**31 for n in sizes]
 
     @pytest.mark.parametrize("size, holdout", [(30, 10), (10, 10), (300, 100), (300, 101),
                                                (10_000, 201), (10_001, 201)])
@@ -527,7 +540,12 @@ class TestHoldoutPicks:
         # choice tail-shuffles only where n > 10,000 and holdout > n // 50.
         assert harness._BATCH_MAX_HOLDOUT <= 10_001 // 50
 
-    def test_population_of_2_32_rejected(self):
+    def test_population_of_2_32_plus_5_drawn_by_choice(self):
+        # A key of 2**32 or more games never enters the replay: choice draws it.
+        picks, expected = self.picks([(0, 0, 0), (0, 0, 1)], [10, 2**32 + 5], 3)
+        assert picks.tolist() == expected
+
+    def test_population_below_the_holdout_raises_as_choice(self):
         words = harness._seed_words(0, 0, np.arange(2))
-        with pytest.raises(ValueError, match="2\\*\\*32"):
-            harness._holdout_picks(words, np.array([10, 2**32]), 3)
+        with pytest.raises(ValueError, match="larger sample than population"):
+            harness._holdout_picks(words, np.array([30, 5]), 10)
