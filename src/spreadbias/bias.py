@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import OutcomeGrid, cover_probabilities, densities
+from .density import OutcomeGrid, cover_sums
 
 DEFAULT_ENTROPY_THRESHOLD = 0.95
 
@@ -60,19 +60,20 @@ class BiasProfile:
 
 def profile_arrays(
     counts: np.ndarray, spreads, bandwidth: float, grid: OutcomeGrid, kernel: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Densities, home cover probabilities and entropies of a
-    (... x spreads x grid) block of outcome counts, one row per spread
-    along the last two axes (a leading axis stacks splits).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Home cover probabilities and entropies of a (... x spreads x grid)
+    block of outcome counts, one row per spread along the last two axes (a
+    leading axis stacks splits).
 
-    A prefix sum over a mass row that sums to 1 can round to just above
-    1 (1.0000000000000002), so cover probabilities are capped at 1.0
-    before their entropy is taken.
+    Each cover probability is the ratio of its ``cover_sums``, whose
+    numerator never exceeds its denominator, so it lies in [0, 1] without
+    a cap, and is exactly 1.0 when the whole density lies at or below the
+    spread.
     """
-    mass = densities(counts, bandwidth, grid, kernel)
-    p_home = np.minimum(cover_probabilities(mass, grid, spreads), 1.0)
+    num, den = cover_sums(counts, spreads, bandwidth, grid, kernel)
+    p_home = num / den
     entropy = np.array([binary_entropy(p) for p in p_home.ravel().tolist()])
-    return mass, p_home, entropy.reshape(p_home.shape)
+    return p_home, entropy.reshape(p_home.shape)
 
 
 def rank_spreads(entropy, spreads, threshold: float) -> tuple[np.ndarray, int | np.ndarray]:

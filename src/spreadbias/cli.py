@@ -47,7 +47,7 @@ from .data import (
     parse_games,
     spread_groups,
 )
-from .density import KERNELS
+from .density import KERNELS, densities
 from .harness import (
     EvaluationReport, FitConfig, TdConfig, TiConfig, _field_error, _grouped_counts, run_td, run_ti,
 )
@@ -299,7 +299,7 @@ def cmd_profile(args: argparse.Namespace, options: dict) -> int:
 
     grid = config.grid()
     outcomes, sizes, counts = _grouped_counts(dataset, index, grid)
-    mass, p_home, entropy = profile_arrays(counts, spreads, config.bandwidth, grid, config.kernel)
+    p_home, entropy = profile_arrays(counts, spreads, config.bandwidth, grid, config.kernel)
     profile = [
         {"spread": s, "p_home": p, "entropy_bits": h, "n_train": n}
         for s, p, h, n in zip(spreads.tolist(), p_home.tolist(), entropy.tolist(), sizes.tolist())
@@ -310,6 +310,7 @@ def cmd_profile(args: argparse.Namespace, options: dict) -> int:
     _write_csv(out_dir / "profile.csv", manifest, header, rows)
     points = grid.points.tolist()
     groups = np.split(outcomes, np.cumsum(sizes)[:-1])
+    mass = densities(counts, config.bandwidth, grid, config.kernel)
     for row, spread_outcomes, spread_mass in zip(profile, groups, mass.tolist()):
         tag = _spread_tag(row["spread"])
         values, value_counts = np.unique(spread_outcomes, return_counts=True)

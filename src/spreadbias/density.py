@@ -5,6 +5,11 @@ every integer grid point, and renormalizes over the grid, so each estimate
 is an exact probability vector despite kernel tails falling outside the
 grid bounds. Margins are integers, which lets the kernel sum be computed
 as a (grid x grid) weight matrix applied to the margin histogram.
+
+A fit reads only a density's mass at or below its spread: a ratio of two
+dot products with the histogram (``cover_sums``), so it never builds the
+density. Weights come from ``math.exp`` and products from ``np.einsum``,
+not BLAS or ``np.exp``, whose bits change with the CPU.
 """
 
 from __future__ import annotations
@@ -57,16 +62,33 @@ class OutcomeDensity:
 
 @lru_cache(maxsize=32)
 def _kernel_matrix(lo: int, hi: int, bandwidth: float, kernel: str) -> np.ndarray:
-    """Weight of a kernel centered at column value, evaluated at row value."""
-    points = np.arange(lo, hi + 1, dtype=np.float64)
-    delta = np.abs(points[:, None] - points[None, :])
+    """Weight of a kernel centered at column value, evaluated at row value:
+    one weight per distance. Raises ValueError for a bandwidth that is not
+    positive and finite, or an unknown kernel."""
+    if not 0 < bandwidth < math.inf:
+        raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
+    distances = range(hi - lo + 1)
     if kernel == "gaussian":
-        return np.exp(-0.5 * (delta / bandwidth) ** 2)
-    if kernel == "boxcar":
-        return (delta <= bandwidth).astype(np.float64)
-    if kernel == "triangular":
-        return np.maximum(0.0, 1.0 - delta / bandwidth)
-    raise ValueError(f"unknown kernel {kernel!r}; expected one of {KERNELS}")
+        weights = [math.exp(-0.5 * (d / bandwidth) ** 2) for d in distances]
+    elif kernel == "boxcar":
+        weights = [float(d <= bandwidth) for d in distances]
+    elif kernel == "triangular":
+        weights = [max(0.0, 1.0 - d / bandwidth) for d in distances]
+    else:
+        raise ValueError(f"unknown kernel {kernel!r}; expected one of {KERNELS}")
+    return np.array(weights)[np.abs(np.subtract.outer(distances, distances))]
+
+
+@lru_cache(maxsize=32)
+def _cover_tables(lo: int, hi: int, bandwidth: float, kernel: str, spreads: tuple) -> np.ndarray:
+    """The (spreads x 2 x grid) table of ``cover_sums``: for a game at each
+    grid outcome, its kernel's mass at grid points <= each spread (A_s), and
+    its whole mass (T). Both are rows of one sequential cumulative sum of
+    the kernel matrix down its grid axis, so A_s <= T entry by entry."""
+    cumulative = np.cumsum(_kernel_matrix(lo, hi, bandwidth, kernel), axis=0)
+    idx = np.searchsorted(np.arange(lo, hi + 1), spreads, side="right")
+    below = np.where(idx[:, None] > 0, cumulative[idx - 1], 0.0)
+    return np.stack([below, np.broadcast_to(cumulative[-1], below.shape)], axis=1)
 
 
 def outcome_counts(outcomes, grid: OutcomeGrid, rows=0, n_rows: int = 1) -> np.ndarray:
@@ -80,21 +102,37 @@ def outcome_counts(outcomes, grid: OutcomeGrid, rows=0, n_rows: int = 1) -> np.n
     return np.bincount(flat.ravel(), minlength=n_rows * width).reshape(n_rows, width)
 
 
+def cover_sums(
+    counts: np.ndarray, spreads, bandwidth: float, grid: OutcomeGrid, kernel: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Numerator and denominator of the home cover probability of each row
+    of a (... x spreads x grid) block of outcome counts at its spread: for
+    a row c at spread s, A_s . c and T . c (``_cover_tables``), both from
+    one ``np.einsum``, so they sum in the same order. As A_s <= T entry by
+    entry and rounding is monotone, the numerator never exceeds the
+    denominator, and equals it when the whole density lies at or below s.
+    Raises ValueError for a bandwidth that is not positive and finite, or
+    an all-zero row.
+    """
+    spreads = tuple(np.asarray(spreads, dtype=np.float64).tolist())
+    tables = _cover_tables(grid.lo, grid.hi, float(bandwidth), kernel, spreads)
+    sums = np.einsum("...sg,sog->o...s", np.asarray(counts, dtype=np.float64), tables)
+    if not sums[1].all():
+        raise ValueError("cannot estimate a density from zero outcomes")
+    return sums[0], sums[1]
+
+
 def densities(
     counts: np.ndarray, bandwidth: float, grid: OutcomeGrid, kernel: str
 ) -> np.ndarray:
     """Kernel density estimates from a (... x rows x grid) array of outcome
     counts, one per row along the last axis.
 
-    All rows are smoothed by one stacked product, which numpy's matmul
-    runs as one kernel-matrix-vector product per row: a single
-    matrix-matrix product over all rows sums in a different order and
-    drifts in the last bits, which would change reported values.
-    Raises ValueError for a bandwidth that is not positive and finite, or
-    an all-zero row.
+    Rows are smoothed by one ``np.einsum``, which sums each row in the
+    same order whatever its block, where a BLAS product's order varies
+    with the block's shape and the CPU. Raises ValueError for a bandwidth
+    that is not positive and finite, or an all-zero row.
     """
-    if not 0 < bandwidth < math.inf:
-        raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
     weights = _kernel_matrix(grid.lo, grid.hi, float(bandwidth), kernel)
     counts = np.array(counts, dtype=np.float64)  # a copy: a block is divided in place
     n = counts.sum(axis=-1, keepdims=True)
@@ -103,7 +141,7 @@ def densities(
     # Relative frequencies keep the estimate exactly invariant to
     # duplicating the whole sample (n identical points == one point).
     counts /= n
-    smoothed = (weights @ counts[..., None])[..., 0]
+    smoothed = np.einsum("ij,...j->...i", weights, counts)
     smoothed /= smoothed.sum(axis=-1, keepdims=True)
     return smoothed
 

@@ -375,10 +375,9 @@ def _backtest(config: FitConfig, spreads: np.ndarray, splits: Iterable[_Split]) 
     blocks = []
     ranked_total = 0
     for split in splits:
-        # The block's densities are not kept: a block of many splits is large.
         p_home, entropy = profile_arrays(
             split.train, spreads, config.bandwidth, grid, config.kernel
-        )[1:]
+        )
         order, k = rank_spreads(entropy, spreads, config.entropy_threshold)
         test_spreads = spreads[split.rows]
         # Max-Prob backs the Visitor only on a strict edge; ties go Home.

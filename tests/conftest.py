@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import functools
 import gc
 import io
 import math
@@ -22,8 +23,6 @@ from spreadbias import (
     SpreadBias,
     binary_entropy,
     deduplicate,
-    estimate_density,
-    home_cover_probability,
     parse_games,
 )
 
@@ -159,14 +158,50 @@ def reference_buckets(records, min_samples: int) -> list[tuple[float, list[int]]
             if len(outcomes) >= min_samples]
 
 
+@functools.lru_cache(maxsize=None)
+def reference_cover_tables(spread, bandwidth, grid, kernel) -> tuple[tuple, tuple]:
+    """For a game at each grid outcome, its kernel mass at grid points <=
+    ``spread`` (A_s) and in all (T): sequential sums of pure-Python kernel
+    weights, point by point along the grid."""
+    def weight(distance):
+        if kernel == "gaussian":
+            return math.exp(-0.5 * (distance / bandwidth) ** 2)
+        if kernel == "boxcar":
+            return float(distance <= bandwidth)
+        return max(0.0, 1.0 - distance / bandwidth)
+
+    points = range(grid.lo, grid.hi + 1)
+    below, total = [], []
+    for center in points:
+        mass_below = mass = 0.0
+        for point in points:
+            mass += weight(abs(point - center))
+            if point <= spread:
+                mass_below = mass
+        below.append(mass_below)
+        total.append(mass)
+    return tuple(below), tuple(total)
+
+
+def reference_cover_sums(outcomes, spread, bandwidth, grid, kernel) -> tuple[float, float]:
+    """Reference for ``cover_sums`` on one bucket: ``reference_cover_tables``
+    dotted with the bucket's clamped outcome counts in a one-row ``np.einsum``."""
+    counts = [0] * len(grid)
+    for outcome in outcomes:
+        counts[min(max(outcome, grid.lo), grid.hi) - grid.lo] += 1
+    tables = np.array(reference_cover_tables(spread, bandwidth, grid, kernel))
+    num, den = np.einsum("g,og->o", np.array(counts, dtype=np.float64), tables)
+    return float(num), float(den)
+
+
 def scalar_profile(buckets, bandwidth, grid, threshold, kernel) -> BiasProfile:
     """Reference for the fit that ``profile_arrays`` makes from one count
     block: each ``(spread, outcomes)`` bucket, in the order given, through
-    the scalar wrappers, with cover probabilities capped at 1.0."""
+    ``reference_cover_sums``, with no cap on the cover probability."""
     entries = []
     for spread, outcomes in buckets:
-        density = estimate_density(outcomes, bandwidth, grid, kernel)
-        p_home = min(home_cover_probability(density, spread), 1.0)
+        num, den = reference_cover_sums(outcomes, spread, bandwidth, grid, kernel)
+        p_home = num / den
         entries.append(
             SpreadBias(spread, p_home, 1.0 - p_home, binary_entropy(p_home), len(outcomes))
         )

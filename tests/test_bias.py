@@ -20,7 +20,7 @@ from spreadbias import (
     rank_spreads,
 )
 from spreadbias.bias import profile_arrays
-from spreadbias.density import outcome_counts
+from spreadbias.density import OutcomeDensity, cover_sums, densities, outcome_counts
 from conftest import reference_ranking, scalar_profile
 
 
@@ -66,20 +66,25 @@ class TestBinaryEntropy:
 def block_fit(buckets, bandwidth=4.0, grid=OutcomeGrid(), kernel="gaussian"):
     """``profile_arrays`` over one ``outcome_counts`` block of ``(spread,
     outcomes)`` buckets, one row each in the order given."""
+    return profile_arrays(bucket_counts(buckets, grid), [s for s, _ in buckets],
+                          bandwidth, grid, kernel)
+
+
+def bucket_counts(buckets, grid):
+    """The ``outcome_counts`` block of ``(spread, outcomes)`` buckets."""
     outcomes = [v for _, group in buckets for v in group]
     rows = [j for j, (_, group) in enumerate(buckets) for _ in group]
-    counts = outcome_counts(outcomes, grid, rows, len(buckets))
-    return profile_arrays(counts, np.array([s for s, _ in buckets]), bandwidth, grid, kernel)
+    return outcome_counts(outcomes, grid, rows, len(buckets))
 
 
 class TestProfileArrays:
     def test_entropy_is_exactly_that_of_the_cover_probability(self):
-        _, p_home, entropy = block_fit([(3.5, range(-6, 6)), (-2.5, range(-10, 2))])
+        p_home, entropy = block_fit([(3.5, range(-6, 6)), (-2.5, range(-10, 2))])
         assert entropy.tolist() == [binary_entropy(p) for p in p_home.tolist()]
 
     def test_one_sided_bucket_is_near_certain(self):
         # Outcomes far below the spread: the home side all but surely covers.
-        _, (p_home,), (entropy,) = block_fit([(-2.5, range(-30, -20))])
+        (p_home,), (entropy,) = block_fit([(-2.5, range(-30, -20))])
         assert p_home > 0.999
         assert entropy < 0.01
 
@@ -88,7 +93,7 @@ class TestProfileArrays:
         outcomes = []
         for v in (-3, -4, -8, -13):
             outcomes += [v, -5 - v]
-        _, (p_home,), (entropy,) = block_fit([(-2.5, outcomes)])
+        (p_home,), (entropy,) = block_fit([(-2.5, outcomes)])
         assert p_home == pytest.approx(0.5, abs=1e-9)
         assert entropy == pytest.approx(1.0, abs=1e-9)
 
@@ -101,12 +106,19 @@ class TestProfileArrays:
             (spread, rng.integers(-30, 31, size=int(rng.integers(1, 40))).tolist())
             for spread in (6.5, -14.0, -3.0, 0.0, 2.5, 10.0, 45.5)
         ]
-        mass, p_home, entropy = block_fit(buckets, bandwidth, grid, kernel)
+        p_home, entropy = block_fit(buckets, bandwidth, grid, kernel)
         expected = scalar_profile(buckets, bandwidth, grid, 0.95, kernel).entries
         assert p_home.tolist() == [e.p_home for e in expected]
         assert entropy.tolist() == [e.entropy_bits for e in expected]
-        for row, (_, outcomes) in zip(mass, buckets):
-            assert row.tolist() == estimate_density(outcomes, bandwidth, grid, kernel).mass.tolist()
+        mass = densities(bucket_counts(buckets, grid), bandwidth, grid, kernel)
+        prefix_sums = []
+        for row, (spread, outcomes) in zip(mass, buckets):
+            density = estimate_density(outcomes, bandwidth, grid, kernel)
+            assert row.tolist() == density.mass.tolist()
+            prefix_sums.append(home_cover_probability(density, spread))
+        # The fit is the density's mass at or below the spread, computed
+        # without the density: the two agree to within rounding.
+        assert np.abs(p_home - prefix_sums).max() <= 1e-14
 
         # A (splits x spreads x grid) block, each split a different draw of
         # every spread's games, fits as each split does on its own.
@@ -121,12 +133,55 @@ class TestProfileArrays:
             for got, want in zip(stacked, profile_arrays(counts, spreads, bandwidth, grid, kernel)):
                 assert got[i].tobytes() == want.tobytes()
 
-    def test_cover_probability_rounding_past_one_is_capped(self):
-        # The prefix sum of this boxcar density at 7.5 rounds to just above 1.
+    @given(
+        st.sampled_from(KERNELS),
+        st.floats(0.1, 50.0),
+        st.sampled_from([OutcomeGrid(), OutcomeGrid(-10, 10), OutcomeGrid(0, 1)]),
+        st.lists(st.integers(-96, 96), min_size=1, max_size=8, unique=True),
+        st.integers(1, 6),
+        st.floats(0.0, 1.0),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_fit_lies_in_unit_interval_and_block_equals_each_split(
+        self, kernel, bandwidth, grid, half_points, n_splits, fill, seed
+    ):
+        # Spreads below, inside and at or above the grid; sparse and dense
+        # count rows, some with one game.
+        spreads = [h / 2 for h in half_points]
+        rng = np.random.default_rng(seed)
+        shape = (n_splits, len(spreads), len(grid))
+        block = rng.integers(0, 6, shape) * (rng.random(shape) < fill)
+        block[..., 0][~block.any(axis=-1)] = 1
+        p_home, entropy = profile_arrays(block, spreads, bandwidth, grid, kernel)
+        assert np.all((0.0 <= p_home) & (p_home <= 1.0))
+        for i, counts in enumerate(block):
+            alone = profile_arrays(counts, spreads, bandwidth, grid, kernel)
+            assert p_home[i].tobytes() == alone[0].tobytes()
+            assert entropy[i].tobytes() == alone[1].tobytes()
+
+    def test_block_of_many_splits_equals_each_split_bit_for_bit(self):
+        # A TI-sized block, larger than numpy's iterator buffer, sums each
+        # row as it does alone.
+        grid = OutcomeGrid()
+        spreads = np.arange(-15.0, 16.0)
+        rng = np.random.default_rng(21)
+        block = rng.integers(0, 4, size=(256, len(spreads), len(grid)))
+        num, den = cover_sums(block, spreads, 4.0, grid, "gaussian")
+        for i in range(0, 256, 15):
+            alone = cover_sums(block[i], spreads, 4.0, grid, "gaussian")
+            assert (num[i].tobytes(), den[i].tobytes()) == (alone[0].tobytes(), alone[1].tobytes())
+
+    def test_certain_cover_is_exactly_one_without_a_cap(self):
+        # A prefix sum over a mass row that sums to 1 can round past 1.
+        density = OutcomeDensity(OutcomeGrid(0, 3), np.array([0.2, 0.4, 0.3, 0.1]))
+        assert home_cover_probability(density, 3.0) == 1.0000000000000002
+        # The fit does not sum a density: this boxcar density lies wholly at
+        # or below 7.5, so the numerator equals the denominator.
         outcomes = [-12 + i % 13 for i in range(30)]
-        density = estimate_density(outcomes, 3.0, kernel="boxcar")
-        assert home_cover_probability(density, 7.5) == 1.0000000000000002
-        _, p_home, entropy = block_fit([(7.5, outcomes)], 3.0, kernel="boxcar")
+        grid = OutcomeGrid()
+        num, den = cover_sums(outcome_counts(outcomes, grid), [7.5], 3.0, grid, "boxcar")
+        assert num.tolist() == den.tolist()
+        p_home, entropy = block_fit([(7.5, outcomes)], 3.0, kernel="boxcar")
         assert (p_home.tolist(), entropy.tolist()) == ([1.0], [0.0])
 
     def test_empty_row_rejected(self):

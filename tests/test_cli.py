@@ -449,8 +449,9 @@ class TestBacktestTd:
 
 
 class TestCoverProbabilityRoundingPastOne:
-    """A boxcar density whose prefix sum at 7.5 rounds to 1.0000000000000002
-    (every margin at most 0) is capped at 1.0 instead of failing."""
+    """A boxcar density that lies wholly at or below 7.5 (every margin at most
+    0, bandwidth 3) fits a cover probability of exactly 1.0 and entropy 0.0,
+    in every split, whatever rounding a prefix sum of its mass would give."""
 
     FLAGS = ["--kernel", "boxcar", "--bandwidth", "3", "--min-samples", "25",
              "--holdout", "5", "--simulations", "20"]
@@ -468,13 +469,7 @@ class TestCoverProbabilityRoundingPastOne:
         code = main([command, "--input", str(games), "--out-dir", str(out_dir), *self.FLAGS])
         assert code == 0
         (row,) = read_csv_rows(out_dir / "profile.csv")
-        assert (row["spread"], row["p_home"]) == ("7.5", "1.0")
-        if command == "simulate-ti":
-            # Some holdouts leave a prefix sum of 0.9999999999999999, whose
-            # entropy is about 1e-15 bits; the mean keeps it.
-            assert float(row["entropy_bits"]) < 1e-12
-        else:
-            assert row["entropy_bits"] == "0.0"
+        assert (row["spread"], row["p_home"], row["entropy_bits"]) == ("7.5", "1.0", "0.0")
 
 
 class TestConfigFile:

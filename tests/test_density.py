@@ -87,7 +87,7 @@ class TestEstimateDensity:
         weights = _kernel_matrix(grid.lo, grid.hi, bandwidth, kernel)
         expected = np.empty(counts.shape)
         for out, row in zip(expected, counts.astype(np.float64)):
-            smoothed = weights @ (row / row.sum())
+            smoothed = np.einsum("ij,j->i", weights, row / row.sum())
             out[:] = smoothed / smoothed.sum()
         assert densities(counts, bandwidth, grid, kernel).tobytes() == expected.tobytes()
 

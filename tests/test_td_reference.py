@@ -127,7 +127,8 @@ def td_dataset() -> Dataset:
     half-point spreads with margins that push and run off a narrow grid;
     two spreads lean so the entropy strategies have picks. Test games at
     9.5 have no training spread and are dropped. The 7.5 training margins
-    (-12..0) make a boxcar density of bandwidth 3 sum past 1 at 7.5."""
+    (-12..0) make a boxcar density of bandwidth 3 that lies wholly at or
+    below 7.5, a certain cover."""
     rng = np.random.default_rng(2025)
     lean = {-3.0: -5.0, 6.5: 4.0}
     records = []
@@ -144,7 +145,7 @@ def td_dataset() -> Dataset:
 
 CASES = {
     "gaussian": {},
-    "boxcar-capped-cover": {"kernel": "boxcar", "bandwidth": 3.0},
+    "boxcar-certain-cover": {"kernel": "boxcar", "bandwidth": 3.0},
     "triangular": {"kernel": "triangular", "bandwidth": 2.5},
     "clamping-grid": {"grid_lo": -10, "grid_hi": 10},
     "threshold-0": {"entropy_threshold": 0.0},
@@ -164,7 +165,7 @@ def test_run_td_equals_scalar_reference(overrides):
     assert run_td(dataset, config).to_dict() == expected
 
 
-def test_reference_dataset_exercises_pushes_clamping_and_capping():
+def test_reference_dataset_exercises_pushes_clamping_and_a_certain_cover():
     dataset = td_dataset()
     assert any(r.outcome == r.spread for r in dataset if r.date.year == 2017)
     outcomes = [r.outcome for r in dataset]
