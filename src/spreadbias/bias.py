@@ -68,12 +68,23 @@ def profile_arrays(
     Each cover probability is the ratio of its ``cover_sums``, whose
     numerator never exceeds its denominator, so it lies in [0, 1] without
     a cap, and is exactly 1.0 when the whole density lies at or below the
-    spread.
+    spread. Each entropy is ``binary_entropy``'s, bit for bit (``_entropies``).
     """
     num, den = cover_sums(counts, spreads, bandwidth, grid, kernel)
     p_home = num / den
-    entropy = np.array([binary_entropy(p) for p in p_home.ravel().tolist()])
-    return p_home, entropy.reshape(p_home.shape)
+    return p_home, _entropies(p_home)
+
+
+def _entropies(p: np.ndarray) -> np.ndarray:
+    """``binary_entropy`` of each of ``p``, by its operations in its order: ``math.log2`` (not
+    ``np.log2``, which rounds differently) maps p and 1 - p, 1.0 for a zero term (product 0.0)."""
+    bad = p[~((0.0 <= p) & (p <= 1.0))]  # NaN too
+    if bad.size:
+        raise ValueError(f"probability must lie in [0, 1], got {bad[0]}")
+    terms = np.stack([p, 1.0 - p])
+    logs = map(math.log2, np.where(terms > 0.0, terms, 1.0).ravel().tolist())
+    terms *= np.fromiter(logs, np.float64, terms.size).reshape(terms.shape)
+    return (0.0 - terms[0]) - terms[1]
 
 
 def rank_spreads(entropy, spreads, threshold: float) -> tuple[np.ndarray, int | np.ndarray]:

@@ -7,18 +7,18 @@ games, each step one array pass over a whole block (``_backtest``). The
 per-split results are then reduced, once, to each strategy's mean and SEM
 win percentage and pooled counts (``_report``). The temporally-independent
 (TI) harness ignores game dates and makes N splits, each holding out a
-fixed number of outcomes per valid spread, in blocks of about 1,024
-stream keys. The temporally-dependent (TD) harness is the one-split
-block: it splits once by date, fits on the past, wagers on the future,
-and also sweeps the k-lowest-entropy strategy over every k. Both group,
-split and count games in array passes over the dataset's columns. The
-count block of all games at the valid spreads (``_grouped_counts``),
-which TI's splits start from, is also the one the ``profile`` command fits.
+fixed number of outcomes per valid spread, drawn about 2**16 entries and
+fitted about 1,024 (simulation, spread) pairs at a time. The temporally-
+dependent (TD) harness is the one-split block: it splits once by date, fits
+on the past, wagers on the future, and also sweeps the k-lowest-entropy
+strategy over every k. Both group, split and count games in array passes
+over the dataset's columns. The count block of all games at the valid spreads
+(``_grouped_counts``), which TI's splits start from, is the one ``profile`` fits.
 
 All randomness derives from ``default_rng(SeedSequence(key))`` streams keyed
 on the config seed, so a run is reproducible bit for bit and TI simulations
 could be evaluated in any order (results are reduced in simulation-index order
-regardless). A block of simulations hashes its keys and draws its holdouts at once.
+regardless). A draw block hashes its keys and draws its holdouts and coin flips at once.
 """
 
 from __future__ import annotations
@@ -33,12 +33,7 @@ import numpy as np
 from .bias import DEFAULT_ENTROPY_THRESHOLD, profile_arrays, rank_spreads
 from .data import Dataset, by_spread, spread_groups
 from .density import (
-    DEFAULT_BANDWIDTH,
-    DEFAULT_GRID_HI,
-    DEFAULT_GRID_LO,
-    KERNELS,
-    OutcomeGrid,
-    outcome_counts,
+    DEFAULT_BANDWIDTH, DEFAULT_GRID_HI, DEFAULT_GRID_LO, KERNELS, OutcomeGrid, outcome_counts,
 )
 from .models import MODEL_K_LOWEST, MODEL_MIN_ENTROPY, MODEL_NAMES, settle_ats
 
@@ -48,9 +43,9 @@ _HOLDOUT_STREAM = 0
 _GUESS_STREAM = 1
 
 
-#: About how many stream keys ``_holdout_splits`` hashes, and so how many
-#: (simulation, spread) fits ``_backtest`` makes, at a time.
-_HASH_BLOCK = 1024
+#: About how many (simulations x valid spreads x holdout) entries ``_holdout_splits`` draws,
+#: and how many (simulation, spread) fits ``_backtest`` makes, at a time.
+_DRAW_ENTRIES, _FIT_KEYS = 2**16, 1024
 
 # numpy's SeedSequence hash (bit_generator.pyx), fixed under NEP 19.
 _MASK32 = 0xFFFFFFFF
@@ -227,10 +222,8 @@ class FitConfig:
         spreads, index = spread_groups(dataset, self.min_samples, counted)
         off_grid = spreads[~((self.grid_lo <= spreads) & (spreads < self.grid_hi))]
         if off_grid.size:
-            raise ValueError(
-                f"spread {off_grid[0]:g} lies outside the outcome grid "
-                f"[{self.grid_lo}, {self.grid_hi})"
-            )
+            raise ValueError(f"spread {off_grid[0]:g} lies outside the outcome grid "
+                             f"[{self.grid_lo}, {self.grid_hi})")
         return spreads, index
 
 
@@ -244,10 +237,8 @@ class TiConfig(FitConfig):
     def __post_init__(self):
         super().__post_init__()
         if self.min_samples - self.holdout_per_spread < 1:
-            raise ValueError(
-                "min_samples must exceed holdout_per_spread so each valid "
-                "spread keeps at least one training sample"
-            )
+            raise ValueError("min_samples must exceed holdout_per_spread so each valid "
+                             "spread keeps at least one training sample")
 
 
 @dataclass(frozen=True)
@@ -413,11 +404,10 @@ def _report(
         models.append(ModelSummary(name, pct, sem, int(n_settled.sum()), int(n_pushes.sum()),
                                    int(n_wins.sum()), model_k.get(name)))
 
-    p_home, entropy = (np.ascontiguousarray(a.T) for a in (results.p_home, results.entropy))
-    profile = tuple(
-        {"spread": s, "p_home": float(np.mean(p)), "entropy_bits": float(np.mean(h)), "n_train": n}
-        for s, p, h, n in zip(spreads.tolist(), p_home, entropy, results.n_train.tolist())
-    )
+    # Each spread's mean over the splits, as np.mean of its contiguous row alone sums it.
+    means = [np.ascontiguousarray(a.T).mean(axis=-1).tolist() for a in (results.p_home, results.entropy)]
+    profile = tuple({"spread": s, "p_home": p, "entropy_bits": h, "n_train": n}
+                    for s, p, h, n in zip(spreads.tolist(), *means, results.n_train.tolist()))
     selections = np.count_nonzero(results.selected, axis=0).tolist()
     return EvaluationReport(
         protocol=protocol,
@@ -441,29 +431,31 @@ def _grouped_counts(
 
 
 def _holdout_splits(dataset: Dataset, index: np.ndarray, config: TiConfig) -> Iterator[_Split]:
-    """TI's splits, one block per hash block of simulations: the holdouts drawn from each
-    valid spread's games in input order are a simulation's test games, and the full counts
-    minus theirs its training block."""
+    """TI's splits, in fit blocks cut from each draw block of simulations: the holdouts
+    drawn from each valid spread's games in input order are a simulation's test games,
+    and the full counts minus theirs its training block."""
     grid = config.grid()
     holdout = config.holdout_per_spread
     outcomes, sizes, full_counts = _grouped_counts(dataset, index, grid)
     n = len(sizes)
     starts = np.cumsum(sizes) - sizes
     rows = np.repeat(np.arange(n), holdout)
-    block = max(1, _HASH_BLOCK // (n + 1))
-    for first in range(0, config.n_simulations, block):
-        sims = np.arange(first, min(first + block, config.n_simulations))
+    draw_block = max(1, _DRAW_ENTRIES // (n * holdout))
+    fit_block = max(1, _FIT_KEYS // (n + 1))
+    for first in range(0, config.n_simulations, draw_block):
+        sims = np.arange(first, min(first + draw_block, config.n_simulations))
         words = _seed_words(config.seed, _HOLDOUT_STREAM, sims[:, None], np.arange(n))
-        picks = _holdout_picks(words, np.tile(sizes, len(sims)), holdout)
+        picks = _holdout_picks(words, np.tile(sizes, len(sims)), holdout).reshape(len(sims), n, -1)
         # Holdouts in spread-then-holdout order: the order their coin flips are drawn in.
-        picks = picks.reshape(len(sims), n, holdout) + starts[:, None]
-        tests = outcomes[picks].reshape(len(sims), -1)
-        del words, picks  # so neither is held while _backtest fits the block
+        tests = outcomes[picks + starts[:, None]].reshape(len(sims), -1)
+        del words, picks  # so neither is held while _backtest fits the blocks
         flips = np.array([g.random(len(rows)) for g in _streams(config.seed, _GUESS_STREAM, sims)])
-        held = outcome_counts(tests, grid, n * np.arange(len(sims))[:, None] + rows, len(sims) * n)
-        held = held.reshape(len(sims), n, -1)
-        # The training block overwrites the holdouts' counts: a block of many splits is large.
-        yield _Split(np.subtract(full_counts, held, out=held), rows, tests, flips)
+        for cut in range(0, len(sims), fit_block):
+            test, flip = tests[cut:cut + fit_block], flips[cut:cut + fit_block]
+            held = outcome_counts(test, grid, n * np.arange(len(test))[:, None] + rows, len(test) * n)
+            held = held.reshape(len(test), n, -1)
+            # The training block overwrites the holdouts' counts: a block of many splits is large.
+            yield _Split(np.subtract(full_counts, held, out=held), rows, test, flip)
 
 
 def run_ti(dataset: Dataset, config: TiConfig) -> EvaluationReport:
@@ -480,15 +472,13 @@ def run_ti(dataset: Dataset, config: TiConfig) -> EvaluationReport:
     # spread keeps at least one training outcome.
     spreads, index = config.valid_spreads(dataset)
     if not spreads.size:
-        raise ValueError(
-            f"no spread has at least min_samples={config.min_samples} outcomes"
-        )
+        raise ValueError(f"no spread has at least min_samples={config.min_samples} outcomes")
     results = _backtest(config, spreads, _holdout_splits(dataset, index, config))
     report = _report("ti", config, spreads, results)
-    return replace(report, profile=tuple(
-        {**row, "entropy_sd": float(np.std(h, ddof=1)) if len(h) > 1 else None}
-        for row, h in zip(report.profile, np.ascontiguousarray(results.entropy.T))
-    ))
+    entropy = np.ascontiguousarray(results.entropy.T)
+    sds = entropy.std(axis=-1, ddof=1).tolist() if config.n_simulations > 1 else [None] * len(spreads)
+    return replace(report, profile=tuple({**row, "entropy_sd": sd}
+                                         for row, sd in zip(report.profile, sds)))
 
 
 def _sweep_rows(ranked: np.ndarray, k_threshold: int) -> list[dict]:
@@ -515,9 +505,7 @@ def run_td(dataset: Dataset, config: TdConfig) -> EvaluationReport:
 
     spreads, index = config.valid_spreads(dataset, ~test)
     if not spreads.size:
-        raise ValueError(
-            f"no training spread has at least min_samples={config.min_samples} outcomes"
-        )
+        raise ValueError(f"no training spread has at least min_samples={config.min_samples} outcomes")
     train = ~test & (index >= 0)
     counts = outcome_counts(dataset.outcome[train], config.grid(), index[train], len(spreads))
     # Test games in coin-flip order: by spread, then key (date, home, visitor), then input order.

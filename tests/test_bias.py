@@ -19,7 +19,7 @@ from spreadbias import (
     min_entropy_spread,
     rank_spreads,
 )
-from spreadbias.bias import profile_arrays
+from spreadbias.bias import _entropies, profile_arrays
 from spreadbias.density import OutcomeDensity, cover_sums, densities, outcome_counts
 from conftest import reference_ranking, scalar_profile
 
@@ -81,6 +81,21 @@ class TestProfileArrays:
     def test_entropy_is_exactly_that_of_the_cover_probability(self):
         p_home, entropy = block_fit([(3.5, range(-6, 6)), (-2.5, range(-10, 2))])
         assert entropy.tolist() == [binary_entropy(p) for p in p_home.tolist()]
+
+    def test_block_entropy_is_binary_entropy_bit_for_bit(self):
+        # np.log2 rounds differently from math.log2 on some of these p.
+        edges = [0.0, 1.0, 0.5, 5e-324, 2.0**-1022, 2.0**-53, 1.0 - 2.0**-53]
+        p = np.concatenate([edges, np.random.default_rng(3).random(10_003)])
+        expected = np.array([binary_entropy(q) for q in p.tolist()])
+        assert _entropies(p).tobytes() == expected.tobytes()
+        assert _entropies(p.reshape(-1, 7)).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("bad", [-0.01, -5e-324, 1.0 + 2.0**-52, 2.0, float("nan")])
+    def test_block_entropy_domain_errors(self, bad):
+        with pytest.raises(ValueError, match="must lie in"):
+            binary_entropy(bad)
+        with pytest.raises(ValueError, match="must lie in"):
+            _entropies(np.array([[0.5, 0.25], [bad, 1.0]]))
 
     def test_one_sided_bucket_is_near_certain(self):
         # Outcomes far below the spread: the home side all but surely covers.

@@ -379,46 +379,71 @@ class TestStreams:
         with pytest.raises(ValueError, match="one 32-bit word"):
             next(harness._streams(0, 0, np.array([0, 2**32])))
 
-    @pytest.mark.parametrize("block", [1, 20, 10**9], ids=["one-simulation", "two-simulations",
-                                                           "every-key"])
-    def test_run_ti_does_not_depend_on_the_hash_block(self, monkeypatch, block):
-        # 6 spreads make 7 keys a simulation; 13 simulations leave a partial block.
+    @pytest.mark.parametrize("draw_entries,fit_keys", [
+        (1, 1), (60, 10**9), (300, 14), (300, 10**9), (10**9, 20), (10**9, 10**9),
+    ], ids=["one-simulation-draws-fit-one", "one-simulation-draws-fit-all",
+            "partial-draws-fit-two", "partial-draws-fit-all", "one-draw-fit-two", "one-draw-fit-all"])
+    def test_run_ti_does_not_depend_on_the_draw_or_fit_block(self, monkeypatch, draw_entries,
+                                                             fit_keys):
+        # 6 spreads with holdout 10 make 60 draw entries and 7 fit keys a simulation;
+        # 13 simulations leave a partial block of 5 draws, cut in fit blocks of 2.
         dataset = synthetic_spread_dataset(HALF_SPREADS, 30, cover_probs={-2.5: 0.9}, seed=8)
         config = TiConfig(n_simulations=13, seed=2**32 + 3)
         report = run_ti(dataset, config)
         expected = report.to_dict()
-        monkeypatch.setattr(harness, "_HASH_BLOCK", block)
+        monkeypatch.setattr(harness, "_DRAW_ENTRIES", draw_entries)
+        monkeypatch.setattr(harness, "_FIT_KEYS", fit_keys)
         blocked = run_ti(dataset, config)
         assert blocked.to_dict() == expected
         # Keyed in ascending spread order, whatever order the splits ran in.
         assert list(blocked.selection_counts) == list(report.selection_counts)
         assert list(blocked.selection_counts) == sorted(blocked.selection_counts)
 
-    @pytest.mark.parametrize("n_spreads,n_simulations", [(1, 3000), (6, 500), (40, 60)])
-    def test_no_block_holds_more_splits_than_a_hash_block(self, n_spreads, n_simulations):
-        # A block stacks its splits' (spreads x grid) training counts, so
-        # no run may build every simulation at once.
-        dataset = synthetic_spread_dataset([s + 0.5 for s in range(n_spreads)], 12, seed=4)
-        config = TiConfig(n_simulations=n_simulations, min_samples=12, holdout_per_spread=1)
+    @pytest.mark.parametrize("n_spreads,n_simulations,holdout", [
+        (1, 3000, 1), (6, 500, 1), (40, 60, 1), (40, 2000, 1), (2, 4, 40_000),
+    ])
+    def test_no_block_holds_more_splits_than_its_bound(self, monkeypatch, n_spreads,
+                                                      n_simulations, holdout):
+        # A fit block stacks its splits' (spreads x grid) training counts and a draw
+        # block its picks and coin flips, so no run may build every simulation at once.
+        # 40 x 2000 crosses draw blocks; a simulation of 2 x 40,000 entries exceeds one.
+        dataset = synthetic_spread_dataset([s + 0.5 for s in range(n_spreads)], holdout + 1,
+                                           seed=4)
+        config = TiConfig(n_simulations=n_simulations, min_samples=holdout + 1,
+                          holdout_per_spread=holdout)
         spreads, index = config.valid_spreads(dataset)
-        limit = max(1, harness._HASH_BLOCK // (len(spreads) + 1))
+        n = len(spreads)
+        draw_limit = max(1, harness._DRAW_ENTRIES // (n * holdout))
+        fit_limit = max(1, harness._FIT_KEYS // (n + 1))
+        drawn = []
+        picks = harness._holdout_picks
+
+        def checked_picks(words, sizes, holdout_per_key):
+            drawn.append(len(sizes) * holdout_per_key)
+            assert drawn[-1] <= max(harness._DRAW_ENTRIES, n * holdout)
+            return picks(words, sizes, holdout_per_key)
+
+        monkeypatch.setattr(harness, "_holdout_picks", checked_picks)
         sizes = []
         for split in harness._holdout_splits(dataset, index, config):
             sizes.append(len(split.train))
-            assert len(split.outcomes) == len(split.flips) == sizes[-1] <= limit
+            assert len(split.outcomes) == len(split.flips) == sizes[-1] <= min(fit_limit, draw_limit)
         assert sum(sizes) == n_simulations
+        assert sum(drawn) == n_simulations * n * holdout
+        assert len(drawn) == -(-n_simulations // draw_limit)
 
     def test_backtest_does_not_depend_on_how_splits_are_blocked(self, monkeypatch):
-        # Blocks of 5 simulations leave a partial block; the single-split
-        # blocks check the sweep TI reports drop, summed across blocks.
-        monkeypatch.setattr(harness, "_HASH_BLOCK", 40)
+        # Draw blocks of 7 simulations cut in fit blocks of 5 leave partial blocks;
+        # the single-split blocks check the sweep TI reports drop, summed across blocks.
+        monkeypatch.setattr(harness, "_DRAW_ENTRIES", 7 * 60)
+        monkeypatch.setattr(harness, "_FIT_KEYS", 40)
         dataset = synthetic_spread_dataset(
             HALF_SPREADS, 30, cover_probs={-2.5: 0.9, 1.5: 0.15}, seed=8
         )
         config = TiConfig(n_simulations=13, seed=5)
         spreads, index = config.valid_spreads(dataset)
         blocks = list(harness._holdout_splits(dataset, index, config))
-        assert [len(block.train) for block in blocks] == [5, 5, 3]
+        assert [len(block.train) for block in blocks] == [5, 2, 5, 1]
         singles = [
             harness._Split(block.train[i:i + 1], block.rows, block.outcomes[i:i + 1],
                            block.flips[i:i + 1])

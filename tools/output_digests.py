@@ -39,6 +39,7 @@ OPTION_SETS = (
     ("--holdout", "3", "--min-samples", "5"),
     ("--holdout", "101", "--min-samples", "102"),
     ("--simulations", "1"),
+    ("--simulations", "1000"),  # simulate-ti draws in two or more blocks on every CSV
     ("--kernel", "boxcar"),
 )
 
