@@ -3,22 +3,25 @@
 Both protocols run one evaluation step over blocks of train/test splits
 of the valid spreads: fit the bias profile on each split's training
 games, rank the spreads, and let every strategy wager on the split's test
-games, each step one array pass over a whole block (``_backtest``). The
-per-split results are then reduced, once, to each strategy's mean and SEM
-win percentage and pooled counts (``_report``). The temporally-independent
-(TI) harness ignores game dates and makes N splits, each holding out a
-fixed number of outcomes per valid spread, drawn about 2**16 entries and
-fitted about 1,024 (simulation, spread) pairs at a time. The temporally-
-dependent (TD) harness is the one-split block: it splits once by date, fits
-on the past, wagers on the future, and also sweeps the k-lowest-entropy
-strategy over every k. Both group, split and count games in array passes
-over the dataset's columns. The count block of all games at the valid spreads
+games, each step one array pass over a whole block (``_backtest``). Every
+wager is settled from one tally of Home covers, pushes and Visitor covers
+per (split, spread) (``models.settle_by_spread``). The per-split results
+are then reduced, once, to each strategy's mean and SEM win percentage and
+pooled counts (``_report``). The temporally-independent (TI) harness
+ignores game dates and makes N splits, each holding out a fixed number of
+outcomes per valid spread, drawn about 2**16 entries and fitted about 1,024
+(simulation, spread) pairs at a time. The temporally-dependent (TD) harness
+is the one-split block: it splits once by date, fits on the past, wagers on
+the future, and also sweeps the k-lowest-entropy strategy over every k.
+Both group, split and count games in array passes over the dataset's
+columns. The count block of all games at the valid spreads
 (``_grouped_counts``), which TI's splits start from, is the one ``profile`` fits.
 
 All randomness derives from ``default_rng(SeedSequence(key))`` streams keyed
 on the config seed, so a run is reproducible bit for bit and TI simulations
 could be evaluated in any order (results are reduced in simulation-index order
-regardless). A draw block hashes its keys and draws its holdouts and coin flips at once.
+regardless). A draw block hashes its (simulations x spreads) keys and draws its holdouts
+and coin flips at once, replaying ``choice``'s Floyd steps step-major (``_holdout_picks``).
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .data import Dataset, by_spread, spread_groups
 from .density import (
     DEFAULT_BANDWIDTH, DEFAULT_GRID_HI, DEFAULT_GRID_LO, KERNELS, OutcomeGrid, outcome_counts,
 )
-from .models import MODEL_K_LOWEST, MODEL_MIN_ENTROPY, MODEL_NAMES, settle_ats
+from .models import MODEL_K_LOWEST, MODEL_MIN_ENTROPY, MODEL_NAMES, settle_by_spread
 
 # Stream tags keep the holdout sampler and the coin-flip model on
 # non-overlapping deterministic substreams of the config seed.
@@ -123,9 +126,10 @@ _MULT_HI, _MULT_LO = np.array([[2549297995355413924], [4865540595714422341]], np
 
 
 def _uint32_draws(words: np.ndarray) -> Iterator[np.ndarray]:
-    """Each key's ``PCG64`` 32-bit draws, one column per step, seeded from its ``_seed_words``
-    row as ``pcg64_set_seed`` seeds: each XSL-RR output, low half first, as ``next_uint32``."""
-    inc_hi, inc_lo = words[:, 2] << _U1 | words[:, 3] >> _U63, words[:, 3] << _U1 | _U1
+    """Each key's ``PCG64`` 32-bit draws, one array of keys per step, seeded from its
+    ``_seed_words`` row (the last axis) as ``pcg64_set_seed`` seeds: each XSL-RR output,
+    low half first, as ``next_uint32``."""
+    inc_hi, inc_lo = words[..., 2] << _U1 | words[..., 3] >> _U63, words[..., 3] << _U1 | _U1
 
     def step(hi, lo):  # state * multiplier + inc; lo * _MULT_LO's high word by 32-bit limbs
         lo0, lo1, mult0, mult1 = lo & _LO32, lo >> _U32, _MULT_LO & _LO32, _MULT_LO >> _U32
@@ -136,7 +140,7 @@ def _uint32_draws(words: np.ndarray) -> Iterator[np.ndarray]:
         return hi * _MULT_LO + lo * _MULT_HI + carry + inc_hi + (new_lo < inc_lo), new_lo
 
     # Seeding steps from state 0 (to inc), adds the seed words (with carry), steps again.
-    hi, lo = step(inc_hi + words[:, 0] + (inc_lo + words[:, 1] < inc_lo), inc_lo + words[:, 1])
+    hi, lo = step(inc_hi + words[..., 0] + (inc_lo + words[..., 1] < inc_lo), inc_lo + words[..., 1])
     while True:
         hi, lo = step(hi, lo)
         xor, rot = hi ^ lo, hi >> _U58
@@ -151,26 +155,32 @@ _BATCH_MAX_HOLDOUT = 100
 
 
 def _holdout_picks(words: np.ndarray, sizes: np.ndarray, holdout: int) -> np.ndarray:
-    """``np.sort(_generator(w).choice(n, holdout, replace=False))`` for each key's row ``w``
-    of ``_seed_words`` and population ``n`` in ``sizes``. Keys of fewer than 2**32 games
-    replay ``choice``'s Floyd loop together, up to a holdout of ``_BATCH_MAX_HOLDOUT``: for
-    j = n - holdout ... n - 1, each takes its next 32-bit draw, Lemire-bounded on [0, j],
-    or j if that is picked already. A key leaves the replay at the first step where Lemire
-    would reject its draw or j < 1 (``choice`` takes no draw on [0, 0] and refuses n < holdout);
-    ``choice`` itself draws every key that leaves the replay or never enters it."""
-    picks = np.empty((len(sizes), holdout), np.uint64)
-    replay = (sizes < 2**32) & (holdout <= _BATCH_MAX_HOLDOUT)
+    """``np.sort(_generator(w).choice(n, holdout, replace=False))`` for each key's row ``w`` of
+    a (keys... x 4) block of ``_seed_words``, ``n`` its entry of ``sizes`` broadcast over the
+    keys (one size per spread of a simulations x spreads block). Keys of holdout < n < 2**32
+    games replay ``choice``'s Floyd loop together, up to a holdout of ``_BATCH_MAX_HOLDOUT``:
+    for j = n - holdout ... n - 1, each takes its next 32-bit draw, Lemire-bounded on [0, j], or
+    j if that is picked already. Picks are held step-major, so a step checks them along the
+    leading axis, with j, the bound and its rejection threshold computed per size. A key leaves
+    the replay at the first step where Lemire would reject its draw; ``choice`` itself draws
+    each key that leaves it or never enters it (n <= holdout: no draw on [0, 0], or refused)."""
+    picks = np.empty((holdout, *words.shape[:-1]), np.uint64)
+    replay = (holdout < sizes) & (sizes < 2**32) & (holdout <= _BATCH_MAX_HOLDOUT)
+    replay = np.broadcast_to(replay, picks.shape[1:]).copy()
     draws = _uint32_draws(words)
     for t in range(holdout if replay.any() else 0):
         j = np.maximum(sizes - (holdout - t), 0).astype(np.uint64)
         bound = j + _U1
         scaled = next(draws) * bound
         value = scaled >> _U32
-        replay &= (j > 0) & (scaled & _LO32 >= (_2POW32 - bound) % bound)
-        picks[:, t] = np.where((picks[:, :t] == value[:, None]).any(axis=1), j, value)
-    for i in np.flatnonzero(~replay):
+        replay &= scaled & _LO32 >= (_2POW32 - bound) % bound
+        picks[t] = np.where((picks[:t] == value).any(axis=0), j, value)
+    picks = np.moveaxis(picks, 0, -1).astype(np.int64, order="C")  # key-major, to sort each key
+    sizes = np.broadcast_to(sizes, replay.shape)
+    for i in zip(*np.nonzero(~replay)):
         picks[i] = _generator(words[i]).choice(sizes[i], holdout, replace=False)
-    return np.sort(picks).astype(np.int64)
+    picks.sort()
+    return picks
 
 
 #: The rule each config field must keep on its own, and the message that
@@ -293,21 +303,6 @@ class EvaluationReport:
         return out
 
 
-def _ranked_counts(results: np.ndarray, rows: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Loss/push/win counts of a (splits x test games) block of ``settle_ats``
-    results, each split's pooled over the first k spreads of its row of
-    ``order``: a (splits x (spreads + 1) x 3) block, one row for each k
-    from 0 to all spreads.
-
-    ``rows`` holds the spread index of each test game, shared by every split.
-    """
-    splits, n = order.shape
-    flat = 3 * (n * np.arange(splits)[:, None] + rows) + results + 1
-    counts = np.bincount(flat.ravel(), minlength=3 * n * splits).reshape(splits, n, 3)
-    ranked = np.cumsum(np.take_along_axis(counts, order[..., None], axis=1), axis=1)
-    return np.concatenate([np.zeros((splits, 1, 3), ranked.dtype), ranked], axis=1)
-
-
 def summarize(per_simulation_win_pcts: Sequence[float]) -> tuple[float, float | None]:
     """Mean and standard error of per-simulation win percentages.
 
@@ -329,7 +324,7 @@ class _Split(NamedTuple):
 
     train: np.ndarray     # (splits x spreads x grid) training outcome counts
     rows: np.ndarray      # spread index of each test game, in coin-flip order; shared by all splits
-    outcomes: np.ndarray  # (splits x test games) outcome of each test game
+    outcomes: np.ndarray  # (splits x test games) outcome of each test game, tallied by its spread
     flips: np.ndarray     # (splits x test games) uniform draws; below 0.5 backs the Visitor
 
 
@@ -342,7 +337,7 @@ class _SplitResults(NamedTuple):
     k: np.ndarray         # each split's threshold k
     counts: np.ndarray    # (splits x 4 x 3) loss/push/win counts of each of MODEL_NAMES
     selected: np.ndarray  # (splits x spreads) k-Lowest selection mask
-    ranked: np.ndarray    # ((spreads + 1) x 3) Max-Prob ``_ranked_counts``, summed over the splits
+    ranked: np.ndarray    # ((spreads + 1) x 3) Max-Prob counts over the k most biased, summed
     n_train: np.ndarray   # training games at each spread in the last split
 
     @property
@@ -356,11 +351,12 @@ def _backtest(config: FitConfig, spreads: np.ndarray, splits: Iterable[_Split]) 
 
     Each block takes one array pass per step along its splits axis and adds
     one tuple to one list: its splits' p_home, entropy, threshold k,
-    strategy counts and k-Lowest selection mask. Only the Max-Prob
-    ``_ranked_counts`` are summed as blocks come; the list is joined along
-    the splits axis once, at the end. Max-Prob wagers at every spread,
-    Min-Ent at the most biased one and k-Lowest at the split's threshold k
-    most biased. ``_report`` reduces the result.
+    strategy counts and k-Lowest selection mask. Only the Max-Prob counts
+    over each k most biased spreads are summed as blocks come; the list is
+    joined along the splits axis once, at the end. Max-Prob backs one side
+    at each (split, spread), so ``settle_by_spread`` counts its wagers there;
+    it wagers at every spread, Min-Ent at the most biased one and k-Lowest
+    at the split's threshold k most biased. ``_report`` reduces the result.
     """
     grid = config.grid()
     blocks = []
@@ -370,12 +366,12 @@ def _backtest(config: FitConfig, spreads: np.ndarray, splits: Iterable[_Split]) 
             split.train, spreads, config.bandwidth, grid, config.kernel
         )
         order, k = rank_spreads(entropy, spreads, config.entropy_threshold)
-        test_spreads = spreads[split.rows]
         # Max-Prob backs the Visitor only on a strict edge; ties go Home.
-        max_prob = (1.0 - p_home > p_home)[:, split.rows]
-        ranked = _ranked_counts(settle_ats(max_prob, split.outcomes, test_spreads), split.rows, order)
-        random_results = settle_ats(split.flips < 0.5, split.outcomes, test_spreads)
-        random_counts = _ranked_counts(random_results, split.rows, order)[:, -1]
+        sided, random_counts = settle_by_spread(
+            1.0 - p_home > p_home, split.flips, split.outcomes, split.rows, spreads)
+        # Pooled over the k most biased spreads, one row for each k from 0 to all spreads.
+        ranked = np.cumsum(np.take_along_axis(sided, order[..., None], axis=1), axis=1)
+        ranked = np.concatenate([np.zeros_like(ranked[:, :1]), ranked], axis=1)
         counts = np.stack([random_counts, ranked[:, -1], ranked[:, 1], ranked[np.arange(len(k)), k]], 1)
         # k-Lowest selects the spreads whose rank position is below the split's k.
         blocks.append((p_home, entropy, k, counts, np.argsort(order) < k[:, None]))
@@ -445,7 +441,7 @@ def _holdout_splits(dataset: Dataset, index: np.ndarray, config: TiConfig) -> It
     for first in range(0, config.n_simulations, draw_block):
         sims = np.arange(first, min(first + draw_block, config.n_simulations))
         words = _seed_words(config.seed, _HOLDOUT_STREAM, sims[:, None], np.arange(n))
-        picks = _holdout_picks(words, np.tile(sizes, len(sims)), holdout).reshape(len(sims), n, -1)
+        picks = _holdout_picks(words.reshape(len(sims), n, 4), sizes, holdout)
         # Holdouts in spread-then-holdout order: the order their coin flips are drawn in.
         tests = outcomes[picks + starts[:, None]].reshape(len(sims), -1)
         del words, picks  # so neither is held while _backtest fits the blocks

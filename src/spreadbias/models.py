@@ -2,9 +2,9 @@
 
 ``predict_random``, ``predict_max_prob`` and ``score_ats`` decide and
 settle one wager at a time; they are the scalar reference for the
-harnesses, which settle whole arrays with ``settle_ats``. Min-Ent and
-k-Lowest are Max-Prob restricted to the spreads ``bias.rank_spreads``
-selects.
+harnesses, which count whole blocks of splits' wagers per spread with
+``settle_by_spread``. Min-Ent and k-Lowest are Max-Prob restricted to the
+spreads ``bias.rank_spreads`` selects.
 """
 
 from __future__ import annotations
@@ -64,14 +64,18 @@ def score_ats(decision: Decision, outcome: int, spread: float) -> AtsResult:
     return AtsResult.WIN if decision is covering else AtsResult.LOSS
 
 
-def settle_ats(backs_visitor, outcomes, spreads) -> np.ndarray:
-    """Array form of ``score_ats``, element-wise over broadcast inputs.
-
-    ``backs_visitor`` is True where a wager backs the visitor and False
-    where it backs home. Returns 1 for a win, -1 for a loss and 0 for a
-    push.
-    """
-    outcomes = np.asarray(outcomes)
-    spreads = np.asarray(spreads)
-    won = (outcomes > spreads) == backs_visitor
-    return np.where(outcomes == spreads, 0, np.where(won, 1, -1))
+def settle_by_spread(backs_visitor, flips, outcomes, rows, spreads) -> tuple[np.ndarray, np.ndarray]:
+    """``score_ats``'s loss/push/win counts for a block of splits' test games: ``outcomes``
+    (splits x games), game g at spread ``spreads[rows[g]]`` in every split. Returns a (splits x
+    spreads x 3) block for one side at each (split, spread), the Visitor where ``backs_visitor``
+    holds and Home elsewhere, and a (splits x 3) block for each game's coin flip in ``flips``,
+    where a flip below 0.5 backs the Visitor."""
+    splits, n = backs_visitor.shape
+    # -1 where Home covers (the outcome is below the spread), 0 at a push, 1 where the Visitor
+    # covers: tallied per (split, spread), a Visitor wager's counts, and a Home wager's reversed.
+    cover = np.sign(outcomes - spreads[rows]).astype(np.intp)
+    tally = np.bincount(((3 * n * np.arange(splits) + 1)[:, None] + 3 * rows + cover).ravel(),
+                        minlength=3 * n * splits).reshape(splits, n, 3)
+    flipped = (3 * np.arange(splits) + 1)[:, None] + np.where(flips < 0.5, cover, -cover)
+    return (np.where(backs_visitor[..., None], tally, tally[..., ::-1]),
+            np.bincount(flipped.ravel(), minlength=3 * splits).reshape(splits, 3))

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,23 +17,29 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spreadbias import (
+    AtsResult,
     Dataset,
     FitConfig,
+    SpreadBias,
     TdConfig,
     TiConfig,
     parse_games,
+    predict_max_prob,
+    predict_random,
     run_td,
     run_ti,
+    score_ats,
     summarize,
 )
 from spreadbias import harness
+from spreadbias.bias import BiasProfile
 from spreadbias.models import (
     MODEL_K_LOWEST,
     MODEL_MAX_PROB,
     MODEL_MIN_ENTROPY,
     MODEL_RANDOM,
 )
-from conftest import synthetic_spread_dataset
+from conftest import reference_ranking, synthetic_spread_dataset
 
 HALF_SPREADS = [-6.5, -4.5, -2.5, -0.5, 1.5, 3.5]
 
@@ -342,6 +350,80 @@ def test_run_td_invariant_under_row_order_and_spread_spelling(order, spellings):
     assert run_td(shuffled, config).to_dict() == run_td(TD_DATASET, config).to_dict()
 
 
+#: Whole-point spreads, where an outcome can push, and half points.
+SETTLED_SPREADS = st.one_of(st.integers(-8, 8).map(float), st.integers(-8, 7).map(lambda v: v + 0.5))
+#: Outcomes near the spreads, where a cover turns, and past 2**53 either way.
+SETTLED_OUTCOMES = st.one_of(st.integers(-10, 10), st.integers(2**53, 2**63 - 1),
+                             st.integers(-2**63, -2**53))
+
+
+@st.composite
+def settlement_cases(draw):
+    """A block of splits to settle: spreads, each test game's spread index (a spread
+    may have none), and per split the games' outcomes and coin flips and each
+    spread's fitted p_home and entropy."""
+    spreads = sorted(draw(st.lists(SETTLED_SPREADS, min_size=1, max_size=4, unique=True)))
+    rows = draw(st.lists(st.integers(0, len(spreads) - 1), max_size=8))
+    n_splits = draw(st.integers(1, 3))
+
+    def per_split(elements, size):
+        return draw(st.lists(st.lists(elements, min_size=size, max_size=size),
+                             min_size=n_splits, max_size=n_splits))
+
+    return (spreads, rows, per_split(SETTLED_OUTCOMES, len(rows)),
+            per_split(st.just(0.5) | st.floats(0.0, 1.0, exclude_max=True), len(rows)),
+            per_split(st.just(0.5) | st.floats(0.0, 1.0), len(spreads)),
+            per_split(st.sampled_from([0.0, 0.5, 0.95, 1.0]) | st.floats(0.0, 1.0), len(spreads)))
+
+
+class TestBacktestSettlement:
+    """``_backtest`` settles every strategy per (split, spread); its counts and
+    summed k sweep must be a per-game ``score_ats`` tally of the same wagers."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=settlement_cases())
+    # Integer spreads with pushes under both sides and both coin-flip sides.
+    @example(case=([-3.0, 0.0, 2.5], [0, 0, 1, 1, 2, 2], [[-3, -4, 0, 0, 3, 2]],
+                   [[0.1, 0.6, 0.2, 0.7, 0.3, 0.9]], [[0.7, 0.2, 0.6]], [[0.5, 0.2, 0.97]]))
+    # A flip of exactly 0.5 and p_home of exactly 0.5 both back Home.
+    @example(case=([-1.0, 3.5], [0, 0, 1, 1], [[-2, 0, 5, 1], [0, -2, 1, 5]],
+                   [[0.5, 0.5, 0.5, 0.5], [0.5, 0.25, 0.75, 0.5]], [[0.5, 0.5], [0.5, 0.75]],
+                   [[1.0, 1.0], [0.8, 0.9]]))
+    # TD: the most biased valid spread (-1.5) has no test game.
+    @example(case=([-3.0, -1.5, 7.0], [0, 2, 2], [[-9, 8, 7]], [[0.2, 0.9, 0.4]],
+                   [[0.3, 0.99, 0.6]], [[0.6, 0.1, 0.9]]))
+    # Outcomes beyond 2**53 on both sides, up to the int64 bounds.
+    @example(case=([-2.0, 1.5], [0, 0, 1, 1], [[2**53 + 1, -2**53 - 1, 2**63 - 1, -2**63]],
+                   [[0.1, 0.9, 0.6, 0.3]], [[0.2, 0.8]], [[0.3, 0.7]]))
+    def test_counts_equal_a_per_game_score_ats_tally(self, case):
+        spreads, rows, outcomes, flips, p_home, entropy = case
+        config = TdConfig()
+        split = harness._Split(np.zeros((len(outcomes), len(spreads), 1)), np.array(rows, np.intp),
+                               np.array(outcomes, np.int64), np.array(flips, np.float64))
+        fit = np.array(p_home), np.array(entropy)
+        with mock.patch.object(harness, "profile_arrays", lambda *args: fit):
+            results = harness._backtest(config, np.array(spreads), [split])
+
+        column = {AtsResult.LOSS: 0, AtsResult.PUSH: 1, AtsResult.WIN: 2}
+        counts, ranked = [], np.zeros((len(spreads) + 1, 3), np.int64)
+        for game_outcomes, game_flips, split_p, split_h in zip(outcomes, flips, p_home, entropy):
+            entries = [SpreadBias(spread, p, 1.0 - p, h, 0)
+                       for spread, p, h in zip(spreads, split_p, split_h)]
+            order, k = reference_ranking(BiasProfile(tuple(entries), config.entropy_threshold))
+            position = [order.index(entry) for entry in entries]
+            split_counts = np.zeros((4, 3), np.int64)  # MODEL_NAMES' loss/push/win counts
+            for row, outcome, flip in zip(rows, game_outcomes, game_flips):
+                spread = spreads[row]
+                coin = predict_random(SimpleNamespace(random=lambda: flip))
+                split_counts[0, column[score_ats(coin, outcome, spread)]] += 1
+                result = column[score_ats(predict_max_prob(entries[row]), outcome, spread)]
+                split_counts[1:, result] += [1, position[row] < 1, position[row] < k]
+                ranked[position[row] + 1:, result] += 1
+            counts.append(split_counts.tolist())
+        assert results.counts.tolist() == counts
+        assert results.ranked.tolist() == ranked.tolist()
+
+
 class TestStreams:
     """``harness._streams`` hashes many stream keys at once; each stream must
     be the one ``default_rng(SeedSequence(key))`` gives, for every key."""
@@ -419,7 +501,7 @@ class TestStreams:
         picks = harness._holdout_picks
 
         def checked_picks(words, sizes, holdout_per_key):
-            drawn.append(len(sizes) * holdout_per_key)
+            drawn.append(words[..., 0].size * holdout_per_key)  # keys x holdout entries
             assert drawn[-1] <= max(harness._DRAW_ENTRIES, n * holdout)
             return picks(words, sizes, holdout_per_key)
 
@@ -495,22 +577,36 @@ class TestHoldoutPicks:
         return harness._holdout_picks(words, np.array(sizes), holdout), expected
 
     @staticmethod
+    def block_picks(seed, sims, sizes, holdout):
+        """``_holdout_picks`` for TI's (simulations x spreads) block of keys ``(seed, 0, sim,
+        j)``, one size per spread, and numpy's sorted picks one key at a time."""
+        words = harness._seed_words(seed, 0, np.array(sims)[:, None], np.arange(len(sizes)))
+        expected = [
+            [np.sort(np.random.default_rng(np.random.SeedSequence((seed, 0, sim, j)))
+                     .choice(n, holdout, replace=False)).tolist() for j, n in enumerate(sizes)]
+            for sim in sims
+        ]
+        words = words.reshape(len(sims), len(sizes), 4)
+        return harness._holdout_picks(words, np.array(sizes), holdout), expected
+
+    @staticmethod
     def scalar_floyd(key, n, holdout):
         """Floyd's loop over Lemire-bounded draws in Python ints, on numpy's
-        own PCG64 outputs (low half first): the sorted picks and how many
-        draws were rejected."""
+        own PCG64 outputs (low half first): the sorted picks, how many draws
+        were rejected and how many steps found their value picked already."""
         bit_generator = np.random.PCG64(np.random.SeedSequence(key))
         halves = (half for _ in iter(int, 1)
                   for out in [int(bit_generator.random_raw())]
                   for half in (out & 0xFFFFFFFF, out >> 32))
-        picks, rejected = set(), 0
+        picks, rejected, collided = set(), 0, 0
         for j in range(n - holdout, n):
             scaled = next(halves) * (j + 1) if j else 0
             while j and scaled & 0xFFFFFFFF < 2**32 % (j + 1):
                 scaled, rejected = next(halves) * (j + 1), rejected + 1
             value = scaled >> 32
+            collided += value in picks
             picks.add(j if value in picks else value)
-        return sorted(picks), rejected
+        return sorted(picks), rejected, collided
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -521,11 +617,25 @@ class TestHoldoutPicks:
     )
     def test_picks_equal_numpy_choice(self, seed, sims, sizes, data):
         holdout = data.draw(st.integers(1, min(min(sizes), 64)))
-        # The keys and sizes of a TI hash block: every spread of every simulation.
-        keys = [(seed, 0, sim, j) for sim in sims for j in range(len(sizes))]
-        picks, expected = self.picks(keys, sizes * len(sims), holdout)
+        # A TI draw block: every spread of every simulation, one size per spread.
+        picks, expected = self.block_picks(seed, sims, sizes, holdout)
         assert picks.dtype == np.int64
         assert picks.tolist() == expected
+
+    def test_block_with_collisions_and_a_key_that_leaves(self):
+        # 4 simulations x 5 spreads. n = holdout + 1 finds its value picked at most
+        # steps; one key mid-block (simulation 2, spread 2) has its ninth draw rejected
+        # and leaves the replay for choice, while its neighbours stay.
+        sizes = [11, 50, 300_000_000, 1_000, 10_000]
+        picks, expected = self.block_picks(0, range(4), sizes, 10)
+        assert picks.shape == (4, 5, 10)
+        assert picks.tolist() == expected
+        scalar = [[self.scalar_floyd((0, 0, sim, j), n, 10) for j, n in enumerate(sizes)]
+                  for sim in range(4)]
+        assert [[p for p, _, _ in row] for row in scalar] == expected
+        assert [(sim, j) for sim, row in enumerate(scalar)
+                for j, (_, rejected, _) in enumerate(row) if rejected] == [(2, 2)]
+        assert [row[0][2] for row in scalar] == [8, 7, 5, 5]
 
     def test_populations_near_3e9_reject_draws(self):
         # A bound of about 3e9 leaves 2**32 mod bound near 1.3e9: about 30%
@@ -536,9 +646,9 @@ class TestHoldoutPicks:
         picks, expected = self.picks(keys, sizes, 20)
         assert picks.tolist() == expected
         scalar = [self.scalar_floyd(key, n, 20) for key, n in zip(keys, sizes)]
-        assert expected == [p for p, _ in scalar]
+        assert expected == [p for p, _, _ in scalar]
         # 2**32 - 1 games bound the last draw by 2**32 - 1, where 2**32 mod bound is 1.
-        assert [rejected > 0 for _, rejected in scalar] == [True, True, True, False]
+        assert [rejected > 0 for _, rejected, _ in scalar] == [True, True, True, False]
 
     @pytest.mark.filterwarnings("error")
     def test_block_mixing_keys_that_leave_the_replay(self):

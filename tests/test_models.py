@@ -14,7 +14,7 @@ from spreadbias import (
     predict_random,
     score_ats,
 )
-from spreadbias.models import settle_ats
+from spreadbias.models import settle_by_spread
 
 
 class QueuedRng:
@@ -111,29 +111,52 @@ SPREADS = st.one_of(
 )
 
 
-class TestSettleAts:
+class TestPerSpreadSettlement:
+    """``settle_by_spread`` counts a block of splits' wagers per (split, spread);
+    each count must be the one ``score_ats`` gives wager by wager."""
+
+    @staticmethod
+    def settle(spreads, rows, outcomes, flips, backs_visitor):
+        sided, random = settle_by_spread(
+            np.array(backs_visitor, dtype=bool), np.array(flips, dtype=np.float64),
+            np.array(outcomes, dtype=np.int64), np.array(rows, dtype=np.intp),
+            np.array(spreads, dtype=np.float64))
+        return sided.tolist(), random.tolist()
+
     @given(
-        st.lists(
-            st.tuples(st.booleans(), st.integers(-60, 60), SPREADS), min_size=1, max_size=40
-        )
+        st.lists(SPREADS, min_size=1, max_size=4, unique=True).flatmap(lambda spreads: st.tuples(
+            st.just(spreads),
+            st.lists(st.tuples(st.integers(0, len(spreads) - 1), st.integers(-60, 60),
+                               st.floats(0.0, 1.0, exclude_max=True)), max_size=40),
+            st.lists(st.booleans(), min_size=len(spreads), max_size=len(spreads)),
+        ))
     )
-    def test_equals_score_ats_elementwise(self, wagers):
-        visitor, outcomes, spreads = map(np.array, zip(*wagers))
-        expected = [
-            ATS_CODES[score_ats(Decision.VISITOR if v else Decision.HOME, o, s)]
-            for v, o, s in wagers
-        ]
-        assert settle_ats(visitor, outcomes, spreads).tolist() == expected
+    def test_equals_score_ats_wager_by_wager(self, case):
+        spreads, games, visitor = case
+        rows, outcomes, flips = map(list, zip(*games)) if games else ([], [], [])
+        sided, random = self.settle(spreads, [rows], [outcomes], [flips], [visitor])
+        expected = [[0, 0, 0] for _ in spreads]
+        expected_random = [0, 0, 0]
+        for row, outcome, flip in games:
+            side = Decision.VISITOR if visitor[row] else Decision.HOME
+            expected[row][ATS_CODES[score_ats(side, outcome, spreads[row])] + 1] += 1
+            flipped = predict_random(QueuedRng([flip]))
+            expected_random[ATS_CODES[score_ats(flipped, outcome, spreads[row])] + 1] += 1
+        assert sided == [expected]
+        assert random == [expected_random]
 
-    @given(st.integers(-30, 30), st.booleans())
-    def test_integer_spread_pushes_at_equal_margin(self, spread, visitor):
-        assert settle_ats(visitor, [spread], [float(spread)]).tolist() == [0]
+    @given(st.integers(-30, 30), st.booleans(), st.floats(0.0, 1.0, exclude_max=True))
+    def test_integer_spread_pushes_at_equal_margin(self, spread, visitor, flip):
+        assert self.settle([float(spread)], [0], [[spread]], [[flip]], [[visitor]]) == (
+            [[[0, 1, 0]]], [[0, 1, 0]])
 
-    def test_broadcasts_one_side_per_row(self):
-        outcomes = np.array([[-7, 0, -3], [5, 2, 1]])
-        spreads = np.array([[-3.0], [1.5]])
-        backs_visitor = np.array([[False], [True]])
-        assert settle_ats(backs_visitor, outcomes, spreads).tolist() == [
-            [1, -1, 0],
-            [1, 1, -1],
-        ]
+    def test_one_side_per_split_and_spread(self):
+        # Split 0 backs Home at -3 and the Visitor at 1.5; split 1 the reverse. A flip
+        # below 0.5 backs the Visitor, one of exactly 0.5 Home.
+        rows = [0, 0, 0, 1, 1, 1]
+        outcomes = [[-7, 0, -3, 5, 2, 1], [-7, 0, -3, 5, 2, 1]]
+        flips = [[0.2, 0.7, 0.5, 0.1, 0.9, 0.4], [0.5, 0.5, 0.0, 0.5, 0.5, 0.5]]
+        sides = [[False, True], [True, False]]
+        sided, random = self.settle([-3.0, 1.5], rows, outcomes, flips, sides)
+        assert sided == [[[1, 1, 1], [1, 0, 2]], [[1, 1, 1], [2, 0, 1]]]
+        assert random == [[4, 1, 1], [3, 1, 2]]

@@ -40,6 +40,8 @@ OPTION_SETS = (
     ("--holdout", "101", "--min-samples", "102"),
     ("--simulations", "1"),
     ("--simulations", "1000"),  # simulate-ti draws in two or more blocks on every CSV
+    # simulate-ti's Floyd replay finds draws picked already on every CSV (1 step in 4 on ti-wide).
+    ("--holdout", "24", "--min-samples", "25"),
     ("--kernel", "boxcar"),
 )
 
