@@ -26,7 +26,7 @@ import math
 import sys
 from dataclasses import asdict, fields
 from datetime import datetime, timezone
-from itertools import islice
+from itertools import islice, repeat
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -178,9 +178,12 @@ def _load_dataset(path: str) -> tuple[Dataset, Dataset, str]:
     """Return (raw, deduplicated) datasets from a games file, read once,
     and the SHA-256 hex digest of the bytes that were parsed."""
     data = Path(path).read_bytes()
+    # Lines as open(..., newline="") splits them; csv reads their ends as data only in quotes.
+    lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+    if b'"' not in data:
+        lines = map(str.rstrip, lines, repeat("\r\n"))
     try:
-        # A text file over the bytes read, so lines split as open(..., newline="") splits them.
-        raw = parse_games(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
+        raw = parse_games(lines)
     except UnicodeDecodeError:
         # The error's position counts from a read buffer, not the file: decode by line.
         for n, line in enumerate(data.splitlines(), 1):

@@ -11,7 +11,7 @@ from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, count
+from itertools import chain, compress, count, repeat
 from operator import attrgetter, itemgetter, sub
 from typing import Iterable, Iterator, NamedTuple
 
@@ -165,7 +165,10 @@ def parse_games(source: Iterable[str]) -> Dataset:
     a team name may not begin or end with other whitespace. A leading
     byte-order mark, blank lines and ``#`` comment lines are skipped (any
     ``str.isspace()`` character may open them); a quoted field may not span
-    lines, nor a kept line hold a NUL. Row order is preserved.
+    lines, nor a kept line hold a NUL. Row order is preserved. Kept lines
+    with no ``"``, CR or LF, none longer than ``csv.field_size_limit()``,
+    are split at commas, with the same records and errors as ``csv``
+    gives; the CLI passes a file with no ``"`` as lines without their ends.
 
     Raises SchemaError when the header is absent, incomplete, or repeats
     a required column, and ParseError (carrying the offending line
@@ -190,17 +193,23 @@ def parse_games(source: Iterable[str]) -> Dataset:
         def line_of(r: int) -> int:
             return r + 1 + bisect_right(before, r)
 
-        if "\0" in "".join(lines):
+        text = "".join(lines)
+        # Without a quote, CR or LF, csv cuts a kept line at each comma and nowhere else,
+        # and a line that fits csv's field limit holds no field over it.
+        split = not any(map(text.__contains__, '"\r\n')) and max(map(len, lines)) <= csv.field_size_limit()
+        if "\0" in text:
             nul = next(r for r, line in enumerate(lines) if "\0" in line)
             lines = chain(lines[:nul], _nul_line(line_of(nul)))
+        del text  # not held while the table is built
 
-        # One reader over the kept lines: reader.line_num counts kept lines, so
-        # row i (the header is row 0) spans lines if the reader has consumed
-        # more than i + 1 of them.
-        reader = csv.reader(lines)
+        # A split row cannot span lines. A reader reads all the kept lines and counts them in
+        # reader.line_num, so row i (the header is row 0) spans lines if the reader has
+        # consumed more than i + 1 of them.
+        reader = None if split else csv.reader(lines)
+        rows = map(str.split, lines, repeat(",")) if split else reader
         try:
-            header = [name.strip(_ASCII_SPACE) for name in next(reader)]
-            if reader.line_num != 1:
+            header = [name.strip(_ASCII_SPACE) for name in next(rows)]
+            if reader and reader.line_num != 1:
                 raise ParseError(line_of(0), "quoted field spans lines")
             missing = [c for c in REQUIRED_COLUMNS if c not in header]
             if missing:
@@ -216,26 +225,28 @@ def parse_games(source: Iterable[str]) -> Dataset:
             records = []
             # The same exact GameRecord, without the named tuple's Python-level __new__ frame.
             new = tuple.__new__
-            for i, fields in enumerate(reader, start=1):
-                if reader.line_num != i + 1:
+            for i, fields in enumerate(rows, start=1):
+                if reader and reader.line_num != i + 1:
                     raise ParseError(line_of(i), "quoted field spans lines")
                 if len(fields) != n_fields:
                     raise ParseError(line_of(i), f"expected {n_fields} fields, found {len(fields)}")
                 if (date := dates.get(raw := fields[i_date])) is None:
-                    date = dates[raw] = _date(raw.strip(_ASCII_SPACE), line_of(i))
+                    date = dates[raw] = _date(raw.strip(_ASCII_SPACE))
                 if (home_team := teams.get(raw := fields[i_home])) is None:
-                    home_team = teams[raw] = _team(raw, "home_team", line_of(i))
+                    home_team = teams[raw] = _team(raw, "home_team")
                 if (visitor_team := teams.get(raw := fields[i_visitor])) is None:
-                    visitor_team = teams[raw] = _team(raw, "visitor_team", line_of(i))
+                    visitor_team = teams[raw] = _team(raw, "visitor_team")
                 if (home_score := scores.get(raw := fields[i_hs])) is None:
-                    home_score = scores[raw] = _score(raw, "home_score", line_of(i))
+                    home_score = scores[raw] = _score(raw, "home_score")
                 if (visitor_score := scores.get(raw := fields[i_vs])) is None:
-                    visitor_score = scores[raw] = _score(raw, "visitor_score", line_of(i))
+                    visitor_score = scores[raw] = _score(raw, "visitor_score")
                 if (spread := spreads.get(raw := fields[i_spread])) is None:
-                    spread = spreads[raw] = _spread(raw, line_of(i))
+                    spread = spreads[raw] = _spread(raw)
                 records.append(
                     new(GameRecord, (date, home_team, visitor_team, home_score, visitor_score, spread))
                 )
+        except _FieldError as exc:
+            raise ParseError(line_of(i), str(exc)) from None
         except csv.Error as exc:
             raise ParseError(line_of(reader.line_num - 1), f"unreadable CSV: {exc}") from None
         return Dataset(tuple(records))
@@ -248,22 +259,26 @@ def _nul_line(line_num: int) -> Iterator[str]:
     yield
 
 
-def _date(raw: str, line_num: int) -> dt.date:
+class _FieldError(ValueError):
+    """A field failed validation; ``parse_games`` adds its line number."""
+
+
+def _date(raw: str) -> dt.date:
     # fromisoformat also takes 20170910 and 2017-W36-7 on Python 3.11+, so check the shape first.
     try:
         if len(raw) == 10 and raw[4] == raw[7] == "-":
             return dt.date.fromisoformat(raw)
     except ValueError:
         pass
-    raise ParseError(line_num, f"invalid date {_shown(raw)} (expected YYYY-MM-DD)")
+    raise _FieldError(f"invalid date {_shown(raw)} (expected YYYY-MM-DD)")
 
 
-def _team(raw: str, name: str, line_num: int) -> str:
+def _team(raw: str, name: str) -> str:
     team = raw.strip(_ASCII_SPACE)
     if not team:
-        raise ParseError(line_num, f"empty {name}")
+        raise _FieldError(f"empty {name}")
     if team != team.strip():
-        raise ParseError(line_num, f"{name} {_shown(team)} begins or ends with whitespace")
+        raise _FieldError(f"{name} {_shown(team)} begins or ends with whitespace")
     return team
 
 
@@ -275,7 +290,7 @@ def _number(kind: type, raw: str):
     return kind(raw)
 
 
-def _score(raw: str, name: str, line_num: int) -> int:
+def _score(raw: str, name: str) -> int:
     raw = raw.strip(_ASCII_SPACE)
     # int() refuses more than 4,300 digits on Python 3.11+ but not on 3.10. Past
     # 20 digits, the sign and the first 20 after any leading zeros decide the
@@ -287,22 +302,22 @@ def _score(raw: str, name: str, line_num: int) -> int:
     try:
         score = _number(int, sign + text)
     except ValueError:
-        raise ParseError(line_num, f"non-integer {name} {_shown(raw)}") from None
+        raise _FieldError(f"non-integer {name} {_shown(raw)}") from None
     if score < 0:
-        raise ParseError(line_num, f"negative {name} {_shown(raw)}")
+        raise _FieldError(f"negative {name} {_shown(raw)}")
     if score > 2**63 - 1:  # then every visitor-minus-home margin fits int64
-        raise ParseError(line_num, f"out-of-range {name} {_shown(raw)} (above 2**63 - 1)")
+        raise _FieldError(f"out-of-range {name} {_shown(raw)} (above 2**63 - 1)")
     return score
 
 
-def _spread(raw: str, line_num: int) -> float:
+def _spread(raw: str) -> float:
     raw = raw.strip(_ASCII_SPACE)
     try:
         spread = _number(float, raw)
     except ValueError:
-        raise ParseError(line_num, f"non-numeric spread {_shown(raw)}") from None
+        raise _FieldError(f"non-numeric spread {_shown(raw)}") from None
     if not math.isfinite(spread):
-        raise ParseError(line_num, f"non-finite spread {_shown(raw)}")
+        raise _FieldError(f"non-finite spread {_shown(raw)}")
     # Adding 0.0 turns -0.0 into 0.0, so a pick'em spread gets one label.
     return round(spread, 1) + 0.0
 

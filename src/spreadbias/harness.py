@@ -376,7 +376,9 @@ def _backtest(config: FitConfig, spreads: np.ndarray, splits: Iterable[_Split]) 
         # k-Lowest selects the spreads whose rank position is below the split's k.
         blocks.append((p_home, entropy, k, counts, np.argsort(order) < k[:, None]))
         ranked_total = ranked_total + ranked.sum(axis=0)
-    return _SplitResults(*map(np.concatenate, zip(*blocks)), ranked_total, split.train[-1].sum(axis=-1))
+        n_train = split.train[-1].sum(axis=-1)
+        del split  # so the next block is counted without this one
+    return _SplitResults(*map(np.concatenate, zip(*blocks)), ranked_total, n_train)
 
 
 def _report(
@@ -452,6 +454,7 @@ def _holdout_splits(dataset: Dataset, index: np.ndarray, config: TiConfig) -> It
             held = held.reshape(len(test), n, -1)
             # The training block overwrites the holdouts' counts: a block of many splits is large.
             yield _Split(np.subtract(full_counts, held, out=held), rows, test, flip)
+            del held, test, flip
 
 
 def run_ti(dataset: Dataset, config: TiConfig) -> EvaluationReport:

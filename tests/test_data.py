@@ -3,15 +3,19 @@
 from __future__ import annotations
 
 import copy
+import csv
 import datetime as dt
 import gc
 import io
 import pickle
 import sys
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spreadbias import (
@@ -25,6 +29,7 @@ from spreadbias import (
     parse_games,
     run_td,
 )
+from spreadbias import cli
 from spreadbias.data import by_spread, spread_groups
 from conftest import (
     GAME_RECORDS, dataset_csv_text, make_record, reference_parse, synthetic_spread_dataset,
@@ -437,6 +442,97 @@ class TestByteOrderMark:
             parse("\ufeff\ufeff" + HEADER + GOOD_ROW)
         [record] = parse(HEADER + "2017-09-10,\ufeffNE,KC,27,42,-9.0\n").records
         assert record.home_team == "\ufeffNE"
+
+
+#: Rows with no quote that parse, one only while csv.field_size_limit() is not lowered.
+PLAIN_ROWS = st.sampled_from([
+    GOOD_ROW.strip(), " 2017-09-11,GB,SEA,20,17,3.5 ", "2017-09-12,N\x85E,K\vC,0,0,-0",
+    "2017-09-16," + "N" * 70 + ",KC,27,42,1.0",
+])
+#: Quoted rows that parse, and rows that fail on a field, a field count, a NUL or
+#: a line end in quotes, the last of which a lowered field limit counts.
+OTHER_ROWS = st.sampled_from([
+    '2017-09-13,"N, E",KC,27,42,1.0',
+    '"2017-09-14",NE,"K""C",27,42,1.0',
+    "2017-09-15,NE,KC,-3,42,1.0",
+    "2017-9-15,NE,KC,27,42,1.0",
+    "2017-09-15,NE,KC,27,42",
+    "2017-09-15,N\0E,KC,27,42,1.0",
+    '2017-09-15,"N\nE",KC,27,42,1.0',
+    '2017-09-15,"' + "N" * 60 + '\n",KC,27,42,1.0',
+])
+SKIPPED_LINES = st.sampled_from(["", " \t", "\u3000", "# manifest {}", '  # a "quoted" comment', "# \0"])
+
+
+@st.composite
+def line_sources(draw) -> str:
+    """A games file: maybe a BOM, skipped lines around the header and rows that
+    parse, maybe one other row, each line ending in LF, CR or CRLF, the last maybe
+    in none."""
+    before = draw(st.lists(SKIPPED_LINES, max_size=2))
+    body = draw(st.lists(PLAIN_ROWS | SKIPPED_LINES, max_size=8))
+    if other := draw(st.none() | OTHER_ROWS):
+        body.insert(draw(st.integers(0, len(body))), other)
+    lines = before + [HEADER.strip()] + body
+    endings = draw(st.lists(st.sampled_from(["\n", "\r", "\r\n"]), min_size=len(lines), max_size=len(lines)))
+    if draw(st.booleans()):
+        endings[-1] = ""
+    return draw(st.sampled_from(["", "\ufeff"])) + "".join(map(str.__add__, lines, endings))
+
+
+def parse_outcome(parse_source):
+    """``parse_source()``'s records, or its error's type, line and message."""
+    try:
+        return parse_source().records
+    except (ParseError, SchemaError) as exc:
+        return type(exc), getattr(exc, "line_num", None), str(exc)
+
+
+class TestLineSource:
+    """The CLI passes a quote-free file's lines without their ends, and
+    ``parse_games`` splits lines with no quote, CR or LF at commas; neither may
+    change a record or an error from csv's over the file's own lines."""
+
+    @staticmethod
+    def load(text: str) -> Dataset:
+        """``text`` parsed from a file by the CLI, without its deduplication."""
+        with tempfile.TemporaryDirectory() as scratch, mock.patch.object(cli, "deduplicate"):
+            path = Path(scratch, "games.csv")
+            path.write_text(text, encoding="utf-8", newline="")
+            return cli._load_dataset(str(path))[0]
+
+    @settings(deadline=None)
+    @given(line_sources(), st.sampled_from([None, 60]))
+    # Stripping this file's line ends would take its quoted field back under the limit.
+    @example(HEADER + '2017-09-15,"' + "N" * 60 + '\n",KC,27,42,1.0\n', 60)
+    def test_cli_lines_parse_as_the_file_lines(self, text, limit):
+        # 60 characters admit the header and every field but the long team name and
+        # the 60 characters quoted with their line end.
+        default = csv.field_size_limit()
+        csv.field_size_limit(limit or default)
+        try:
+            expected = parse_outcome(lambda: parse_file(text))
+            assert parse_outcome(lambda: self.load(text)) == expected
+        finally:
+            csv.field_size_limit(default)
+
+    def test_mid_line_cr_in_a_list_of_lines_fails_as_csv_fails_it(self):
+        with pytest.raises(ParseError, match=r"^line 2: unreadable CSV: new-line character seen "
+                                             r"in unquoted field"):
+            parse_games([HEADER.strip(), "2017-09-10,N\rE,KC,27,42,-9.0"])
+
+    def test_quote_free_file_is_split_without_csv(self):
+        text = "\ufeff# manifest {}\r\n" + HEADER.replace("\n", "\r\n") + "\u3000\r\n" + GOOD_ROW * 3
+        expected = parse_file(text)
+        with mock.patch("spreadbias.data.csv.reader", side_effect=AssertionError("csv.reader")):
+            assert self.load(text) == expected
+            assert parse_games(text.splitlines()) == expected
+
+    def test_bad_date_on_a_cache_miss_names_its_physical_line(self):
+        text = HEADER + "\n# comment\n" + GOOD_ROW + "\r\n \n" + GOOD_ROW.replace("09-10", "13-10")
+        message = "line 7: invalid date '2017-13-10' (expected YYYY-MM-DD)"
+        assert parse_outcome(lambda: self.load(text)) == (ParseError, 7, message)
+        assert parse_outcome(lambda: parse_file(text)) == (ParseError, 7, message)
 
 
 class TestGameRecord:

@@ -6,6 +6,7 @@ import io
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
@@ -513,6 +514,29 @@ class TestStreams:
         assert sum(sizes) == n_simulations
         assert sum(drawn) == n_simulations * n * holdout
         assert len(drawn) == -(-n_simulations // draw_limit)
+
+    def test_no_earlier_training_block_is_alive_when_the_next_is_counted(self, monkeypatch):
+        # Draw blocks of 7 simulations cut in fit blocks of 2 make 7 training blocks, and
+        # run_ti must hold only one: the earlier ones are freed before the next is counted.
+        monkeypatch.setattr(harness, "_DRAW_ENTRIES", 7 * 60)
+        monkeypatch.setattr(harness, "_FIT_KEYS", 14)
+        dataset = synthetic_spread_dataset(HALF_SPREADS, 30, seed=8)
+        trains = []
+        split, count = harness._Split, harness.outcome_counts
+
+        def recorded_split(train, *rest):
+            assert [ref() for ref in trains] == [None] * len(trains)
+            trains.append(weakref.ref(train))
+            return split(train, *rest)
+
+        def checked_count(*args):
+            assert [ref() for ref in trains] == [None] * len(trains)
+            return count(*args)
+
+        monkeypatch.setattr(harness, "_Split", recorded_split)
+        monkeypatch.setattr(harness, "outcome_counts", checked_count)
+        run_ti(dataset, TiConfig(n_simulations=13, seed=5))
+        assert len(trains) == 7
 
     def test_backtest_does_not_depend_on_how_splits_are_blocked(self, monkeypatch):
         # Draw blocks of 7 simulations cut in fit blocks of 5 leave partial blocks;

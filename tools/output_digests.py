@@ -6,13 +6,16 @@ Usage: python tools/output_digests.py SRC_DIR
 SRC_DIR is a checkout's ``src`` directory; its ``spreadbias`` is imported
 and run in this process. The tool writes the three workloads' CSVs
 (``perfbench/workloads.py``) at seeds 0 and 7 into a temporary directory,
-and two more built from the ti-wide seed-0 CSV: one with the lines the
+and four more built from the ti-wide seed-0 CSV: one with the lines the
 parser skips (a ``# manifest`` line and whitespace-only lines), CRLF
-endings and two team names that need quoting, and a copy of it with a bad
-score after the skipped lines. It runs each of the four commands on each
-CSV under each option set, and prints one line per run: CSV, options,
+endings and two team names that need quoting, a copy of it with a bad
+score after the skipped lines, and both again without the quoted names,
+so that they hold no quote at all. It runs each of the four commands on
+each CSV under each option set, and prints one line per run: CSV, options,
 command, exit code and a SHA-256 over stdout, stderr and every output file
 with its manifest left out (``perfbench/check.py``'s ``fingerprint``).
+An option set without ``--seed`` runs a seed-7 CSV with ``--seed 7``, so
+that each CSV seed draws holdouts and coin flips of its own.
 Compare two checkouts with
 
     diff <(python tools/output_digests.py OLD/src) <(python tools/output_digests.py src)
@@ -50,14 +53,15 @@ OPTION_SETS = (
 RENAMED = {"T00": "Big, Red", "T01": 'Say "Hi"'}
 
 
-def write_skips_and_quotes(source: str, name: str, bad: str | None = None) -> None:
-    """Write ``source`` to ``name`` with CRLF endings, the ``RENAMED`` teams,
+def write_skips_and_quotes(source: str, name: str, bad: str | None = None,
+                           renamed: dict = RENAMED) -> None:
+    """Write ``source`` to ``name`` with CRLF endings, the ``renamed`` teams,
     a ``# manifest`` line and whitespace-only lines (one a lone ideographic
     space) before and inside its rows; ``bad`` replaces the home score of the
     first row after the skipped lines in the middle."""
     with open(source, encoding="utf-8", newline="") as fh:
         header, *rows = csv.reader(fh)
-    rows = [[RENAMED.get(field, field) for field in row] for row in rows]
+    rows = [[renamed.get(field, field) for field in row] for row in rows]
     middle = len(rows) // 2
     if bad is not None:
         rows[middle][header.index("home_score")] = bad
@@ -101,14 +105,17 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as scratch:
         os.chdir(scratch)
         try:
-            csv_names = []
+            seeds = {}  # each CSV's workload seed
             for (name, workload), seed in itertools.product(workloads.WORKLOADS.items(), SEEDS):
-                csv_names.append(f"{name}-{seed}.csv")
-                workloads.write_csv(workloads.generate(workload.shape, seed), csv_names[-1])
-            write_skips_and_quotes("ti-wide-0.csv", "ti-wide-0-skips.csv")
-            write_skips_and_quotes("ti-wide-0.csv", "ti-wide-0-skips-bad.csv", bad="-3")
-            csv_names += ["ti-wide-0-skips.csv", "ti-wide-0-skips-bad.csv"]
-            for csv_name, options, command in itertools.product(csv_names, OPTION_SETS, COMMANDS):
+                seeds[f"{name}-{seed}.csv"] = seed
+                workloads.write_csv(workloads.generate(workload.shape, seed), f"{name}-{seed}.csv")
+            for suffix, renamed in (("skips", RENAMED), ("skips-plain", {})):
+                write_skips_and_quotes("ti-wide-0.csv", f"ti-wide-0-{suffix}.csv", renamed=renamed)
+                write_skips_and_quotes("ti-wide-0.csv", f"ti-wide-0-{suffix}-bad.csv", "-3", renamed)
+                seeds[f"ti-wide-0-{suffix}.csv"] = seeds[f"ti-wide-0-{suffix}-bad.csv"] = 0
+            for csv_name, options, command in itertools.product(seeds, OPTION_SETS, COMMANDS):
+                if seeds[csv_name] and "--seed" not in options:
+                    options += ("--seed", str(seeds[csv_name]))
                 code, digest = run_digest(cli_main, fingerprint, csv_name, command, options)
                 print(csv_name, " ".join(options) or "-", command, code, digest)
         finally:
