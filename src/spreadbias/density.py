@@ -146,16 +146,6 @@ def densities(
     return smoothed
 
 
-def cover_probabilities(mass: np.ndarray, grid: OutcomeGrid, spreads) -> np.ndarray:
-    """Home cover probability of each row of a (... x spreads x grid) block
-    of ``mass`` at its spread: the mass at grid points <= spread, as a
-    sequential prefix sum along the last axis, taken only as far as the
-    highest grid point any spread reads."""
-    idx = np.searchsorted(grid.points, spreads, side="right")
-    cumulative = np.cumsum(mass[..., :idx.max(initial=1)], axis=-1)
-    return np.where(idx > 0, cumulative[..., np.arange(len(idx)), idx - 1], 0.0)
-
-
 def estimate_density(
     outcomes,
     bandwidth: float = DEFAULT_BANDWIDTH,
@@ -181,4 +171,5 @@ def home_cover_probability(density: OutcomeDensity, spread: float) -> float:
     give 0.0 and spreads at or above the top give the full mass. The
     visitor probability is defined as one minus this value.
     """
-    return float(cover_probabilities(density.mass[None], density.grid, [spread])[0])
+    idx = int(np.searchsorted(density.grid.points, spread, side="right"))
+    return float(np.cumsum(density.mass[:idx])[-1]) if idx else 0.0

@@ -20,8 +20,9 @@ columns. The count block of all games at the valid spreads
 All randomness derives from ``default_rng(SeedSequence(key))`` streams keyed
 on the config seed, so a run is reproducible bit for bit and TI simulations
 could be evaluated in any order (results are reduced in simulation-index order
-regardless). A draw block hashes its (simulations x spreads) keys and draws its holdouts
-and coin flips at once, replaying ``choice``'s Floyd steps step-major (``_holdout_picks``).
+regardless). TD's one stream is numpy's own ``default_rng((seed, 1))``. A TI draw
+block hashes its (simulations x spreads) keys at once (``_seed_words``) and draws its
+holdouts and coin flips, replaying ``choice``'s Floyd steps step-major (``_holdout_picks``).
 """
 
 from __future__ import annotations
@@ -113,11 +114,6 @@ def _generator(words: np.ndarray) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
 
-def _streams(*key: int | np.ndarray) -> Iterator[np.random.Generator]:
-    """``_generator`` for each key's ``_seed_words`` row, in C order."""
-    return map(_generator, _seed_words(*key))
-
-
 # PCG64 (numpy's pcg64.h) on (high, low) uint64 arrays. Constants are uint64 arrays, so
 # numpy 1.x's value-based casting and NEP 50 agree, and no scalar overflow warns.
 _U1, _U32, _U58, _U63, _U64, _LO32, _2POW32 = (
@@ -149,8 +145,9 @@ def _uint32_draws(words: np.ndarray) -> Iterator[np.ndarray]:
         yield output >> _U32
 
 
-#: The largest holdout drawn for all keys at once; past about 100 a Generator per key is
-#: faster. (``choice`` tail-shuffles only where n > 10,000 and holdout > n // 50 > 199.)
+#: The largest holdout drawn for all keys at once. It keeps every replayed key below the
+#: holdouts ``choice`` tail-shuffles (n > 10,000 and holdout > n // 50 > 199). A Generator
+#: per key overtakes the replay at a holdout between about 101 and 150 that moves with the keys.
 _BATCH_MAX_HOLDOUT = 100
 
 
@@ -447,7 +444,8 @@ def _holdout_splits(dataset: Dataset, index: np.ndarray, config: TiConfig) -> It
         # Holdouts in spread-then-holdout order: the order their coin flips are drawn in.
         tests = outcomes[picks + starts[:, None]].reshape(len(sims), -1)
         del words, picks  # so neither is held while _backtest fits the blocks
-        flips = np.array([g.random(len(rows)) for g in _streams(config.seed, _GUESS_STREAM, sims)])
+        flips = np.array([_generator(w).random(len(rows))
+                          for w in _seed_words(config.seed, _GUESS_STREAM, sims)])
         for cut in range(0, len(sims), fit_block):
             test, flip = tests[cut:cut + fit_block], flips[cut:cut + fit_block]
             held = outcome_counts(test, grid, n * np.arange(len(test))[:, None] + rows, len(test) * n)
@@ -510,7 +508,7 @@ def run_td(dataset: Dataset, config: TdConfig) -> EvaluationReport:
     # Test games in coin-flip order: by spread, then key (date, home, visitor), then input order.
     games = sorted(np.flatnonzero(test & (index >= 0)).tolist(), key=lambda i: dataset.records[i][:3])
     games = np.array(games, dtype=np.intp)[np.argsort(index[games], kind="stable")]
-    flips = next(_streams(config.seed, _GUESS_STREAM)).random(len(games))
+    flips = np.random.default_rng((config.seed, _GUESS_STREAM)).random(len(games))
     split = _Split(counts[None], index[games], dataset.outcome[games][None], flips[None])
     results = _backtest(config, spreads, [split])
     return replace(

@@ -10,9 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spreadbias import KERNELS, OutcomeGrid, estimate_density, home_cover_probability
-from spreadbias.density import (
-    OutcomeDensity, _kernel_matrix, cover_probabilities, densities, outcome_counts,
-)
+from spreadbias.density import OutcomeDensity, _kernel_matrix, densities, outcome_counts
 
 
 def brute_force_cover(density: OutcomeDensity, spread: float) -> float:
@@ -191,23 +189,20 @@ class TestHomeCoverProbability:
                 density, spread
             )
 
-    def test_block_equals_split_by_split(self):
-        # Spreads below, inside and at or above the grid, over a
-        # (splits x spreads x grid) block of densities.
-        grid = OutcomeGrid(-10, 10)
-        spreads = [-11.0, -10.0, -2.5, 0.0, 3.0, 9.5, 10.0, 12.0]
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_matches_brute_force_exactly_on_a_narrow_grid(self, kernel):
+        # Spreads below lo, at lo, lo + 0.5, an interior half point, hi - 0.5,
+        # hi and above hi.
+        grid = OutcomeGrid(-12, 9)
+        spreads = [-20.0, -12.5, -12.0, -11.5, -2.5, 8.5, 9.0, 9.5, 15.0]
         rng = np.random.default_rng(5)
-        counts = rng.integers(0, 4, size=(6, len(spreads), len(grid)))
-        counts[..., 0] += 1  # no all-zero row
-        mass = densities(counts, 4.0, grid, "gaussian")
-        stacked = cover_probabilities(mass, grid, spreads)
-        assert stacked.shape == (6, len(spreads))
-        for got, split in zip(stacked, mass):
-            assert got.tobytes() == cover_probabilities(split, grid, spreads).tobytes()
-            assert got.tolist() == [
-                home_cover_probability(OutcomeDensity(grid, row), spread)
-                for row, spread in zip(split, spreads)
-            ]
+        for _ in range(30):
+            outcomes = rng.integers(-16, 14, size=rng.integers(1, 30)).tolist()
+            density = estimate_density(outcomes, float(rng.uniform(0.5, 8.0)), grid, kernel)
+            for spread in spreads:
+                assert home_cover_probability(density, spread) == brute_force_cover(
+                    density, spread
+                )
 
     def test_complement_is_exact(self):
         rng = np.random.default_rng(3)

@@ -426,8 +426,8 @@ class TestBacktestSettlement:
 
 
 class TestStreams:
-    """``harness._streams`` hashes many stream keys at once; each stream must
-    be the one ``default_rng(SeedSequence(key))`` gives, for every key."""
+    """``harness._seed_words`` hashes many stream keys at once; each key's
+    ``_generator`` must be the one ``default_rng(SeedSequence(key))`` gives."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -443,14 +443,14 @@ class TestStreams:
     @example(seed=2**64 + 7, sims=[5], n_spreads=4)
     def test_streams_equal_numpy_seed_sequence(self, seed, sims, n_spreads):
         sims = np.array(sims)
-        key_shapes = [  # TI holdouts, TI coin flips, TD coin flips
+        key_shapes = [  # TI holdouts, TI coin flips, one key alone (as TD's)
             ((seed, 0, sims[:, None], np.arange(n_spreads)),
              [(seed, 0, sim, j) for sim in sims.tolist() for j in range(n_spreads)]),
             ((seed, 1, sims), [(seed, 1, sim) for sim in sims.tolist()]),
             ((seed, 1), [(seed, 1)]),
         ]
         for parts, keys in key_shapes:
-            streams = list(harness._streams(*parts))
+            streams = list(map(harness._generator, harness._seed_words(*parts)))
             assert len(streams) == len(keys)
             for rng, key in zip(streams, keys):
                 expected = np.random.SeedSequence(key)
@@ -460,7 +460,7 @@ class TestStreams:
 
     def test_array_part_past_one_word_rejected(self):
         with pytest.raises(ValueError, match="one 32-bit word"):
-            next(harness._streams(0, 0, np.array([0, 2**32])))
+            harness._seed_words(0, 0, np.array([0, 2**32]))
 
     @pytest.mark.parametrize("draw_entries,fit_keys", [
         (1, 1), (60, 10**9), (300, 14), (300, 10**9), (10**9, 20), (10**9, 10**9),

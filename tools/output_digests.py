@@ -46,6 +46,10 @@ OPTION_SETS = (
     # simulate-ti's Floyd replay finds draws picked already on every CSV (1 step in 4 on ti-wide).
     ("--holdout", "24", "--min-samples", "25"),
     ("--kernel", "boxcar"),
+    # The fit and TD options no set above reaches. Every workload spread lies within ±17.5,
+    # so all stay on the ±30 grid, while margins past ±30 are clamped.
+    ("--kernel", "triangular", "--bandwidth", "2.5", "--entropy-threshold", "0.99"),
+    ("--grid-lo", "-30", "--grid-hi", "30", "--cutoff-year", "2015"),
 )
 
 
