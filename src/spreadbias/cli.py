@@ -5,7 +5,10 @@ Every output file embeds a run manifest (command, resolved config, input
 digest, tool version, timestamp): JSON reports carry it under a
 ``manifest`` key and CSV files as a leading ``#`` comment line. Option
 precedence is CLI flag, then ``--config`` file entry, then built-in
-default.
+default. A command checks each option on its own, then the config built
+from them (cross-field rules such as ``grid_lo`` below ``grid_hi``), then
+the input, so a bad option or config exits 1 before the input is opened.
+The one no-valid-spread error is ``FitConfig.valid_spreads``'s.
 
 ``main`` runs the chosen command with Python's cyclic garbage collector
 paused, from reading the options to writing the last output file, and on
@@ -26,6 +29,7 @@ import math
 import sys
 from dataclasses import asdict, fields
 from datetime import datetime, timezone
+from functools import partial
 from itertools import islice, repeat
 from pathlib import Path
 from types import SimpleNamespace
@@ -45,7 +49,6 @@ from .data import (
     _number,
     deduplicate,
     parse_games,
-    spread_groups,
 )
 from .density import KERNELS, densities
 from .harness import (
@@ -159,13 +162,13 @@ def _config(cls, options: dict):
     return cls(**{name: options[flag] for name, flag in flags.items() if flag in options})
 
 
-def _start_output(command: str, config: dict, args, digest: str) -> tuple[Path, dict]:
+def _start_output(config: dict, args, digest: str) -> tuple[Path, dict]:
     """Create the output directory; return it and the run manifest that
     each output file embeds, with ``digest`` as the input's."""
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     return out_dir, {
-        "command": command,
+        "command": args.command,
         "config": config,
         "input": str(args.input),
         "input_digest": digest,
@@ -261,7 +264,7 @@ def _profile_rows(profile) -> tuple[list[str], list[list[str]]]:
 
 def cmd_ingest(args: argparse.Namespace, options: dict) -> int:
     raw, unique, digest = _load_dataset(args.input)
-    out_dir, manifest = _start_output("ingest", dict(options), args, digest)
+    out_dir, manifest = _start_output(dict(options), args, digest)
 
     # Written column by column: each distinct value is formatted once (teams and
     # scores by csv.writer, whose writerow returns what its file's write returns;
@@ -290,16 +293,9 @@ def cmd_ingest(args: argparse.Namespace, options: dict) -> int:
 
 
 def cmd_profile(args: argparse.Namespace, options: dict) -> int:
-    _, dataset, digest = _load_dataset(args.input)
     config = _config(FitConfig, options)
+    _, dataset, digest = _load_dataset(args.input)
     spreads, index = config.valid_spreads(dataset)
-    if not spreads.size:
-        largest = np.bincount(spread_groups(dataset, 1)[1]).max(initial=0)
-        raise ValueError(
-            f"no spread has {config.min_samples} samples "
-            f"(largest group has {largest}); lower --min-samples"
-        )
-
     grid = config.grid()
     outcomes, sizes, counts = _grouped_counts(dataset, index, grid)
     p_home, entropy = profile_arrays(counts, spreads, config.bandwidth, grid, config.kernel)
@@ -307,7 +303,7 @@ def cmd_profile(args: argparse.Namespace, options: dict) -> int:
         {"spread": s, "p_home": p, "entropy_bits": h, "n_train": n}
         for s, p, h, n in zip(spreads.tolist(), p_home.tolist(), entropy.tolist(), sizes.tolist())
     ]
-    out_dir, manifest = _start_output("profile", asdict(config), args, digest)
+    out_dir, manifest = _start_output(asdict(config), args, digest)
 
     header, rows = _profile_rows(profile)
     _write_csv(out_dir / "profile.csv", manifest, header, rows)
@@ -338,8 +334,13 @@ def cmd_profile(args: argparse.Namespace, options: dict) -> int:
     return 0
 
 
-def _run_and_write(command: str, report: EvaluationReport, args, digest: str) -> int:
-    out_dir, manifest = _start_output(command, dict(report.config), args, digest)
+def cmd_backtest(config_class, run, args: argparse.Namespace, options: dict) -> int:
+    """``simulate-ti`` or ``backtest-td``: ``run`` the protocol on the input under a
+    ``config_class`` config, then write its report, summary and profile."""
+    config = _config(config_class, options)
+    _, dataset, digest = _load_dataset(args.input)
+    report = run(dataset, config)
+    out_dir, manifest = _start_output(dict(report.config), args, digest)
     _write_report(out_dir / "report.json", manifest, report)
     summary = _summary_rows(report)
     _write_csv(
@@ -361,22 +362,15 @@ def _run_and_write(command: str, report: EvaluationReport, args, digest: str) ->
     return 0
 
 
-def cmd_simulate_ti(args: argparse.Namespace, options: dict) -> int:
-    _, dataset, digest = _load_dataset(args.input)
-    return _run_and_write("simulate-ti", run_ti(dataset, _config(TiConfig, options)), args, digest)
-
-
-def cmd_backtest_td(args: argparse.Namespace, options: dict) -> int:
-    _, dataset, digest = _load_dataset(args.input)
-    return _run_and_write("backtest-td", run_td(dataset, _config(TdConfig, options)), args, digest)
-
-
 #: Each command's handler and help line; the parser's subcommands come from here.
+#: run_ti and run_td are looked up per call: perfbench's tracer rebinds this module's names.
 _COMMANDS = {
     "ingest": (cmd_ingest, "parse, validate, and deduplicate a games file"),
     "profile": (cmd_profile, "emit the per-spread bias profile plus histogram/density tables"),
-    "simulate-ti": (cmd_simulate_ti, "run the repeated-random-holdout Monte Carlo evaluation"),
-    "backtest-td": (cmd_backtest_td, "run the date-split backtest with the full k sweep"),
+    "simulate-ti": (partial(cmd_backtest, TiConfig, lambda *a: run_ti(*a)),
+                    "run the repeated-random-holdout Monte Carlo evaluation"),
+    "backtest-td": (partial(cmd_backtest, TdConfig, lambda *a: run_td(*a)),
+                    "run the date-split backtest with the full k sweep"),
 }
 
 

@@ -223,10 +223,17 @@ class FitConfig:
         return OutcomeGrid(self.grid_lo, self.grid_hi)
 
     def valid_spreads(self, dataset: Dataset, counted=slice(None)) -> tuple[np.ndarray, ...]:
-        """``spread_groups(dataset, min_samples, counted)``, refusing a valid
-        spread outside ``[grid_lo, grid_hi)`` (NaN too) with ValueError: its
-        cover probability, and so its entropy, would be pinned whatever its games did."""
+        """``spread_groups(dataset, min_samples, counted)``, refused with ValueError
+        where no fit can be made: with no valid spread (the one message for ``profile``,
+        TI and TD, naming ``min_samples`` and the largest group of the counted games), or
+        with a valid spread outside ``[grid_lo, grid_hi)`` (NaN too), whose cover probability,
+        and so entropy, would be pinned whatever its games did. These are the config's only
+        checks that need the games: a command meets them after its options and config."""
         spreads, index = spread_groups(dataset, self.min_samples, counted)
+        if not spreads.size:
+            largest = np.unique(dataset.spread[counted], return_counts=True)[1].max(initial=0)
+            raise ValueError(f"no spread has at least min_samples={self.min_samples} games "
+                             f"(the largest group has {largest})")
         off_grid = spreads[~((self.grid_lo <= spreads) & (spreads < self.grid_hi))]
         if off_grid.size:
             raise ValueError(f"spread {off_grid[0]:g} lies outside the outcome grid "
@@ -468,8 +475,6 @@ def run_ti(dataset: Dataset, config: TiConfig) -> EvaluationReport:
     # TiConfig keeps min_samples above holdout_per_spread, so every valid
     # spread keeps at least one training outcome.
     spreads, index = config.valid_spreads(dataset)
-    if not spreads.size:
-        raise ValueError(f"no spread has at least min_samples={config.min_samples} outcomes")
     results = _backtest(config, spreads, _holdout_splits(dataset, index, config))
     report = _report("ti", config, spreads, results)
     entropy = np.ascontiguousarray(results.entropy.T)
@@ -501,8 +506,6 @@ def run_td(dataset: Dataset, config: TdConfig) -> EvaluationReport:
         raise ValueError(f"no test games in year {config.cutoff_year} or later")
 
     spreads, index = config.valid_spreads(dataset, ~test)
-    if not spreads.size:
-        raise ValueError(f"no training spread has at least min_samples={config.min_samples} outcomes")
     train = ~test & (index >= 0)
     counts = outcome_counts(dataset.outcome[train], config.grid(), index[train], len(spreads))
     # Test games in coin-flip order: by spread, then key (date, home, visitor), then input order.

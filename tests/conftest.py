@@ -8,7 +8,6 @@ import functools
 import gc
 import io
 import math
-import os
 import re
 from pathlib import Path
 
@@ -22,8 +21,6 @@ from spreadbias import (
     GameRecord,
     SpreadBias,
     binary_entropy,
-    deduplicate,
-    parse_games,
 )
 
 #: Environment variable pointing at the historical 648-game CSV used by
@@ -213,19 +210,6 @@ def reference_ranking(profile: BiasProfile) -> tuple[list[SpreadBias], int]:
     spread), and how many entropies fall strictly below the threshold."""
     ranked = sorted(profile.entries, key=lambda e: (e.entropy_bits, abs(e.spread), e.spread))
     return ranked, sum(1 for e in ranked if e.entropy_bits < profile.threshold)
-
-
-@pytest.fixture
-def golden_dataset():
-    """The original 648-game dataset, when supplied via the environment."""
-    path = os.environ.get(GOLDEN_DATASET_ENV)
-    if not path or not Path(path).is_file():
-        pytest.skip(
-            f"golden dataset not available (set {GOLDEN_DATASET_ENV} to the "
-            "648-game CSV to enable this reproduction test)"
-        )
-    with open(path, encoding="utf-8", newline="") as fh:
-        return deduplicate(parse_games(fh))
 
 
 @pytest.fixture

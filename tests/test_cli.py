@@ -314,20 +314,6 @@ class TestProfile:
                 for p, m in zip(grid.points.tolist(), density.mass.tolist())
             ]
 
-    def test_too_few_samples_names_the_largest_deduplicated_group(self, tmp_path, capsys):
-        games = synthetic_spread_dataset([-2.5, 1.5], 30, seed=3)
-        big = synthetic_spread_dataset([6.5], 41, seed=4, start="2017-01-01")
-        # 15 exact repeats would make -2.5 the largest group before deduplication.
-        dataset = Dataset(games.records + big.records + games.records[:15])
-        path = write_dataset_csv(tmp_path / "games.csv", dataset)
-        code = main(["profile", "--input", str(path), "--out-dir", str(tmp_path / "o"),
-                     "--min-samples", "42"])
-        assert code == 1
-        assert capsys.readouterr().err == (
-            "error: no spread has 42 samples (largest group has 41); lower --min-samples\n"
-        )
-        assert not (tmp_path / "o").exists()
-
     @pytest.mark.parametrize("first", ["-0.0", "0"])
     def test_pickem_files_labelled_zero_in_either_row_order(self, tmp_path, first):
         second = "0" if first == "-0.0" else "-0.0"
@@ -348,7 +334,9 @@ class TestProfile:
              "--min-samples", "500"]
         )
         assert code == 1
-        assert "min-samples" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: no spread has at least min_samples=500 games (the largest group has 36)\n"
+        )
 
     def test_score_beyond_int64_fails_with_its_line(self, tmp_path, capsys):
         # The largest int64 score is kept; one above it would overflow the outcome column.
@@ -719,6 +707,53 @@ class TestSpreadsOffTheGrid:
         rows = read_csv_rows(out_dir / "profile.csv")
         assert [float(r["spread"]) for r in rows] == OFF_GRID_SPREADS
         assert all(float(r["entropy_bits"]) > 0.1 for r in rows)
+
+
+class TestFitCommandErrors:
+    """``profile``, ``simulate-ti`` and ``backtest-td`` check their options, then
+    the config built from them, then the input, and share one no-valid-spread
+    error, raised by ``FitConfig.valid_spreads``."""
+
+    @pytest.mark.parametrize("command, largest", [
+        ("profile", 41), ("simulate-ti", 41),
+        ("backtest-td", 30),  # TD counts only its training games, none at 6.5
+    ])
+    def test_no_valid_spread_names_the_largest_counted_group(
+        self, tmp_path, capsys, command, largest
+    ):
+        games = synthetic_spread_dataset([-2.5, 1.5], 30, seed=3)
+        big = synthetic_spread_dataset([6.5], 41, seed=4, start="2017-01-01")
+        # 15 exact repeats would make -2.5 the largest group before deduplication.
+        dataset = Dataset(games.records + big.records + games.records[:15])
+        path = write_dataset_csv(tmp_path / "games.csv", dataset)
+        code = main([command, "--input", str(path), "--out-dir", str(tmp_path / "o"),
+                     "--min-samples", "42"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: no spread has at least min_samples=42 games "
+            f"(the largest group has {largest})\n"
+        )
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("source", ["missing", "malformed"])
+    @pytest.mark.parametrize("command, flags, message", [
+        ("profile", ["--grid-lo", "10", "--grid-hi", "5"], "grid_lo must be below grid_hi"),
+        ("simulate-ti", ["--holdout", "30", "--min-samples", "25"],
+         "min_samples must exceed holdout_per_spread so each valid spread keeps at least "
+         "one training sample"),
+        ("backtest-td", ["--grid-lo", "10", "--grid-hi", "5"], "grid_lo must be below grid_hi"),
+    ])
+    def test_cross_field_option_error_comes_before_the_input(
+        self, tmp_path, capsys, source, command, flags, message
+    ):
+        path = tmp_path / "games.csv"
+        if source == "malformed":
+            path.write_text("date,home_team,visitor_team,home_score,visitor_score,spread\n"
+                            "2017-09-10,NE,KC,x,42,-9.0\n", encoding="utf-8")
+        code = main([command, "--input", str(path), "--out-dir", str(tmp_path / "o"), *flags])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
 
 
 class TestEncoding:

@@ -12,6 +12,7 @@ deduplicated, so keys repeat.
 from __future__ import annotations
 
 import datetime as dt
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -57,6 +58,14 @@ def old_counts(buckets) -> list[list[int]]:
     ]
 
 
+def no_valid_spread(min_samples: int, counted) -> str:
+    """The whole no-valid-spread message, as a regex, naming the largest
+    group of the ``counted`` records."""
+    largest = max(Counter(r.spread for r in counted).values(), default=0)
+    return (rf"^no spread has at least min_samples={min_samples} games "
+            rf"\(the largest group has {largest}\)$")
+
+
 def splits_of(run, dataset: Dataset, config) -> tuple[np.ndarray, list]:
     """The valid spreads and the splits that ``run`` hands to the backtest core,
     one per row of each block it hands over."""
@@ -97,7 +106,7 @@ def test_column_passes_equal_the_per_record_code(records, min_samples):
     ti = TiConfig(min_samples=min_samples + 1, holdout_per_spread=1, n_simulations=2, **grid)
     ti_buckets = reference_buckets(records, ti.min_samples)
     if not ti_buckets:
-        with pytest.raises(ValueError, match="no spread has at least"):
+        with pytest.raises(ValueError, match=no_valid_spread(ti.min_samples, records)):
             run_ti(dataset, ti)
     else:
         spreads, splits = splits_of(run_ti, dataset, ti)
@@ -112,8 +121,12 @@ def test_column_passes_equal_the_per_record_code(records, min_samples):
     train = [r for r in records if r.date.year < td.cutoff_year]
     test = [r for r in records if r.date.year >= td.cutoff_year]
     td_buckets = reference_buckets(train, min_samples)
-    if not (train and test and td_buckets):
-        with pytest.raises(ValueError, match="^no (training|test) "):
+    if not (train and test):
+        with pytest.raises(ValueError, match="^no (training|test) games "):
+            run_td(dataset, td)
+        return
+    if not td_buckets:
+        with pytest.raises(ValueError, match=no_valid_spread(min_samples, train)):
             run_td(dataset, td)
         return
     spreads, (split,) = splits_of(run_td, dataset, td)

@@ -121,8 +121,11 @@ class TestFitConfigs:
             FitConfig(grid_lo=-10, grid_hi=10).valid_spreads(ds)
         with pytest.raises(ValueError, match=r"spread -10 lies outside"):
             FitConfig(grid_lo=-9, grid_hi=11).valid_spreads(ds)
-        # Spreads under min_samples are not fitted, so they are not checked.
-        assert FitConfig(grid_lo=-9, grid_hi=10, min_samples=31).valid_spreads(ds)[0].size == 0
+        # Spreads under min_samples are not fitted, so the grid is not checked: with none
+        # valid, the error is the no-valid-spread one.
+        with pytest.raises(ValueError, match=r"^no spread has at least min_samples=31 games "
+                                             r"\(the largest group has 30\)$"):
+            FitConfig(grid_lo=-9, grid_hi=10, min_samples=31).valid_spreads(ds)
 
 
 class TestRunTi:

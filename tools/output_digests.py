@@ -12,8 +12,14 @@ endings and two team names that need quoting, a copy of it with a bad
 score after the skipped lines, and both again without the quoted names,
 so that they hold no quote at all. It runs each of the four commands on
 each CSV under each option set, and prints one line per run: CSV, options,
-command, exit code and a SHA-256 over stdout, stderr and every output file
-with its manifest left out (``perfbench/check.py``'s ``fingerprint``).
+command, exit code, a SHA-256 over stdout, stderr and every output file
+with its manifest left out (``perfbench/check.py``'s ``fingerprint``), and
+the digest of the outputs' exact part: their integers, spreads and file
+names, as ``perfbench/check.py``'s ``observe`` reads them and its
+``exact_digest`` hashes them (``-`` for a run that exits non-zero). A
+change declared to move only the last bits of floating-point outputs
+changes the full digest but must leave the exact one; where the exact
+one moves, an integer output moved.
 An option set without ``--seed`` runs a seed-7 CSV with ``--seed 7``, so
 that each CSV seed draws holdouts and coin flips of its own.
 Compare two checkouts with
@@ -80,9 +86,11 @@ def write_skips_and_quotes(source: str, name: str, bad: str | None = None,
     Path(name).write_text(text.getvalue(), encoding="utf-8", newline="")
 
 
-def run_digest(main, fingerprint, csv_name: str, command: str, options: tuple[str, ...]):
+def run_digest(main, check, csv_name: str, command: str, options: tuple[str, ...]):
     """Run CLI ``main`` on one command in the current directory; return its exit
-    code and the digest of its stdout, stderr and ``fingerprint`` of its outputs."""
+    code, the digest of its stdout, stderr and ``check.fingerprint`` of its outputs,
+    and ``check.exact_digest`` of what ``check.observe`` reads from them (``-`` if
+    the command failed)."""
     shutil.rmtree("out", ignore_errors=True)
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
@@ -91,8 +99,11 @@ def run_digest(main, fingerprint, csv_name: str, command: str, options: tuple[st
     for text in (stdout.getvalue(), stderr.getvalue()):
         h.update(text.encode() + b"\0")
     if Path("out").is_dir():
-        h.update(fingerprint(Path("out")).encode())
-    return code, h.hexdigest()
+        h.update(check.fingerprint(Path("out")).encode())
+    exact = "-"
+    if code == 0:
+        exact = check.exact_digest(check.observe(command, Path("out"), stdout.getvalue()))
+    return code, h.hexdigest(), exact
 
 
 def main(argv: list[str]) -> int:
@@ -101,8 +112,8 @@ def main(argv: list[str]) -> int:
         return 2
     perfbench = Path(__file__).resolve().parents[1] / "perfbench"
     sys.path[:0] = [str(Path(argv[0]).resolve()), str(perfbench)]
+    import check
     import workloads
-    from check import fingerprint
     from spreadbias.cli import main as cli_main
 
     start = os.getcwd()
@@ -120,8 +131,8 @@ def main(argv: list[str]) -> int:
             for csv_name, options, command in itertools.product(seeds, OPTION_SETS, COMMANDS):
                 if seeds[csv_name] and "--seed" not in options:
                     options += ("--seed", str(seeds[csv_name]))
-                code, digest = run_digest(cli_main, fingerprint, csv_name, command, options)
-                print(csv_name, " ".join(options) or "-", command, code, digest)
+                code, digest, exact = run_digest(cli_main, check, csv_name, command, options)
+                print(csv_name, " ".join(options) or "-", command, code, digest, exact)
         finally:
             os.chdir(start)
     return 0
