@@ -221,44 +221,32 @@ def _spread_tag(spread: float) -> str:
 
 
 def _summary_rows(report: EvaluationReport) -> list[list[str]]:
-    """Flat model/percent/SEM/sample-count rows, one strategy per line; the
-    TD k sweep is expanded into the numbered k-lowest rows."""
+    """Flat model/percent/SEM/sample-count rows, one per strategy in
+    ``report.models``; a report's k sweep (TD's) gives its rows for k >= 2
+    in place of the k-Lowest row, as k = 1 is Min-Ent's."""
     rows = []
     for summary in report.models:
-        label = MODEL_LABELS[summary.model].format(k=summary.k)
-        if summary.model == MODEL_K_LOWEST and report.protocol == "td":
-            continue  # expanded from the sweep below
-        rows.append(
-            [label, _fmt_pct(summary.ats_win_pct), _fmt_pct(summary.sem), str(summary.n_test)]
-        )
-    if report.ksweep:
-        for row in report.ksweep:
-            if row["k"] == 1:
-                continue  # already present as Min-Ent
-            rows.append(
-                [
-                    MODEL_LABELS[MODEL_K_LOWEST].format(k=row["k"]),
-                    _fmt_pct(row["ats_win_pct"]),
-                    "",
-                    str(row["n_test"]),
-                ]
-            )
+        label = MODEL_LABELS[summary.model]
+        if summary.model == MODEL_K_LOWEST and report.ksweep is not None:
+            rows += ([label.format(k=row["k"]), _fmt_pct(row["ats_win_pct"]), "", str(row["n_test"])]
+                     for row in report.ksweep if row["k"] > 1)
+        else:
+            rows.append([label.format(k=summary.k), _fmt_pct(summary.ats_win_pct),
+                         _fmt_pct(summary.sem), str(summary.n_test)])
     return rows
+
+
+#: ``profile.csv``'s columns in order, each with the format of its cells.
+_PROFILE_COLUMNS = {"spread": "{:g}".format, "p_home": repr, "entropy_bits": repr,
+                    "entropy_sd": repr, "n_train": str}
 
 
 def _profile_rows(profile) -> tuple[list[str], list[list[str]]]:
     """``profile.csv``'s header and rows from per-spread dicts keyed like a
-    report's profile rows; an ``entropy_sd`` key (TI's) gets a column."""
-    has_sd = any("entropy_sd" in row for row in profile)
-    header = ["spread", "p_home", "entropy_bits"] + (["entropy_sd"] if has_sd else []) + ["n_train"]
-    rows = []
-    for row in profile:
-        out = [f"{row['spread']:g}", repr(row["p_home"]), repr(row["entropy_bits"])]
-        if has_sd:
-            sd = row.get("entropy_sd")
-            out.append("" if sd is None else repr(sd))
-        out.append(str(row["n_train"]))
-        rows.append(out)
+    report's profile rows: the columns some row has, a None value empty."""
+    header = [column for column in _PROFILE_COLUMNS if any(column in row for row in profile)]
+    rows = [["" if (value := row.get(column)) is None else _PROFILE_COLUMNS[column](value)
+             for column in header] for row in profile]
     return header, rows
 
 

@@ -69,7 +69,8 @@ def _kernel_matrix(lo: int, hi: int, bandwidth: float, kernel: str) -> np.ndarra
         raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
     distances = range(hi - lo + 1)
     if kernel == "gaussian":
-        weights = [math.exp(-0.5 * (d / bandwidth) ** 2) for d in distances]
+        # exp(-0.5 * 40 ** 2) is already 0.0; the cap keeps a tiny bandwidth's square finite.
+        weights = [math.exp(-0.5 * min(d / bandwidth, 40.0) ** 2) for d in distances]
     elif kernel == "boxcar":
         weights = [float(d <= bandwidth) for d in distances]
     elif kernel == "triangular":

@@ -186,6 +186,8 @@ _FIELD_RULES = {
     "min_samples": (lambda v: v >= 1, "min_samples must be >= 1"),
     "entropy_threshold": (lambda v: 0.0 <= v <= 1.0, "entropy_threshold must lie in [0, 1]"),
     "bandwidth": (lambda v: 0 < v < math.inf, "bandwidth must be positive and finite"),
+    "grid_lo": (lambda v: -1000 <= v <= 1000, "grid_lo must lie in [-1000, 1000]"),
+    "grid_hi": (lambda v: -1000 <= v <= 1000, "grid_hi must lie in [-1000, 1000]"),
     "kernel": (lambda v: v in KERNELS, f"kernel must be one of {KERNELS}, got {{!r}}"),
     "seed": (lambda v: v >= 0, "seed must be non-negative"),
     "n_simulations": (lambda v: v >= 1, "n_simulations must be >= 1"),

@@ -436,6 +436,93 @@ class TestBacktestTd:
         assert payloads[0] == payloads[1]
 
 
+def read_table(path: Path) -> list[list[str]]:
+    """A CSV output's header and rows, as csv.reader reads them, without the manifest line."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.reader(line for line in fh if not line.startswith("#")))
+
+
+class TestOutputTables:
+    """Every ``summary.csv`` and ``profile.csv`` cell, rebuilt from ``report.json``.
+
+    ``summary.csv`` has one row per strategy; TD's k sweep gives its rows for
+    k >= 2 in place of the k-Lowest row, as k = 1 is Min-Ent's. A percent is
+    written to two decimals and an empty cell is a None. ``profile.csv`` has
+    TI's ``entropy_sd`` column, empty at one simulation, which TD's lacks."""
+
+    LABELS = {"random": "Random", "max_prob": "Max-Prob", "min_entropy": "Min-Ent"}
+
+    @staticmethod
+    def pct(value) -> str:
+        return "" if value is None else f"{value:.2f}"
+
+    def expected_summary(self, report: dict) -> list[list[str]]:
+        rows = [["model", "percent_ats_win", "sem", "n_test_samples"]]
+        for model in report["models"]:
+            if model["model"] != "k_lowest":
+                label = self.LABELS[model["model"]]
+            elif report["protocol"] == "ti":
+                label = f"{model['k']}-Lowest Ent"
+            else:
+                rows += [[f"{row['k']}-Lowest Ent", self.pct(row["ats_win_pct"]), "",
+                          str(row["n_test"])] for row in report["ksweep"][1:]]
+                continue
+            rows.append([label, self.pct(model["ats_win_pct"]), self.pct(model["sem"]),
+                         str(model["n_test"])])
+        return rows
+
+    @staticmethod
+    def expected_profile(report: dict) -> list[list[str]]:
+        ti = report["protocol"] == "ti"
+        rows = [["spread", "p_home", "entropy_bits", *["entropy_sd"] * ti, "n_train"]]
+        for row in report["profile"]:
+            sd = [] if not ti else ["" if row["entropy_sd"] is None else repr(row["entropy_sd"])]
+            rows.append([f"{row['spread']:g}", repr(row["p_home"]), repr(row["entropy_bits"]),
+                         *sd, str(row["n_train"])])
+        return rows
+
+    def check(self, out_dir: Path) -> dict:
+        report = load_report(out_dir / "report.json")
+        assert read_table(out_dir / "summary.csv") == self.expected_summary(report)
+        assert read_table(out_dir / "profile.csv") == self.expected_profile(report)
+        return report
+
+    @pytest.mark.parametrize("simulations", ["1", "5"])
+    def test_ti(self, games_csv, tmp_path, simulations):
+        out_dir = tmp_path / "out"
+        assert main(["simulate-ti", "--input", str(games_csv), "--out-dir", str(out_dir),
+                     "--simulations", simulations, "--seed", "5"]) == 0
+        report = self.check(out_dir)
+        assert [m["model"] for m in report["models"]] == [
+            "random", "max_prob", "min_entropy", "k_lowest"]
+        assert (report["models"][0]["sem"] is None) == (simulations == "1")
+        assert all((row["entropy_sd"] is None) == (simulations == "1")
+                   for row in report["profile"])
+
+    def test_td(self, games_csv, tmp_path):
+        out_dir = tmp_path / "out"
+        assert main(["backtest-td", "--input", str(games_csv), "--out-dir", str(out_dir),
+                     "--min-samples", "15", "--seed", "3"]) == 0
+        report = self.check(out_dir)
+        assert len(read_table(out_dir / "summary.csv")) == 1 + 2 + len(SPREADS)
+
+    def test_td_with_no_settled_wager(self, tmp_path):
+        # Every test game lands on its integer spread, so every wager pushes.
+        lines = ["date,home_team,visitor_team,home_score,visitor_score,spread"]
+        for spread in (3, 7):
+            lines += [f"2015-{spread:02d}-{i + 1:02d},H{i},V{i},30,{30 + i % 13 - 6},{spread}.0"
+                      for i in range(20)]
+            lines += [f"2017-{spread:02d}-{i + 1:02d},H{i},V{i},30,{30 + spread},{spread}.0"
+                      for i in range(4)]
+        games = tmp_path / "games.csv"
+        games.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out_dir = tmp_path / "out"
+        assert main(["backtest-td", "--input", str(games), "--out-dir", str(out_dir)]) == 0
+        report = self.check(out_dir)
+        assert all(m["ats_win_pct"] is None and m["n_test"] == 0 for m in report["models"])
+        assert [row[1:] for row in read_table(out_dir / "summary.csv")[1:]] == [["", "", "0"]] * 4
+
+
 class TestCoverProbabilityRoundingPastOne:
     """A boxcar density that lies wholly at or below 7.5 (every margin at most
     0, bandwidth 3) fits a cover probability of exactly 1.0 and entropy 0.0,
@@ -566,17 +653,23 @@ class TestConfigFile:
         ("--seed", "abc", "seed expects int, got 'abc'"),
         ("--simulations", "2.5", "simulations expects int, got '2.5'"),
         ("--simulations", "1_0", "simulations expects int, got '1_0'"),
+        # A wider grid's kernel matrix outgrows memory, and a bound past int64 overflows.
+        ("--grid-lo", "-1001", "grid_lo must lie in [-1000, 1000]"),
+        ("--grid-hi", "1001", "grid_hi must lie in [-1000, 1000]"),
+        ("--grid-lo", "-1000000000000000000000", "grid_lo must lie in [-1000, 1000]"),
     ])
     def test_same_rule_as_a_flag_is_unlocated(
-        self, games_csv, tmp_path, capsys, command, flag, value, message
+        self, tmp_path, capsys, command, flag, value, message
     ):
+        # The option is checked before the input is read: the input need not exist.
+        missing = str(tmp_path / "missing.csv")
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{flag[2:]} = {value}\n")
-        code = main([command, "--input", str(games_csv),
+        code = main([command, "--input", missing,
                      "--out-dir", str(tmp_path / "o"), "--config", str(cfg)])
         assert code == 1
         assert capsys.readouterr().err == f"error: {cfg}:1: {message}\n"
-        code = main([command, "--input", str(games_csv),
+        code = main([command, "--input", missing,
                      "--out-dir", str(tmp_path / "o"), flag, value])
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -754,6 +847,30 @@ class TestFitCommandErrors:
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "o").exists()
+
+
+class TestOptionLimits:
+    """The widest grid the grid rule allows fits. A tiny gaussian bandwidth
+    fits too: every weight off a kernel's own point underflows to 0, so a
+    spread's p_home is the share of its games at or below it."""
+
+    @pytest.mark.parametrize("command", ["profile", "simulate-ti", "backtest-td"])
+    def test_widest_grid_runs(self, games_csv, tmp_path, command):
+        assert main([command, "--input", str(games_csv), "--out-dir", str(tmp_path / "o"),
+                     "--grid-lo", "-1000", "--grid-hi", "1000", "--simulations", "2"]) == 0
+
+    @pytest.mark.parametrize("command", ["profile", "simulate-ti", "backtest-td"])
+    @pytest.mark.parametrize("bandwidth", ["1e-160", "1e-200", "5e-324"])
+    def test_tiny_bandwidth_fits_the_histogram(self, games_csv, tmp_path, command, bandwidth):
+        out_dir = tmp_path / "o"
+        assert main([command, "--input", str(games_csv), "--out-dir", str(out_dir),
+                     "--bandwidth", bandwidth, "--simulations", "2"]) == 0
+        if command == "profile":
+            for row in read_csv_rows(out_dir / "profile.csv"):
+                counts = {int(r["outcome"]): int(r["count"])
+                          for r in read_csv_rows(out_dir / f"hist_{float(row['spread']):.1f}.csv")}
+                below = sum(n for outcome, n in counts.items() if outcome <= float(row["spread"]))
+                assert float(row["p_home"]) == below / sum(counts.values())
 
 
 class TestEncoding:

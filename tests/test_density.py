@@ -226,3 +226,19 @@ def test_gaussian_bandwidth_is_standard_deviation():
     mass_at = dict(zip(density.grid.points.tolist(), density.mass.tolist()))
     # One bandwidth from the center the unnormalized kernel is exp(-1/2).
     assert mass_at[4] / mass_at[0] == pytest.approx(math.exp(-0.5), rel=1e-12)
+
+
+@pytest.mark.parametrize("bandwidth", [1e-160, 1e-200, 5e-324])
+def test_tiny_gaussian_bandwidth_gives_the_histogram(bandwidth):
+    # Every weight off a kernel's own point underflows to 0.0.
+    density = estimate_density([-3, 0, 0, 5], bandwidth=bandwidth)
+    expected = np.zeros(81)
+    expected[[37, 40, 45]] = [0.25, 0.5, 0.25]
+    np.testing.assert_array_equal(density.mass, expected)
+
+
+@pytest.mark.parametrize("bandwidth", [1e-150, 0.01, 0.3, 4.0, 1e6])
+def test_gaussian_weights_are_exp_of_the_uncapped_square(bandwidth):
+    # Where (d / bandwidth) ** 2 is finite, capping d / bandwidth at 40 changes no weight.
+    weights = _kernel_matrix(-40, 40, bandwidth, "gaussian")[0]
+    np.testing.assert_array_equal(weights, [math.exp(-0.5 * (d / bandwidth) ** 2) for d in range(81)])

@@ -12,11 +12,12 @@ endings and two team names that need quoting, a copy of it with a bad
 score after the skipped lines, and both again without the quoted names,
 so that they hold no quote at all. It runs each of the four commands on
 each CSV under each option set, and prints one line per run: CSV, options,
-command, exit code, a SHA-256 over stdout, stderr and every output file
-with its manifest left out (``perfbench/check.py``'s ``fingerprint``), and
-the digest of the outputs' exact part: their integers, spreads and file
-names, as ``perfbench/check.py``'s ``observe`` reads them and its
-``exact_digest`` hashes them (``-`` for a run that exits non-zero). A
+command, exit code (or the name of the exception the command raised), a
+SHA-256 over stdout, stderr and every output file with its manifest left
+out (``perfbench/check.py``'s ``fingerprint``), and the digest of the
+outputs' exact part: their integers, spreads and file names, as
+``perfbench/check.py``'s ``observe`` reads them and its ``exact_digest``
+hashes them (``-`` for a run that exits non-zero). A
 change declared to move only the last bits of floating-point outputs
 changes the full digest but must leave the exact one; where the exact
 one moves, an integer output moved.
@@ -56,6 +57,13 @@ OPTION_SETS = (
     # so all stay on the ±30 grid, while margins past ±30 are clamped.
     ("--kernel", "triangular", "--bandwidth", "2.5", "--entropy-threshold", "0.99"),
     ("--grid-lo", "-30", "--grid-hi", "30", "--cutoff-year", "2015"),
+    # Config-rule and no-valid-spread exits: simulate-ti refuses the first set (min_samples
+    # must exceed holdout), which the other commands run; no spread has 100,000 games;
+    # -1001 breaks grid_lo's own rule.
+    ("--holdout", "30", "--min-samples", "25"),
+    ("--min-samples", "100000"),
+    ("--grid-lo", "-1001"),
+    ("--bandwidth", "1e-200"),  # the gaussian's weights underflow to 0 off the diagonal
 )
 
 
@@ -88,13 +96,18 @@ def write_skips_and_quotes(source: str, name: str, bad: str | None = None,
 
 def run_digest(main, check, csv_name: str, command: str, options: tuple[str, ...]):
     """Run CLI ``main`` on one command in the current directory; return its exit
-    code, the digest of its stdout, stderr and ``check.fingerprint`` of its outputs,
-    and ``check.exact_digest`` of what ``check.observe`` reads from them (``-`` if
-    the command failed)."""
+    code (or the name of the exception it raised, whose message then counts as
+    stderr), the digest of its stdout, stderr and ``check.fingerprint`` of its
+    outputs, and ``check.exact_digest`` of what ``check.observe`` reads from them
+    (``-`` if the command failed)."""
     shutil.rmtree("out", ignore_errors=True)
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = main([command, "--input", csv_name, "--out-dir", "out", *options])
+        try:
+            code = main([command, "--input", csv_name, "--out-dir", "out", *options])
+        except Exception as exc:
+            code = type(exc).__name__
+            print(exc, file=sys.stderr)
     h = hashlib.sha256()
     for text in (stdout.getvalue(), stderr.getvalue()):
         h.update(text.encode() + b"\0")
