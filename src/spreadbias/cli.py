@@ -30,7 +30,7 @@ import sys
 from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from functools import partial
-from itertools import islice, repeat
+from itertools import islice
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -47,6 +47,7 @@ from .data import (
     _ASCII_SPACE,
     _gc_paused,
     _number,
+    _shown,
     deduplicate,
     parse_games,
 )
@@ -117,11 +118,11 @@ def _read_config_file(path: str) -> dict:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ValueError(f"{path}:{n}: expected key=value, got {line!r}")
+            raise ValueError(f"{path}:{n}: expected key=value, got {_shown(line)}")
         key, _, raw = line.partition("=")
         key = key.strip(_ASCII_SPACE).replace("-", "_")
         if key not in _OPTION_TYPES:
-            raise ValueError(f"{path}:{n}: unknown option {key!r}")
+            raise ValueError(f"{path}:{n}: unknown option {_shown(key)}")
         if (first := first_line.setdefault(key, n)) != n:
             raise ValueError(f"{path}:{n}: repeated option {key!r} (first on line {first})")
         try:
@@ -139,7 +140,7 @@ def _parse_option(name: str, raw: str):
     try:
         value = raw if kind is str else _number(kind, raw)
     except ValueError:
-        raise ValueError(f"{name} expects {kind.__name__}, got {raw!r}") from None
+        raise ValueError(f"{name} expects {kind.__name__}, got {_shown(raw)}") from None
     if error := _field_error(_FIELD_OF.get(name, name), value):
         raise ValueError(error)
     return value
@@ -179,23 +180,31 @@ def _start_output(config: dict, args, digest: str) -> tuple[Path, dict]:
 
 def _load_dataset(path: str) -> tuple[Dataset, Dataset, str]:
     """Return (raw, deduplicated) datasets from a games file, read once,
-    and the SHA-256 hex digest of the bytes that were parsed."""
+    and the SHA-256 hex digest of the bytes that were parsed. The file is
+    cut into lines where ``open(..., newline="")`` cuts it (at CRLF, CR or
+    LF). A file with a ``"`` is read so, line ends kept, as csv reads them
+    as data only in quotes; any other is decoded in one call and, once its
+    CRLF and CR are LF, split at LF in one call, which drops the ends."""
     data = Path(path).read_bytes()
-    # Lines as open(..., newline="") splits them; csv reads their ends as data only in quotes.
-    lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
-    if b'"' not in data:
-        lines = map(str.rstrip, lines, repeat("\r\n"))
+    digest = hashlib.sha256(data).hexdigest()
     try:
-        raw = parse_games(lines)
+        if b'"' in data:
+            lines = list(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
+        else:
+            text = data.decode("utf-8")
+            lines = text.replace("\r\n", "\n").replace("\r", "\n").removesuffix("\n").split("\n")
+            del text  # the lines are a copy
     except UnicodeDecodeError:
-        # The error's position counts from a read buffer, not the file: decode by line.
+        # The error's position counts bytes, not lines: decode by line.
         for n, line in enumerate(data.splitlines(), 1):
             try:
                 line.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise ParseError(n, str(exc)) from None
         raise
-    return raw, deduplicate(raw), hashlib.sha256(data).hexdigest()
+    del data
+    raw = parse_games(lines)
+    return raw, deduplicate(raw), digest
 
 
 def _write_csv(path: Path, manifest: dict, header: list[str], rows=(), lines=()) -> None:

@@ -168,7 +168,8 @@ def parse_games(source: Iterable[str]) -> Dataset:
     lines, nor a kept line hold a NUL. Row order is preserved. Kept lines
     with no ``"``, CR or LF, none longer than ``csv.field_size_limit()``,
     are split at commas, with the same records and errors as ``csv``
-    gives; the CLI passes a file with no ``"`` as lines without their ends.
+    gives; the CLI passes a file with no ``"`` as lines without their ends,
+    from one split at LF.
 
     Raises SchemaError when the header is absent, incomplete, or repeats
     a required column, and ParseError (carrying the offending line
@@ -203,8 +204,8 @@ def parse_games(source: Iterable[str]) -> Dataset:
         del text  # not held while the table is built
 
         # A split row cannot span lines. A reader reads all the kept lines and counts them in
-        # reader.line_num, so row i (the header is row 0) spans lines if the reader has
-        # consumed more than i + 1 of them.
+        # reader.line_num: the row after len(records) records (row len(records) + 1, as the
+        # header is row 0) spans lines if the reader has consumed more than len(records) + 2.
         reader = None if split else csv.reader(lines)
         rows = map(str.split, lines, repeat(",")) if split else reader
         try:
@@ -225,11 +226,12 @@ def parse_games(source: Iterable[str]) -> Dataset:
             records = []
             # The same exact GameRecord, without the named tuple's Python-level __new__ frame.
             new = tuple.__new__
-            for i, fields in enumerate(rows, start=1):
-                if reader and reader.line_num != i + 1:
-                    raise ParseError(line_of(i), "quoted field spans lines")
+            for fields in rows:
+                if reader and reader.line_num != len(records) + 2:
+                    raise ParseError(line_of(len(records) + 1), "quoted field spans lines")
                 if len(fields) != n_fields:
-                    raise ParseError(line_of(i), f"expected {n_fields} fields, found {len(fields)}")
+                    raise ParseError(line_of(len(records) + 1),
+                                     f"expected {n_fields} fields, found {len(fields)}")
                 if (date := dates.get(raw := fields[i_date])) is None:
                     date = dates[raw] = _date(raw.strip(_ASCII_SPACE))
                 if (home_team := teams.get(raw := fields[i_home])) is None:
@@ -246,7 +248,7 @@ def parse_games(source: Iterable[str]) -> Dataset:
                     new(GameRecord, (date, home_team, visitor_team, home_score, visitor_score, spread))
                 )
         except _FieldError as exc:
-            raise ParseError(line_of(i), str(exc)) from None
+            raise ParseError(line_of(len(records) + 1), str(exc)) from None
         except csv.Error as exc:
             raise ParseError(line_of(reader.line_num - 1), f"unreadable CSV: {exc}") from None
         return Dataset(tuple(records))

@@ -35,7 +35,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .bias import DEFAULT_ENTROPY_THRESHOLD, profile_arrays, rank_spreads
-from .data import Dataset, by_spread, spread_groups
+from .data import Dataset, _shown, by_spread, spread_groups
 from .density import (
     DEFAULT_BANDWIDTH, DEFAULT_GRID_HI, DEFAULT_GRID_LO, KERNELS, OutcomeGrid, outcome_counts,
 )
@@ -181,14 +181,14 @@ def _holdout_picks(words: np.ndarray, sizes: np.ndarray, holdout: int) -> np.nda
 
 
 #: The rule each config field must keep on its own, and the message that
-#: names it (``{!r}`` stands for the value).
+#: names it (``{}`` stands for the value, a string as ``data._shown`` shows it).
 _FIELD_RULES = {
     "min_samples": (lambda v: v >= 1, "min_samples must be >= 1"),
     "entropy_threshold": (lambda v: 0.0 <= v <= 1.0, "entropy_threshold must lie in [0, 1]"),
     "bandwidth": (lambda v: 0 < v < math.inf, "bandwidth must be positive and finite"),
     "grid_lo": (lambda v: -1000 <= v <= 1000, "grid_lo must lie in [-1000, 1000]"),
     "grid_hi": (lambda v: -1000 <= v <= 1000, "grid_hi must lie in [-1000, 1000]"),
-    "kernel": (lambda v: v in KERNELS, f"kernel must be one of {KERNELS}, got {{!r}}"),
+    "kernel": (lambda v: v in KERNELS, f"kernel must be one of {KERNELS}, got {{}}"),
     "seed": (lambda v: v >= 0, "seed must be non-negative"),
     "n_simulations": (lambda v: v >= 1, "n_simulations must be >= 1"),
     "holdout_per_spread": (lambda v: v >= 1, "holdout_per_spread must be >= 1"),
@@ -198,7 +198,9 @@ _FIELD_RULES = {
 def _field_error(name: str, value) -> str | None:
     """Why ``value`` breaks config field ``name``'s own rule, or None."""
     holds, message = _FIELD_RULES.get(name, (lambda v: True, ""))
-    return None if holds(value) else message.format(value)
+    if holds(value):
+        return None
+    return message.format(_shown(value) if isinstance(value, str) else value)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import datetime as dt
 import gc
 import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -576,6 +577,19 @@ class TestConfigFile:
         assert code == 1
         assert "unknown option" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, message", [
+        ("x" * 40, f"expected key=value, got '{'x' * 40}'"),
+        ("x" * 41, f"expected key=value, got '{'x' * 40}'... (41 characters)"),
+        ("x" * 41 + " = 1", f"unknown option '{'x' * 40}'... (41 characters)"),
+    ])
+    def test_long_line_or_key_is_shortened(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"seed = 1\n{line}\n")
+        code = main(["profile", "--input", str(tmp_path / "missing.csv"),
+                     "--out-dir", str(tmp_path / "o"), "--config", str(cfg)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {cfg}:2: {message}\n"
+
     def test_unparsable_value_fails_with_location(self, games_csv, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("seed = 1\nsimulations = 2.5\n")
@@ -657,6 +671,13 @@ class TestConfigFile:
         ("--grid-lo", "-1001", "grid_lo must lie in [-1000, 1000]"),
         ("--grid-hi", "1001", "grid_hi must lie in [-1000, 1000]"),
         ("--grid-lo", "-1000000000000000000000", "grid_lo must lie in [-1000, 1000]"),
+        # A value is repeated as a games-file field is: past 40 characters, its first 40 and
+        # its length. A digit string this long is an int on Python 3.10 but not on 3.11+.
+        ("--seed", "1" * 5000 + "x", f"seed expects int, got '{'1' * 40}'... (5001 characters)"),
+        ("--kernel", "c" * 40,
+         f"kernel must be one of ('gaussian', 'boxcar', 'triangular'), got '{'c' * 40}'"),
+        ("--kernel", "c" * 41, "kernel must be one of ('gaussian', 'boxcar', 'triangular'), "
+                               f"got '{'c' * 40}'... (41 characters)"),
     ])
     def test_same_rule_as_a_flag_is_unlocated(
         self, tmp_path, capsys, command, flag, value, message
@@ -930,6 +951,56 @@ class TestEncoding:
                      "--config", str(cfg)]) == 0
         config = read_manifest(out_dir / "profile.csv")["config"]
         assert (config["min_samples"], config["seed"]) == (20, 9)
+
+
+class TestLineEndings:
+    """One games file with LF, CRLF or CR endings, with a quoted field or with none,
+    gives the same outputs: the CLI splits a quote-free file at LF once its CRLF and
+    CR are LF, and reads a file with a quote as ``open(..., newline="")`` reads it."""
+
+    @staticmethod
+    def outputs(out_dir: Path) -> dict[str, bytes]:
+        """Each output file's bytes, with the input digest and timestamp of the
+        run manifest replaced by ``-``."""
+        manifest = read_manifest(min(out_dir.glob("*.csv")))
+        files = {}
+        for path in sorted(out_dir.iterdir()):
+            data = path.read_bytes()
+            for value in (manifest["input_digest"], manifest["timestamp"]):
+                data = data.replace(value.encode(), b"-")
+            files[path.name] = data
+        return files
+
+    @pytest.mark.parametrize("command, written", [
+        ("ingest", {"dataset.csv"}),
+        ("profile", {"profile.csv", "hist_*.csv", "pdf_*.csv"}),
+        ("simulate-ti", {"report.json", "summary.csv", "profile.csv"}),
+        ("backtest-td", {"report.json", "summary.csv", "profile.csv"}),
+    ])
+    def test_outputs_equal_across_line_endings(self, games_csv, tmp_path, monkeypatch, capsys,
+                                               command, written):
+        lines = games_csv.read_text(encoding="utf-8").splitlines()
+        lines[1:1] = ["# a comment", ""]
+        lines.insert(len(lines) // 2, " \t")
+        quoted = lines.copy()
+        date, home, rest = quoted[3].split(",", 2)
+        quoted[3] = f'{date},"{home}",{rest}'
+        runs = {}
+        for (eol_name, eol), (quotes, rows) in itertools.product(
+            [("lf", "\n"), ("crlf", "\r\n"), ("cr", "\r")], [("plain", lines), ("quoted", quoted)]
+        ):
+            run_dir = tmp_path / f"{eol_name}-{quotes}"
+            run_dir.mkdir()
+            monkeypatch.chdir(run_dir)  # the manifest names the same input
+            Path("games.csv").write_text(eol.join(rows) + eol, encoding="utf-8", newline="")
+            assert main([command, "--input", "games.csv", "--out-dir", "out",
+                         "--simulations", "5"]) == 0
+            runs[run_dir.name] = capsys.readouterr().out, self.outputs(Path("out"))
+        stdout, files = runs.pop("lf-plain")
+        assert {name.split("_")[0] + "_*.csv" if name.startswith(("hist_", "pdf_")) else name
+                for name in files} == written
+        for name, run in runs.items():
+            assert run == (stdout, files), name
 
 
 @pytest.mark.usefixtures("restore_gc")

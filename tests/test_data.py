@@ -468,13 +468,18 @@ SKIPPED_LINES = st.sampled_from(["", " \t", "\u3000", "# manifest {}", '  # a "q
 def line_sources(draw) -> str:
     """A games file: maybe a BOM, skipped lines around the header and rows that
     parse, maybe one other row, each line ending in LF, CR or CRLF, the last maybe
-    in none."""
+    in none. About half the files end every line in LF, the only kind of file the
+    CLI splits at LF."""
     before = draw(st.lists(SKIPPED_LINES, max_size=2))
     body = draw(st.lists(PLAIN_ROWS | SKIPPED_LINES, max_size=8))
     if other := draw(st.none() | OTHER_ROWS):
         body.insert(draw(st.integers(0, len(body))), other)
     lines = before + [HEADER.strip()] + body
-    endings = draw(st.lists(st.sampled_from(["\n", "\r", "\r\n"]), min_size=len(lines), max_size=len(lines)))
+    if draw(st.booleans()):
+        endings = ["\n"] * len(lines)
+    else:
+        endings = draw(st.lists(st.sampled_from(["\n", "\r", "\r\n"]),
+                                min_size=len(lines), max_size=len(lines)))
     if draw(st.booleans()):
         endings[-1] = ""
     return draw(st.sampled_from(["", "\ufeff"])) + "".join(map(str.__add__, lines, endings))
@@ -489,9 +494,11 @@ def parse_outcome(parse_source):
 
 
 class TestLineSource:
-    """The CLI passes a quote-free file's lines without their ends, and
-    ``parse_games`` splits lines with no quote, CR or LF at commas; neither may
-    change a record or an error from csv's over the file's own lines."""
+    """The CLI reads a file with a quote as ``open(..., newline="")`` reads it, and
+    turns any other into its lines without their ends by one split at LF, after
+    CRLF and CR become LF; ``parse_games`` splits lines with no quote, CR or LF
+    at commas. None of these may change a record or an error
+    from csv's over the file's own lines."""
 
     @staticmethod
     def load(text: str) -> Dataset:
@@ -505,6 +512,12 @@ class TestLineSource:
     @given(line_sources(), st.sampled_from([None, 60]))
     # Stripping this file's line ends would take its quoted field back under the limit.
     @example(HEADER + '2017-09-15,"' + "N" * 60 + '\n",KC,27,42,1.0\n', 60)
+    # Split at LF: an empty file, a lone mark, no final LF, two final LFs, and a NUL in a row.
+    @example("", None)
+    @example("\ufeff", None)
+    @example(HEADER + GOOD_ROW.strip(), None)
+    @example(HEADER + GOOD_ROW + "\n", None)
+    @example(HEADER + GOOD_ROW + "2017-09-15,N\0E,KC,27,42,1.0\n" + GOOD_ROW, None)
     def test_cli_lines_parse_as_the_file_lines(self, text, limit):
         # 60 characters admit the header and every field but the long team name and
         # the 60 characters quoted with their line end.
@@ -527,6 +540,37 @@ class TestLineSource:
         with mock.patch("spreadbias.data.csv.reader", side_effect=AssertionError("csv.reader")):
             assert self.load(text) == expected
             assert parse_games(text.splitlines()) == expected
+
+    #: Physical lines 1 to 8: skipped lines around the header and two rows that parse.
+    OPENING = ["# manifest {}", "", HEADER.strip(), " \t", GOOD_ROW.strip(), "# a comment", "\u3000",
+               "2017-09-11,GB,SEA,20,17,3.5"]
+
+    @pytest.mark.parametrize("row, message", [
+        ("2017-09-15,NE,KC,27,42", "expected 6 fields, found 5"),
+        ("2017-09-15,NE,KC,27,42,-9.0,x", "expected 6 fields, found 7"),
+        # A field no row before has: it is checked on a cache miss.
+        ("2017-13-10,NE,KC,27,42,-9.0", "invalid date '2017-13-10' (expected YYYY-MM-DD)"),
+        ("2017-09-10,NE,KC,27,x,-9.0", "non-integer visitor_score 'x'"),
+    ])
+    def test_row_number_after_skipped_lines_on_either_path(self, row, message):
+        expected = (ParseError, 9, f"line 9: {message}")
+        lines = self.OPENING + [row, GOOD_ROW.strip()]
+        with mock.patch("spreadbias.data.csv.reader", side_effect=AssertionError("csv.reader")):
+            assert parse_outcome(lambda: parse_games(lines)) == expected
+            assert parse_outcome(lambda: self.load("\n".join(lines) + "\n")) == expected
+        # One quoted field sends every line through csv.reader.
+        lines[4] = lines[4].replace(",KC,", ',"KC",')
+        with mock.patch("spreadbias.data.csv.reader", wraps=csv.reader) as reader:
+            assert parse_outcome(lambda: parse_games(lines)) == expected
+            assert parse_outcome(lambda: self.load("\n".join(lines) + "\n")) == expected
+        assert reader.call_count == 2
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_quoted_field_spanning_lines_after_skipped_lines(self, eol):
+        text = eol.join(self.OPENING + ['2017-09-15,"N', 'E",KC,27,42,-9.0', GOOD_ROW.strip(), ""])
+        expected = (ParseError, 9, "line 9: quoted field spans lines")
+        assert parse_outcome(lambda: self.load(text)) == expected
+        assert parse_outcome(lambda: parse_file(text)) == expected
 
     def test_bad_date_on_a_cache_miss_names_its_physical_line(self):
         text = HEADER + "\n# comment\n" + GOOD_ROW + "\r\n \n" + GOOD_ROW.replace("09-10", "13-10")

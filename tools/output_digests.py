@@ -6,15 +6,17 @@ Usage: python tools/output_digests.py SRC_DIR
 SRC_DIR is a checkout's ``src`` directory; its ``spreadbias`` is imported
 and run in this process. The tool writes the three workloads' CSVs
 (``perfbench/workloads.py``) at seeds 0 and 7 into a temporary directory,
-and four more built from the ti-wide seed-0 CSV: one with the lines the
+and six more built from the ti-wide seed-0 CSV: one with the lines the
 parser skips (a ``# manifest`` line and whitespace-only lines), CRLF
 endings and two team names that need quoting, a copy of it with a bad
-score after the skipped lines, and both again without the quoted names,
-so that they hold no quote at all. It runs each of the four commands on
-each CSV under each option set, and prints one line per run: CSV, options,
-command, exit code (or the name of the exception the command raised), a
-SHA-256 over stdout, stderr and every output file with its manifest left
-out (``perfbench/check.py``'s ``fingerprint``), and the digest of the
+score after the skipped lines, both again without the quoted names, so
+that they hold no quote at all, and those two once more with LF endings,
+so that the CLI's split at LF meets skipped lines with and without a CR
+to replace. It runs each of the four commands on each CSV under each
+option set, and prints one line per run: CSV, options, command, exit
+code (or the name of the exception the command raised), a SHA-256 over
+stdout, stderr and every output file with its manifest left out
+(``perfbench/check.py``'s ``fingerprint``), and the digest of the
 outputs' exact part: their integers, spreads and file names, as
 ``perfbench/check.py``'s ``observe`` reads them and its ``exact_digest``
 hashes them (``-`` for a run that exits non-zero). A
@@ -72,11 +74,11 @@ RENAMED = {"T00": "Big, Red", "T01": 'Say "Hi"'}
 
 
 def write_skips_and_quotes(source: str, name: str, bad: str | None = None,
-                           renamed: dict = RENAMED) -> None:
-    """Write ``source`` to ``name`` with CRLF endings, the ``renamed`` teams,
-    a ``# manifest`` line and whitespace-only lines (one a lone ideographic
-    space) before and inside its rows; ``bad`` replaces the home score of the
-    first row after the skipped lines in the middle."""
+                           renamed: dict = RENAMED, end: str = "\r\n") -> None:
+    """Write ``source`` to ``name`` with each line ending in ``end``, the
+    ``renamed`` teams, a ``# manifest`` line and whitespace-only lines (one a
+    lone ideographic space) before and inside its rows; ``bad`` replaces the
+    home score of the first row after the skipped lines in the middle."""
     with open(source, encoding="utf-8", newline="") as fh:
         header, *rows = csv.reader(fh)
     rows = [[renamed.get(field, field) for field in row] for row in rows]
@@ -84,12 +86,12 @@ def write_skips_and_quotes(source: str, name: str, bad: str | None = None,
     if bad is not None:
         rows[middle][header.index("home_score")] = bad
     text = io.StringIO()
-    writer = csv.writer(text)
-    text.write("# manifest {}\r\n \t\r\n")
+    writer = csv.writer(text, lineterminator=end)
+    text.write(f"# manifest {{}}{end} \t{end}")
     writer.writerow(header)
-    text.write("\u3000\r\n")
+    text.write(f"\u3000{end}")
     writer.writerows(rows[:middle])
-    text.write("\r\n  # a comment after spaces\r\n\u3000 \r\n")
+    text.write(f"{end}  # a comment after spaces{end}\u3000 {end}")
     writer.writerows(rows[middle:])
     Path(name).write_text(text.getvalue(), encoding="utf-8", newline="")
 
@@ -137,10 +139,11 @@ def main(argv: list[str]) -> int:
             for (name, workload), seed in itertools.product(workloads.WORKLOADS.items(), SEEDS):
                 seeds[f"{name}-{seed}.csv"] = seed
                 workloads.write_csv(workloads.generate(workload.shape, seed), f"{name}-{seed}.csv")
-            for suffix, renamed in (("skips", RENAMED), ("skips-plain", {})):
-                write_skips_and_quotes("ti-wide-0.csv", f"ti-wide-0-{suffix}.csv", renamed=renamed)
-                write_skips_and_quotes("ti-wide-0.csv", f"ti-wide-0-{suffix}-bad.csv", "-3", renamed)
-                seeds[f"ti-wide-0-{suffix}.csv"] = seeds[f"ti-wide-0-{suffix}-bad.csv"] = 0
+            for suffix, renamed, end in (("skips", RENAMED, "\r\n"), ("skips-plain", {}, "\r\n"),
+                                         ("skips-plain-lf", {}, "\n")):
+                for name, bad in ((f"ti-wide-0-{suffix}.csv", None), (f"ti-wide-0-{suffix}-bad.csv", "-3")):
+                    write_skips_and_quotes("ti-wide-0.csv", name, bad, renamed, end)
+                    seeds[name] = 0
             for csv_name, options, command in itertools.product(seeds, OPTION_SETS, COMMANDS):
                 if seeds[csv_name] and "--seed" not in options:
                     options += ("--seed", str(seeds[csv_name]))
