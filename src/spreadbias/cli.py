@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import io
 import json
 import math
 import sys
@@ -180,31 +179,10 @@ def _start_output(config: dict, args, digest: str) -> tuple[Path, dict]:
 
 def _load_dataset(path: str) -> tuple[Dataset, Dataset, str]:
     """Return (raw, deduplicated) datasets from a games file, read once,
-    and the SHA-256 hex digest of the bytes that were parsed. The file is
-    cut into lines where ``open(..., newline="")`` cuts it (at CRLF, CR or
-    LF). A file with a ``"`` is read so, line ends kept, as csv reads them
-    as data only in quotes; any other is decoded in one call and, once its
-    CRLF and CR are LF, split at LF in one call, which drops the ends."""
+    and the SHA-256 hex digest of the bytes that were parsed."""
     data = Path(path).read_bytes()
-    digest = hashlib.sha256(data).hexdigest()
-    try:
-        if b'"' in data:
-            lines = list(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
-        else:
-            text = data.decode("utf-8")
-            lines = text.replace("\r\n", "\n").replace("\r", "\n").removesuffix("\n").split("\n")
-            del text  # the lines are a copy
-    except UnicodeDecodeError:
-        # The error's position counts bytes, not lines: decode by line.
-        for n, line in enumerate(data.splitlines(), 1):
-            try:
-                line.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ParseError(n, str(exc)) from None
-        raise
-    del data
-    raw = parse_games(lines)
-    return raw, deduplicate(raw), digest
+    raw = parse_games(data)
+    return raw, deduplicate(raw), hashlib.sha256(data).hexdigest()
 
 
 def _write_csv(path: Path, manifest: dict, header: list[str], rows=(), lines=()) -> None:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import gc
+import io
 import math
 from bisect import bisect_right
 from contextlib import contextmanager
@@ -152,10 +153,10 @@ def _gc_paused():
             gc.enable()
 
 
-def parse_games(source: Iterable[str]) -> Dataset:
-    """Parse a delimited text stream of game rows into a Dataset.
+def parse_games(data: bytes) -> Dataset:
+    """Parse the bytes of a UTF-8 games file into a Dataset.
 
-    The stream must begin with a header naming the six required columns
+    The file must begin with a header naming the six required columns
     (``date,home_team,visitor_team,home_score,visitor_score,spread``) in
     any order; extra columns are ignored. Dates are YYYY-MM-DD; scores are
     non-negative integers; spreads are finite numbers, rounded to one
@@ -165,19 +166,36 @@ def parse_games(source: Iterable[str]) -> Dataset:
     a team name may not begin or end with other whitespace. A leading
     byte-order mark, blank lines and ``#`` comment lines are skipped (any
     ``str.isspace()`` character may open them); a quoted field may not span
-    lines, nor a kept line hold a NUL. Row order is preserved. Kept lines
-    with no ``"``, CR or LF, none longer than ``csv.field_size_limit()``,
-    are split at commas, with the same records and errors as ``csv``
-    gives; the CLI passes a file with no ``"`` as lines without their ends,
-    from one split at LF.
+    lines, nor a kept line hold a NUL. Row order is preserved.
+
+    Lines end at CRLF, CR or LF, as ``open(..., newline="")`` cuts them. A
+    file with a ``"`` is read so, line ends kept, by ``csv.reader``. Any
+    other is decoded in one call and, once its CRLF and CR are LF, split at
+    LF in one call; unless a kept line is longer than
+    ``csv.field_size_limit()``, each kept line is then split at its commas,
+    with the same records and errors as ``csv`` gives.
 
     Raises SchemaError when the header is absent, incomplete, or repeats
     a required column, and ParseError (carrying the offending line
-    number) for malformed rows.
+    number) for malformed rows and for a byte that is not UTF-8.
     """
+    quoted = b'"' in data
     with _gc_paused():
-        lines = iter(source)
-        lines = [next(lines, "").removeprefix("\ufeff"), *lines]
+        try:
+            if quoted:
+                lines = list(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
+            else:
+                lines = (data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+                         .removesuffix("\n").split("\n"))
+        except UnicodeDecodeError:
+            # The error's position counts bytes, not lines: decode by line.
+            for n, line in enumerate(data.splitlines(), 1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise ParseError(n, str(exc)) from None
+            raise
+        lines[0] = lines[0].removeprefix("\ufeff")
         # A C-level pass finds the lines that may be skipped; only those get the exact test.
         maybe = compress(count(), map(_SKIP_STARTS.__contains__, map(itemgetter(slice(1)), lines)))
         skipped = [i for i in maybe if not (text := lines[i].lstrip()) or text.startswith(COMMENT_PREFIX)]
@@ -194,14 +212,13 @@ def parse_games(source: Iterable[str]) -> Dataset:
         def line_of(r: int) -> int:
             return r + 1 + bisect_right(before, r)
 
-        text = "".join(lines)
-        # Without a quote, CR or LF, csv cuts a kept line at each comma and nowhere else,
-        # and a line that fits csv's field limit holds no field over it.
-        split = not any(map(text.__contains__, '"\r\n')) and max(map(len, lines)) <= csv.field_size_limit()
-        if "\0" in text:
-            nul = next(r for r, line in enumerate(lines) if "\0" in line)
-            lines = chain(lines[:nul], _nul_line(line_of(nul)))
-        del text  # not held while the table is built
+        # Without a quote, csv cuts a line without its end at each comma and nowhere
+        # else, and a line that fits csv's field limit holds no field over it.
+        split = not quoted and max(map(len, lines)) <= csv.field_size_limit()
+        if b"\0" in data:  # a NUL in a skipped line went with it
+            nul = next((r for r, line in enumerate(lines) if "\0" in line), None)
+            if nul is not None:
+                lines = chain(lines[:nul], _nul_line(line_of(nul)))
 
         # A split row cannot span lines. A reader reads all the kept lines and counts them in
         # reader.line_num: the row after len(records) records (row len(records) + 1, as the

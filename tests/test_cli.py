@@ -236,7 +236,7 @@ def per_record_dataset_csv(games: Path) -> str:
     expected = io.StringIO()
     writer = csv.writer(expected)
     writer.writerow(GameRecord._fields)
-    for r in deduplicate(parse_games(io.StringIO(games.read_text(encoding="utf-8")))):
+    for r in deduplicate(parse_games(games.read_bytes())):
         writer.writerow([r.date.isoformat(), r.home_team, r.visitor_team,
                          str(r.home_score), str(r.visitor_score), f"{r.spread:.1f}"])
     return expected.getvalue()
@@ -269,8 +269,7 @@ class TestProfile:
         out_dir = tmp_path / "out"
         main(["profile", "--input", str(games_csv), "--out-dir", str(out_dir),
               "--min-samples", "25", "--bandwidth", "3", "--kernel", "triangular"])
-        with open(games_csv, encoding="utf-8", newline="") as fh:
-            buckets = reference_buckets(deduplicate(parse_games(fh)), 25)
+        buckets = reference_buckets(deduplicate(parse_games(games_csv.read_bytes())), 25)
         assert len(buckets) == len(SPREADS)
         for spread, outcomes in buckets:
             rows = read_csv_rows(out_dir / f"pdf_{spread:.1f}.csv")
@@ -913,10 +912,12 @@ class TestEncoding:
             "invalid continuation byte\n"
         )
 
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["plain", "quoted"])
     @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
-    def test_line_past_the_first_read_buffer(self, tmp_path, capsys, eol):
+    def test_line_past_the_first_read_buffer(self, tmp_path, capsys, eol, quote):
         # 3,000 rows are about 84 kB, far past any read buffer.
-        lines = [self.HEADER, "# comment", ""] + [self.ROW] * 3000 + ["2017-09-11,Caf\xe9,KC,1,2,3"]
+        row = self.ROW.replace("NE", f"{quote}NE{quote}")
+        lines = [self.HEADER, "# comment", ""] + [row] * 3000 + ["2017-09-11,Caf\xe9,KC,1,2,3"]
         bad = tmp_path / "late.csv"
         bad.write_bytes(eol.join(lines + [self.ROW, ""]).encode("latin-1"))
         code = main(["ingest", "--input", str(bad), "--out-dir", str(tmp_path / "o")])

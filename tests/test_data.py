@@ -8,6 +8,7 @@ import datetime as dt
 import gc
 import io
 import pickle
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -29,7 +30,7 @@ from spreadbias import (
     parse_games,
     run_td,
 )
-from spreadbias import cli
+from spreadbias import cli, data
 from spreadbias.data import by_spread, spread_groups
 from conftest import (
     GAME_RECORDS, dataset_csv_text, make_record, reference_parse, synthetic_spread_dataset,
@@ -40,7 +41,19 @@ GOOD_ROW = "2017-09-10,NE,KC,27,42,-9.0\n"
 
 
 def parse(text: str) -> Dataset:
-    return parse_games(io.StringIO(text))
+    return parse_games(text.encode("utf-8"))
+
+
+def parse_file(text: str) -> Dataset:
+    """``text`` parsed by ``csv.reader`` over lines that keep their ends, as
+    ``open(..., newline="")`` gives them: its header's ``date`` is quoted,
+    which moves no line."""
+    return parse(re.sub(r"\bdate\b", '"date"', text, count=1))
+
+
+#: Runs an error case on the text as written and on its quoted-header copy: the
+#: line and message must not depend on the tokenizer.
+BOTH_READS = pytest.mark.parametrize("read", [parse, parse_file], ids=["plain", "quoted-header"])
 
 
 class TestParseGames:
@@ -54,38 +67,44 @@ class TestParseGames:
         assert record.outcome == 15
         assert record.spread == -9.0
 
-    def test_negative_score_reports_line_number(self):
+    @BOTH_READS
+    def test_negative_score_reports_line_number(self, read):
         with pytest.raises(ParseError) as exc:
-            parse(HEADER + "2017-09-10,NE,KC,27,42,-9.0\n2017-09-11,GB,SEA,-3,10,1.5\n")
+            read(HEADER + "2017-09-10,NE,KC,27,42,-9.0\n2017-09-11,GB,SEA,-3,10,1.5\n")
         assert exc.value.line_num == 3
         assert "line 3" in str(exc.value)
 
     def test_empty_file_with_header(self):
         assert len(parse(HEADER)) == 0
 
-    def test_missing_column_is_schema_error(self):
+    @BOTH_READS
+    def test_missing_column_is_schema_error(self, read):
         with pytest.raises(SchemaError, match="spread"):
-            parse("date,home_team,visitor_team,home_score,visitor_score\n")
+            read("date,home_team,visitor_team,home_score,visitor_score\n")
 
     def test_fully_empty_input_is_schema_error(self):
         with pytest.raises(SchemaError):
             parse("")
 
-    def test_bad_date(self):
+    @BOTH_READS
+    def test_bad_date(self, read):
         with pytest.raises(ParseError, match="date"):
-            parse(HEADER + "10 Sep 2017,NE,KC,27,42,-9.0\n")
+            read(HEADER + "10 Sep 2017,NE,KC,27,42,-9.0\n")
 
-    def test_non_numeric_spread(self):
+    @BOTH_READS
+    def test_non_numeric_spread(self, read):
         with pytest.raises(ParseError, match="spread"):
-            parse(HEADER + "2017-09-10,NE,KC,27,42,pickem\n")
+            read(HEADER + "2017-09-10,NE,KC,27,42,pickem\n")
 
-    def test_non_finite_spread(self):
+    @BOTH_READS
+    def test_non_finite_spread(self, read):
         with pytest.raises(ParseError, match="spread"):
-            parse(HEADER + "2017-09-10,NE,KC,27,42,nan\n")
+            read(HEADER + "2017-09-10,NE,KC,27,42,nan\n")
 
-    def test_non_integer_score(self):
+    @BOTH_READS
+    def test_non_integer_score(self, read):
         with pytest.raises(ParseError, match="score"):
-            parse(HEADER + "2017-09-10,NE,KC,27.5,42,-9.0\n")
+            read(HEADER + "2017-09-10,NE,KC,27.5,42,-9.0\n")
 
     def test_column_order_free(self):
         ds = parse(
@@ -114,9 +133,10 @@ class TestParseGames:
         ds = parse(HEADER + "2017-09-10,NE,KC,27,42,-2.5000001\n")
         assert ds.records[0].spread == -2.5
 
-    def test_repeated_required_column_is_schema_error(self):
+    @BOTH_READS
+    def test_repeated_required_column_is_schema_error(self, read):
         with pytest.raises(SchemaError, match="repeated.*spread"):
-            parse(
+            read(
                 "date,home_team,visitor_team,home_score,visitor_score,spread,spread\n"
                 "2017-09-10,NE,KC,27,42,-9.0,3.0\n"
             )
@@ -214,37 +234,41 @@ class TestParseGames:
                          "whitespace", id="long-team"),
         ],
     )
-    def test_bad_row_line_number_and_message(self, row, message):
+    @BOTH_READS
+    def test_bad_row_line_number_and_message(self, row, message, read):
         # Physical line 5: a comment, the header, a good row and a blank line
         # come first, all with CRLF endings.
         text = "\r\n".join(
             ["# manifest {}", HEADER.strip(), GOOD_ROW.strip(), "", row, ""]
         )
         with pytest.raises(ParseError) as exc:
-            parse(text)
+            read(text)
         assert exc.value.line_num == 5
         assert str(exc.value) == f"line 5: {message}"
 
-    def test_nul_fails_only_when_the_reader_reaches_its_line(self):
+    @BOTH_READS
+    def test_nul_fails_only_when_the_reader_reaches_its_line(self, read):
         nul_row = "2017-09-12,N\x00E,KC,27,42,-3\n"
-        assert parse(HEADER + "# a \x00 in a comment\n" + GOOD_ROW) == parse(HEADER + GOOD_ROW)
+        assert read(HEADER + "# a \x00 in a comment\n" + GOOD_ROW) == parse(HEADER + GOOD_ROW)
         with pytest.raises(ParseError, match=r"^line 2: negative home_score '-3'$"):
-            parse(HEADER + "2017-09-11,GB,SEA,-3,10,1.5\n" + nul_row)
+            read(HEADER + "2017-09-11,GB,SEA,-3,10,1.5\n" + nul_row)
         # A quoted field left open reads on into the NUL's line, which fails first.
         with pytest.raises(ParseError, match=r"^line 3: unreadable CSV: line contains NUL$"):
-            parse(HEADER + '2017-09-11,"GB\n' + nul_row)
+            read(HEADER + '2017-09-11,"GB\n' + nul_row)
         with pytest.raises(ParseError, match=r"^line 2: unreadable CSV: line contains NUL$"):
-            parse("# manifest\n" + HEADER.replace("spread", "spr\x00ead"))
+            read("# manifest\n" + HEADER.replace("spread", "spr\x00ead"))
 
-    def test_header_names_padded_with_ascii_whitespace_only(self):
+    @BOTH_READS
+    def test_header_names_padded_with_ascii_whitespace_only(self, read):
         padded = HEADER.replace("home_team", " home_team\t")
-        assert parse(padded + GOOD_ROW).records == parse(HEADER + GOOD_ROW).records
+        assert read(padded + GOOD_ROW).records == parse(HEADER + GOOD_ROW).records
         with pytest.raises(SchemaError, match=r"missing required column\(s\): home_team$"):
-            parse(HEADER.replace("home_team", "home_team\xa0") + GOOD_ROW)
+            read(HEADER.replace("home_team", "home_team\xa0") + GOOD_ROW)
 
-    def test_field_over_csv_size_limit_reports_line_number(self):
+    @BOTH_READS
+    def test_field_over_csv_size_limit_reports_line_number(self, read):
         with pytest.raises(ParseError) as exc:
-            parse(HEADER + GOOD_ROW + f"2017-09-11,{'N' * 200_000},KC,27,42,-9.0\n")
+            read(HEADER + GOOD_ROW + f"2017-09-11,{'N' * 200_000},KC,27,42,-9.0\n")
         assert exc.value.line_num == 3
         assert "field larger than field limit" in str(exc.value)
 
@@ -257,9 +281,10 @@ class TestParseGames:
         ],
         ids=["closed-on-next-line", "never-closed", "header"],
     )
-    def test_quoted_field_spanning_lines_is_rejected(self, text, line_num):
+    @BOTH_READS
+    def test_quoted_field_spanning_lines_is_rejected(self, text, line_num, read):
         with pytest.raises(ParseError) as exc:
-            parse(text)
+            read(text)
         assert exc.value.line_num == line_num
         assert str(exc.value) == f"line {line_num}: quoted field spans lines"
 
@@ -388,11 +413,6 @@ def files_with_skipped_lines(draw) -> str:
     return draw(st.sampled_from(["", "\ufeff"])) + "".join(map(str.__add__, lines, endings))
 
 
-def parse_file(text: str) -> Dataset:
-    """``text`` parsed as the CLI reads a file: lines end at CR, LF or CRLF."""
-    return parse_games(io.StringIO(text, newline=""))
-
-
 def skip_reference(text: str):
     """Reference for ``parse_file``: its records, or its ParseError's line and
     message, from the skip rule applied line by line and the kept lines
@@ -468,8 +488,8 @@ SKIPPED_LINES = st.sampled_from(["", " \t", "\u3000", "# manifest {}", '  # a "q
 def line_sources(draw) -> str:
     """A games file: maybe a BOM, skipped lines around the header and rows that
     parse, maybe one other row, each line ending in LF, CR or CRLF, the last maybe
-    in none. About half the files end every line in LF, the only kind of file the
-    CLI splits at LF."""
+    in none. About half the files end every line in LF, which the split at LF
+    needs no CR replaced to cut."""
     before = draw(st.lists(SKIPPED_LINES, max_size=2))
     body = draw(st.lists(PLAIN_ROWS | SKIPPED_LINES, max_size=8))
     if other := draw(st.none() | OTHER_ROWS):
@@ -494,11 +514,11 @@ def parse_outcome(parse_source):
 
 
 class TestLineSource:
-    """The CLI reads a file with a quote as ``open(..., newline="")`` reads it, and
-    turns any other into its lines without their ends by one split at LF, after
-    CRLF and CR become LF; ``parse_games`` splits lines with no quote, CR or LF
-    at commas. None of these may change a record or an error
-    from csv's over the file's own lines."""
+    """``parse_games`` reads a file with a quote as ``open(..., newline="")`` reads
+    it, and turns any other into its lines without their ends by one split at LF,
+    after CRLF and CR become LF, then splits those lines at commas. Neither may
+    change a record or an error from csv's over the file's own lines, which
+    ``parse_file`` reads with the header's ``date`` quoted."""
 
     @staticmethod
     def load(text: str) -> Dataset:
@@ -529,17 +549,14 @@ class TestLineSource:
         finally:
             csv.field_size_limit(default)
 
-    def test_mid_line_cr_in_a_list_of_lines_fails_as_csv_fails_it(self):
-        with pytest.raises(ParseError, match=r"^line 2: unreadable CSV: new-line character seen "
-                                             r"in unquoted field"):
-            parse_games([HEADER.strip(), "2017-09-10,N\rE,KC,27,42,-9.0"])
-
     def test_quote_free_file_is_split_without_csv(self):
         text = "\ufeff# manifest {}\r\n" + HEADER.replace("\n", "\r\n") + "\u3000\r\n" + GOOD_ROW * 3
-        expected = parse_file(text)
+        with mock.patch("spreadbias.data.csv.reader", wraps=csv.reader) as reader:
+            expected = parse_file(text)
+        assert reader.call_count == 1 and len(expected) == 3
         with mock.patch("spreadbias.data.csv.reader", side_effect=AssertionError("csv.reader")):
             assert self.load(text) == expected
-            assert parse_games(text.splitlines()) == expected
+            assert parse(text) == expected
 
     #: Physical lines 1 to 8: skipped lines around the header and two rows that parse.
     OPENING = ["# manifest {}", "", HEADER.strip(), " \t", GOOD_ROW.strip(), "# a comment", "\u3000",
@@ -554,15 +571,15 @@ class TestLineSource:
     ])
     def test_row_number_after_skipped_lines_on_either_path(self, row, message):
         expected = (ParseError, 9, f"line 9: {message}")
-        lines = self.OPENING + [row, GOOD_ROW.strip()]
+        text = "\n".join(self.OPENING + [row, GOOD_ROW.strip(), ""])
         with mock.patch("spreadbias.data.csv.reader", side_effect=AssertionError("csv.reader")):
-            assert parse_outcome(lambda: parse_games(lines)) == expected
-            assert parse_outcome(lambda: self.load("\n".join(lines) + "\n")) == expected
+            assert parse_outcome(lambda: parse(text)) == expected
+            assert parse_outcome(lambda: self.load(text)) == expected
         # One quoted field sends every line through csv.reader.
-        lines[4] = lines[4].replace(",KC,", ',"KC",')
+        text = text.replace(",KC,", ',"KC",', 1)
         with mock.patch("spreadbias.data.csv.reader", wraps=csv.reader) as reader:
-            assert parse_outcome(lambda: parse_games(lines)) == expected
-            assert parse_outcome(lambda: self.load("\n".join(lines) + "\n")) == expected
+            assert parse_outcome(lambda: parse(text)) == expected
+            assert parse_outcome(lambda: self.load(text)) == expected
         assert reader.call_count == 2
 
     @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
@@ -651,11 +668,11 @@ class TestRecordTable:
 
     def test_collector_is_paused_while_the_table_is_built(self):
         seen = []
+        check_date = data._date
 
-        def lines():
-            for line in self.TEXT.splitlines(True):
-                seen.append(gc.isenabled())
-                yield line
+        def date(raw):
+            seen.append(gc.isenabled())
+            return check_date(raw)
 
         class Watched(Dataset):
             def __iter__(self):
@@ -663,14 +680,11 @@ class TestRecordTable:
                 return super().__iter__()
 
         gc.enable()
-        deduplicate(Watched(parse_games(lines()).records))
-        assert seen and not any(seen)
+        with mock.patch.object(data, "_date", date):
+            deduplicate(Watched(parse(self.TEXT).records))
+        # The date checker runs once per distinct date, then deduplicate reads the table.
+        assert len(seen) == 3 and not any(seen)
         assert gc.isenabled()
-
-    @staticmethod
-    def _undecodable():
-        yield HEADER
-        raise UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
 
     @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
     @pytest.mark.parametrize(
@@ -680,11 +694,11 @@ class TestRecordTable:
             (lambda: parse("date,home_team\n"), SchemaError),
             (lambda: parse(HEADER + "2017-09-10,NE,KC,-1,42,-9.0\n"), ParseError),
             (lambda: parse(HEADER + f"2017-09-11,{'N' * 200_000},KC,27,42,-9.0\n"), ParseError),
-            (lambda: parse_games(TestRecordTable._undecodable()), UnicodeDecodeError),
+            (lambda: parse_games(HEADER.encode() + b"2017-09-10,N\xffE,KC,27,42,-9.0\n"), ParseError),
             (lambda: deduplicate(parse(HEADER + GOOD_ROW + GOOD_ROW.replace("42", "41"))),
              DuplicateConflictError),
         ],
-        ids=["success", "schema", "row", "field-limit", "undecodable-source", "conflict"],
+        ids=["success", "schema", "row", "field-limit", "undecodable", "conflict"],
     )
     def test_caller_collector_state_is_restored(self, build, error, enabled):
         (gc.enable if enabled else gc.disable)()

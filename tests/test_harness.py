@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import os
 import subprocess
 import sys
@@ -349,7 +348,7 @@ def test_run_td_invariant_under_row_order_and_spread_spelling(order, spellings):
         r = TD_DATASET.records[i]
         lines.append(f"{r.date},{r.home_team},{r.visitor_team},{r.home_score},"
                      f"{r.visitor_score},{spelling.format(r.spread)}")
-    shuffled = parse_games(io.StringIO("\n".join(lines) + "\n"))
+    shuffled = parse_games(("\n".join(lines) + "\n").encode())
     config = TdConfig(min_samples=15, seed=3)
     assert run_td(shuffled, config).to_dict() == run_td(TD_DATASET, config).to_dict()
 

@@ -11,9 +11,13 @@ parser skips (a ``# manifest`` line and whitespace-only lines), CRLF
 endings and two team names that need quoting, a copy of it with a bad
 score after the skipped lines, both again without the quoted names, so
 that they hold no quote at all, and those two once more with LF endings,
-so that the CLI's split at LF meets skipped lines with and without a CR
-to replace. It runs each of the four commands on each CSV under each
-option set, and prints one line per run: CSV, options, command, exit
+so that the parser's split at LF meets skipped lines with and without a CR
+to replace. Four more copies reach the parser's byte checks: a byte that
+is not UTF-8 in the last row of the quote-free LF file and of the quoted
+CRLF one, a NUL in the last row of the quote-free LF file, and a NUL in
+its ``#`` comment line only, which every command reads past. It runs
+each of the four commands on each CSV under each option set, and prints
+one line per run: CSV, options, command, exit
 code (or the name of the exception the command raised), a SHA-256 over
 stdout, stderr and every output file with its manifest left out
 (``perfbench/check.py``'s ``fingerprint``), and the digest of the
@@ -96,6 +100,13 @@ def write_skips_and_quotes(source: str, name: str, bad: str | None = None,
     Path(name).write_text(text.getvalue(), encoding="utf-8", newline="")
 
 
+def write_replaced(source: str, name: str, old: bytes, new: bytes) -> None:
+    """Copy ``source`` to ``name`` with the last ``old`` in it replaced by ``new``."""
+    data = Path(source).read_bytes()
+    at = data.rindex(old)
+    Path(name).write_bytes(data[:at] + new + data[at + len(old):])
+
+
 def run_digest(main, check, csv_name: str, command: str, options: tuple[str, ...]):
     """Run CLI ``main`` on one command in the current directory; return its exit
     code (or the name of the exception it raised, whose message then counts as
@@ -144,6 +155,14 @@ def main(argv: list[str]) -> int:
                 for name, bad in ((f"ti-wide-0-{suffix}.csv", None), (f"ti-wide-0-{suffix}-bad.csv", "-3")):
                     write_skips_and_quotes("ti-wide-0.csv", name, bad, renamed, end)
                     seeds[name] = 0
+            for source, suffix, old, new in (
+                ("skips-plain-lf", "utf8", b",T", b",\xffT"), ("skips", "utf8", b",T", b",\xffT"),
+                ("skips-plain-lf", "nul", b",T", b",\0T"),
+                ("skips-plain-lf", "nul-comment", b"# a comment", b"# a \0 comment"),
+            ):
+                name = f"ti-wide-0-{source}-{suffix}.csv"
+                write_replaced(f"ti-wide-0-{source}.csv", name, old, new)
+                seeds[name] = 0
             for csv_name, options, command in itertools.product(seeds, OPTION_SETS, COMMANDS):
                 if seeds[csv_name] and "--seed" not in options:
                     options += ("--seed", str(seeds[csv_name]))
