@@ -27,9 +27,10 @@ import json
 import math
 import sys
 from dataclasses import asdict, fields
-from datetime import datetime, timezone
+from datetime import date, datetime, timezone
 from functools import partial
-from itertools import islice
+from itertools import islice, repeat
+from operator import mul
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -237,32 +238,46 @@ def _profile_rows(profile) -> tuple[list[str], list[list[str]]]:
     return header, rows
 
 
+class _Texts(dict):
+    """Each value's text, made by ``format`` when the value is first looked up."""
+
+    def __init__(self, format):
+        self.format = format
+
+    def __missing__(self, value):
+        self[value] = text = self.format(value)
+        return text
+
+
 def cmd_ingest(args: argparse.Namespace, options: dict) -> int:
     raw, unique, digest = _load_dataset(args.input)
     out_dir, manifest = _start_output(dict(options), args, digest)
 
-    # Written column by column: each distinct value is formatted once (teams and
-    # scores by csv.writer, whose writerow returns what its file's write returns;
-    # spreads apart, as 7.0 and 7 are one key), and the rows go out joined,
-    # 4,096 to a write.
-    dates, homes, visitors, home_scores, visitor_scores, spreads = (
-        zip(*unique) if len(unique) else [()] * len(REQUIRED_COLUMNS)
-    )
+    # Written column by column: each distinct value is formatted once, on the
+    # first row that holds it, in a table of its own kind (teams by csv.writer,
+    # whose writerow returns what its file's write returns), and every later
+    # row looks its text up. Rows are joined by commas, and 4,096 of them to
+    # a write.
+    columns = list(zip(*unique)) or [()] * len(REQUIRED_COLUMNS)
     field = csv.writer(SimpleNamespace(write=str), lineterminator="").writerow
-    text = {d: d.isoformat() for d in set(dates)}
-    text.update((v, field((v,))) for v in {*homes, *visitors, *home_scores, *visitor_scores})
-    spread_text = {s: _spread_tag(s) for s in set(spreads)}
-    rows = map("%s,%s,%s,%s,%s,%s\r\n".__mod__, zip(
-        *(map(text.get, column) for column in (dates, homes, visitors, home_scores, visitor_scores)),
-        map(spread_text.get, spreads),
-    ))
+    teams, scores = _Texts(lambda team: field((team,))), _Texts(str)
+    tables = (_Texts(date.isoformat), teams, teams, scores, scores, _Texts(_spread_tag))
+    texts = (map(table.__getitem__, column) for table, column in zip(tables, columns))
+    rows = map(",".join, zip(*texts))
+    chunks = iter(lambda: "\r\n".join(islice(rows, 4096)), "")
     _write_csv(
         out_dir / "dataset.csv", manifest, list(REQUIRED_COLUMNS),
-        lines=iter(lambda: "".join(islice(rows, 4096)), ""),
+        lines=(chunk + "\r\n" for chunk in chunks),
     )
     print(f"{len(raw)} rows, {len(unique)} unique ({len(raw) - len(unique)} duplicates removed)")
     if len(unique):
-        print(f"spread mean: {math.fsum(spreads) / len(spreads):.2f}")
+        # Each spread is scaled by a power of two below 1/n, so no partial sum overflows.
+        # A nonzero spread is at least 0.1 in size, so the scaling is exact and the
+        # mean is the same float as that of the unscaled sum.
+        spreads = columns[-1]
+        scale = 2.0 ** -len(spreads).bit_length()
+        mean = math.fsum(map(mul, spreads, repeat(scale))) / len(spreads) / scale
+        print(f"spread mean: {mean:.2f}")
     print(f"wrote {out_dir / 'dataset.csv'}")
     return 0
 

@@ -71,6 +71,15 @@ def load_report(path: Path) -> dict:
     return json.loads(path.read_text(encoding="utf-8"))
 
 
+def numbered_rows(n: int) -> list[str]:
+    """``n`` games file rows, each on a date of its own, so all unique."""
+    return [
+        f"{dt.date(2000, 1, 1) + dt.timedelta(days=i)},T{i % 32},U{i % 7},{i % 40},{i % 37},"
+        f"{i % 61 / 2 - 15:.1f}\n"
+        for i in range(n)
+    ]
+
+
 class TestIngest:
     def test_counts_and_output(self, games_csv, tmp_path, capsys):
         out_dir = tmp_path / "out"
@@ -99,6 +108,18 @@ class TestIngest:
         code = main(["ingest", "--input", str(path), "--out-dir", str(tmp_path / "out")])
         assert code == 0
         assert "spread mean: 0.03\n" in capsys.readouterr().out
+
+    # math.fsum overflows on the plain sum of either; the mean does not.
+    @pytest.mark.parametrize("spreads,mean", [
+        (["1e308", "1e308"], 1e308), (["-1e308", "-1e308", "1e308"], -1e308 / 3),
+    ], ids=["same-sign", "mixed-signs"])
+    def test_spread_mean_of_spreads_whose_sum_overflows(self, tmp_path, capsys, spreads, mean):
+        rows = [f"2017-09-1{i},H{i},V{i},20,17,{spread}" for i, spread in enumerate(spreads)]
+        path = tmp_path / "games.csv"
+        path.write_text("\n".join(["date,home_team,visitor_team,home_score,visitor_score,spread",
+                                   *rows]) + "\n", encoding="utf-8")
+        assert ingested_dataset_csv(path, tmp_path / "out") == per_record_dataset_csv(path)
+        assert f"spread mean: {mean:.2f}\n" in capsys.readouterr().out
 
     def test_output_reingests_identically(self, games_csv, tmp_path, capsys):
         out_dir = tmp_path / "out"
@@ -158,15 +179,20 @@ class TestIngest:
         "2017-09-24,KC,GB,3,21,6.5\n",
     ]
 
-    # More unique rows than one joined write of dataset.csv holds (4,096).
-    CHUNKS = [
-        f"{dt.date(2000, 1, 1) + dt.timedelta(days=i)},T{i % 32},U{i % 7},{i % 40},{i % 37},"
-        f"{i % 61 / 2 - 15:.1f}\n"
-        for i in range(5000)
+    # A team, a score and a spread that all read 7 (the spread written 7.0), a
+    # team named 7.0, and a team csv must quote on the home and the visitor side.
+    SEVENS = [
+        "2017-09-10,7,KC,7,14,7\n",
+        '2017-09-10,"Big, Red",7.0,21,7,-7\n',
+        '2017-09-17,SEA,"Big, Red",7,0,7.0\n',
+        "2017-09-24,7.0,7,3,7,7\n",
     ]
 
+    # One joined write of dataset.csv holds 4,096 rows: exactly one, one and a
+    # row, and more than one.
     @pytest.mark.parametrize(
-        "rows", [REPEATS, [], CHUNKS], ids=["repeats", "header-only", "over-one-chunk"]
+        "rows", [REPEATS, [], numbered_rows(4096), numbered_rows(4097), numbered_rows(5000), SEVENS],
+        ids=["repeats", "header-only", "one-chunk", "one-chunk-and-a-row", "over-one-chunk", "sevens"],
     )
     def test_dataset_csv_equals_per_record_formatting(self, tmp_path, capsys, rows):
         games = tmp_path / "games.csv"

@@ -15,7 +15,11 @@ so that the parser's split at LF meets skipped lines with and without a CR
 to replace. Four more copies reach the parser's byte checks: a byte that
 is not UTF-8 in the last row of the quote-free LF file and of the quoted
 CRLF one, a NUL in the last row of the quote-free LF file, and a NUL in
-its ``#`` comment line only, which every command reads past. It runs
+its ``#`` comment line only, which every command reads past. Two more reach
+``ingest``'s writer: a header-only CSV, which ``ingest`` writes with no data
+line and the other commands refuse (no valid spread), and a ti-wide seed-0
+copy with two teams renamed ``7`` and ``7.0``, names that read as a score
+and a spread. It runs
 each of the four commands on each CSV under each option set, and prints
 one line per run: CSV, options, command, exit
 code (or the name of the exception the command raised), a SHA-256 over
@@ -75,6 +79,8 @@ OPTION_SETS = (
 
 #: Two ti-wide teams renamed to names that csv.writer quotes.
 RENAMED = {"T00": "Big, Red", "T01": 'Say "Hi"'}
+#: Two ti-wide teams renamed to names that read as a score and as a spread.
+NUMERIC = {"T00": "7", "T01": "7.0"}
 
 
 def write_skips_and_quotes(source: str, name: str, bad: str | None = None,
@@ -98,6 +104,14 @@ def write_skips_and_quotes(source: str, name: str, bad: str | None = None,
     text.write(f"{end}  # a comment after spaces{end}\u3000 {end}")
     writer.writerows(rows[middle:])
     Path(name).write_text(text.getvalue(), encoding="utf-8", newline="")
+
+
+def write_renamed(source: str, name: str, renamed: dict) -> None:
+    """Copy ``source`` to ``name`` with the ``renamed`` teams."""
+    with open(source, encoding="utf-8", newline="") as fh:
+        rows = [[renamed.get(field, field) for field in row] for row in csv.reader(fh)]
+    with open(name, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 def write_replaced(source: str, name: str, old: bytes, new: bytes) -> None:
@@ -163,6 +177,9 @@ def main(argv: list[str]) -> int:
                 name = f"ti-wide-0-{source}-{suffix}.csv"
                 write_replaced(f"ti-wide-0-{source}.csv", name, old, new)
                 seeds[name] = 0
+            Path("header-only.csv").write_text("date,home_team,visitor_team,home_score,visitor_score,spread\n")
+            write_renamed("ti-wide-0.csv", "ti-wide-0-numeric.csv", NUMERIC)
+            seeds.update({"header-only.csv": 0, "ti-wide-0-numeric.csv": 0})
             for csv_name, options, command in itertools.product(seeds, OPTION_SETS, COMMANDS):
                 if seeds[csv_name] and "--seed" not in options:
                     options += ("--seed", str(seeds[csv_name]))
