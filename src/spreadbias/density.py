@@ -8,8 +8,8 @@ as a (grid x grid) weight matrix applied to the margin histogram.
 
 A fit reads only a density's mass at or below its spread: a ratio of two
 dot products with the histogram (``cover_sums``), so it never builds the
-density. Weights come from ``math.exp`` and products from ``np.einsum``,
-not BLAS or ``np.exp``, whose bits change with the CPU.
+density. Weights come from ``math.exp`` and products from two ``np.einsum``
+calls, one per table, not BLAS or ``np.exp``, whose bits change with the CPU.
 """
 
 from __future__ import annotations
@@ -82,25 +82,30 @@ def _kernel_matrix(lo: int, hi: int, bandwidth: float, kernel: str) -> np.ndarra
 
 @lru_cache(maxsize=32)
 def _cover_tables(lo: int, hi: int, bandwidth: float, kernel: str, spreads: tuple) -> np.ndarray:
-    """The (spreads x 2 x grid) table of ``cover_sums``: for a game at each
+    """The (2 x spreads x grid) tables of ``cover_sums``: for a game at each
     grid outcome, its kernel's mass at grid points <= each spread (A_s), and
     its whole mass (T). Both are rows of one sequential cumulative sum of
     the kernel matrix down its grid axis, so A_s <= T entry by entry."""
     cumulative = np.cumsum(_kernel_matrix(lo, hi, bandwidth, kernel), axis=0)
     idx = np.searchsorted(np.arange(lo, hi + 1), spreads, side="right")
     below = np.where(idx[:, None] > 0, cumulative[idx - 1], 0.0)
-    return np.stack([below, np.broadcast_to(cumulative[-1], below.shape)], axis=1)
+    return np.stack([below, np.broadcast_to(cumulative[-1], below.shape)])
+
+
+def grid_cells(outcomes, grid: OutcomeGrid, rows=0) -> np.ndarray:
+    """The flat index of each outcome's cell in a (rows x grid) block: its
+    row of ``rows`` (by default row 0; any shape that broadcasts with
+    ``outcomes``) times the grid's length, plus its grid point's offset.
+    Outcomes off the grid are clamped to the nearest bound."""
+    values = np.clip(np.asarray(outcomes, dtype=np.int64), grid.lo, grid.hi)
+    return values - grid.lo + len(grid) * np.asarray(rows, dtype=np.int64)
 
 
 def outcome_counts(outcomes, grid: OutcomeGrid, rows=0, n_rows: int = 1) -> np.ndarray:
     """The (n_rows x grid) block of outcome counts that counts each outcome
-    in its row of ``rows`` (by default all in one row; any shape that
-    broadcasts with ``outcomes``), with one offset bincount. Outcomes off
-    the grid are clamped to the nearest bound."""
-    values = np.clip(np.asarray(outcomes, dtype=np.int64), grid.lo, grid.hi)
-    width = len(grid)
-    flat = values - grid.lo + width * np.asarray(rows, dtype=np.int64)
-    return np.bincount(flat.ravel(), minlength=n_rows * width).reshape(n_rows, width)
+    in its row of ``rows`` (``grid_cells``), with one offset bincount."""
+    cells = grid_cells(outcomes, grid, rows).ravel()
+    return np.bincount(cells, minlength=n_rows * len(grid)).reshape(n_rows, len(grid))
 
 
 def cover_sums(
@@ -108,8 +113,9 @@ def cover_sums(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Numerator and denominator of the home cover probability of each row
     of a (... x spreads x grid) block of outcome counts at its spread: for
-    a row c at spread s, A_s . c and T . c (``_cover_tables``), both from
-    one ``np.einsum``, so they sum in the same order. As A_s <= T entry by
+    a row c at spread s, A_s . c and T . c (``_cover_tables``), each one
+    ``np.einsum`` of the counts as float64 (a float64 block is not copied)
+    with one table, so both sum a row in the same order. As A_s <= T entry by
     entry and rounding is monotone, the numerator never exceeds the
     denominator, and equals it when the whole density lies at or below s.
     Raises ValueError for a bandwidth that is not positive and finite, or
@@ -117,10 +123,11 @@ def cover_sums(
     """
     spreads = tuple(np.asarray(spreads, dtype=np.float64).tolist())
     tables = _cover_tables(grid.lo, grid.hi, float(bandwidth), kernel, spreads)
-    sums = np.einsum("...sg,sog->o...s", np.asarray(counts, dtype=np.float64), tables)
-    if not sums[1].all():
+    counts = np.asarray(counts, dtype=np.float64)
+    num, den = (np.einsum("...sg,sg->...s", counts, table) for table in tables)
+    if not den.all():
         raise ValueError("cannot estimate a density from zero outcomes")
-    return sums[0], sums[1]
+    return num, den
 
 
 def densities(

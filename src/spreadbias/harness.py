@@ -37,7 +37,8 @@ import numpy as np
 from .bias import DEFAULT_ENTROPY_THRESHOLD, profile_arrays, rank_spreads
 from .data import Dataset, _shown, by_spread, spread_groups
 from .density import (
-    DEFAULT_BANDWIDTH, DEFAULT_GRID_HI, DEFAULT_GRID_LO, KERNELS, OutcomeGrid, outcome_counts,
+    DEFAULT_BANDWIDTH, DEFAULT_GRID_HI, DEFAULT_GRID_LO, KERNELS, OutcomeGrid, grid_cells,
+    outcome_counts,
 )
 from .models import MODEL_K_LOWEST, MODEL_MIN_ENTROPY, MODEL_NAMES, settle_by_spread
 
@@ -330,7 +331,7 @@ class _Split(NamedTuple):
     """A block of train/test splits of the valid spreads, fitted, ranked and
     settled at once; splits along the leading axis."""
 
-    train: np.ndarray     # (splits x spreads x grid) training outcome counts
+    train: np.ndarray     # (splits x spreads x grid) training outcome counts; float64 under TI
     rows: np.ndarray      # spread index of each test game, in coin-flip order; shared by all splits
     outcomes: np.ndarray  # (splits x test games) outcome of each test game, tallied by its spread
     flips: np.ndarray     # (splits x test games) uniform draws; below 0.5 backs the Visitor
@@ -384,7 +385,7 @@ def _backtest(config: FitConfig, spreads: np.ndarray, splits: Iterable[_Split]) 
         # k-Lowest selects the spreads whose rank position is below the split's k.
         blocks.append((p_home, entropy, k, counts, np.argsort(order) < k[:, None]))
         ranked_total = ranked_total + ranked.sum(axis=0)
-        n_train = split.train[-1].sum(axis=-1)
+        n_train = split.train[-1].sum(axis=-1).astype(np.int64)
         del split  # so the next block is counted without this one
     return _SplitResults(*map(np.concatenate, zip(*blocks)), ranked_total, n_train)
 
@@ -439,10 +440,12 @@ def _grouped_counts(
 def _holdout_splits(dataset: Dataset, index: np.ndarray, config: TiConfig) -> Iterator[_Split]:
     """TI's splits, in fit blocks cut from each draw block of simulations: the holdouts
     drawn from each valid spread's games in input order are a simulation's test games,
-    and the full counts minus theirs its training block."""
+    and the full counts minus theirs its training block: float64, as the fit takes it, the
+    full counts repeated once per split less one at each held game's cell (``grid_cells``)."""
     grid = config.grid()
     holdout = config.holdout_per_spread
     outcomes, sizes, full_counts = _grouped_counts(dataset, index, grid)
+    full_counts = full_counts.astype(np.float64)
     n = len(sizes)
     starts = np.cumsum(sizes) - sizes
     rows = np.repeat(np.arange(n), holdout)
@@ -459,11 +462,12 @@ def _holdout_splits(dataset: Dataset, index: np.ndarray, config: TiConfig) -> It
                           for w in _seed_words(config.seed, _GUESS_STREAM, sims)])
         for cut in range(0, len(sims), fit_block):
             test, flip = tests[cut:cut + fit_block], flips[cut:cut + fit_block]
-            held = outcome_counts(test, grid, n * np.arange(len(test))[:, None] + rows, len(test) * n)
-            held = held.reshape(len(test), n, -1)
-            # The training block overwrites the holdouts' counts: a block of many splits is large.
-            yield _Split(np.subtract(full_counts, held, out=held), rows, test, flip)
-            del held, test, flip
+            held = grid_cells(test, grid, n * np.arange(len(test))[:, None] + rows)
+            # A block of many splits is large: one copy, then one subtraction per held game.
+            train = np.repeat(full_counts[None], len(test), axis=0)
+            np.subtract.at(train.reshape(-1), held, 1.0)
+            yield _Split(train, rows, test, flip)
+            del held, train, test, flip
 
 
 def run_ti(dataset: Dataset, config: TiConfig) -> EvaluationReport:

@@ -525,6 +525,15 @@ class TestOutputTables:
         assert all((row["entropy_sd"] is None) == (simulations == "1")
                    for row in report["profile"])
 
+    def test_ti_training_sizes_are_integers(self, games_csv, tmp_path):
+        # TI fits float64 count blocks; the training size each profile row reports is a count.
+        out_dir = tmp_path / "out"
+        assert main(["simulate-ti", "--input", str(games_csv), "--out-dir", str(out_dir),
+                     "--simulations", "3", "--seed", "5"]) == 0
+        report = load_report(out_dir / "report.json")
+        assert [type(row["n_train"]) for row in report["profile"]] == [int] * len(SPREADS)
+        assert [row["n_train"] for row in read_csv_rows(out_dir / "profile.csv")] == ["26"] * len(SPREADS)
+
     def test_td(self, games_csv, tmp_path):
         out_dir = tmp_path / "out"
         assert main(["backtest-td", "--input", str(games_csv), "--out-dir", str(out_dir),
@@ -547,6 +556,55 @@ class TestOutputTables:
         report = self.check(out_dir)
         assert all(m["ats_win_pct"] is None and m["n_test"] == 0 for m in report["models"])
         assert [row[1:] for row in read_table(out_dir / "summary.csv")[1:]] == [["", "", "0"]] * 4
+
+
+class TestDuplicatedGames:
+    """Every game entered again under a fresh key, with ``min_samples`` doubled: every
+    count block doubles, so each cover sum doubles exactly and no fit moves by a bit.
+    The relation needs no reference implementation."""
+
+    @pytest.fixture
+    def doubled_csv(self, games_csv, tmp_path):
+        records = parse_games(games_csv.read_bytes()).records
+        copies = tuple(record._replace(home_team=record.home_team + "'") for record in records)
+        return write_dataset_csv(tmp_path / "doubled.csv", Dataset(records + copies))
+
+    @staticmethod
+    def run_both(command, games_csv, doubled_csv, tmp_path, options):
+        out_dirs = tmp_path / "single", tmp_path / "doubled"
+        for csv_path, min_samples, out_dir in zip((games_csv, doubled_csv), (15, 30), out_dirs):
+            assert main([command, "--input", str(csv_path), "--out-dir", str(out_dir),
+                         "--min-samples", str(min_samples), *options]) == 0
+        return out_dirs
+
+    OPTIONS = [[], ["--kernel", "boxcar"], ["--kernel", "triangular", "--bandwidth", "2.5"],
+               ["--grid-lo", "-10", "--grid-hi", "10"]]
+
+    @pytest.mark.parametrize("options", OPTIONS)
+    def test_profile_fits_are_bit_identical(self, games_csv, doubled_csv, tmp_path, options):
+        single, doubled = (read_csv_rows(out_dir / "profile.csv") for out_dir in
+                           self.run_both("profile", games_csv, doubled_csv, tmp_path, options))
+        assert [row["spread"] for row in single] == [f"{s:g}" for s in SPREADS]
+        for one, two in zip(single, doubled, strict=True):
+            assert (two["spread"], two["p_home"], two["entropy_bits"]) == (
+                one["spread"], one["p_home"], one["entropy_bits"])
+            assert int(two["n_train"]) == 2 * int(one["n_train"])
+
+    @pytest.mark.parametrize("options", OPTIONS)
+    def test_td_counts_double_exactly(self, games_csv, doubled_csv, tmp_path, options):
+        single, doubled = (load_report(out_dir / "report.json") for out_dir in
+                           self.run_both("backtest-td", games_csv, doubled_csv, tmp_path, options))
+        assert doubled["valid_spreads"] == single["valid_spreads"]
+        assert doubled["selection_counts"] == single["selection_counts"]
+        assert doubled["n_test_records"] == 2 * single["n_test_records"]
+        # Halved, each count must equal the single table's; an odd count would not.
+        for one, two in zip(single["profile"], doubled["profile"], strict=True):
+            assert {**two, "n_train": two["n_train"] / 2} == one
+        # The coin flips draw one per test game, so Random's counts do not double.
+        wagers = single["models"][1:] + single["ksweep"], doubled["models"][1:] + doubled["ksweep"]
+        for one, two in zip(*wagers, strict=True):
+            assert {**two, **{key: two[key] / 2 for key in ("n_test", "n_push", "n_wins")}} == one
+        assert sum(m["n_test"] for m in single["models"][1:]) > 0
 
 
 class TestCoverProbabilityRoundingPastOne:

@@ -10,7 +10,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spreadbias import KERNELS, OutcomeGrid, estimate_density, home_cover_probability
-from spreadbias.density import OutcomeDensity, _kernel_matrix, densities, outcome_counts
+from spreadbias.density import (
+    OutcomeDensity, _cover_tables, _kernel_matrix, cover_sums, densities, outcome_counts,
+)
 
 
 def brute_force_cover(density: OutcomeDensity, spread: float) -> float:
@@ -242,3 +244,38 @@ def test_gaussian_weights_are_exp_of_the_uncapped_square(bandwidth):
     # Where (d / bandwidth) ** 2 is finite, capping d / bandwidth at 40 changes no weight.
     weights = _kernel_matrix(-40, 40, bandwidth, "gaussian")[0]
     np.testing.assert_array_equal(weights, [math.exp(-0.5 * (d / bandwidth) ** 2) for d in range(81)])
+
+
+def one_einsum_cover_sums(counts, spreads, bandwidth, grid, kernel):
+    """``cover_sums`` as one ``np.einsum`` over both tables, stacked (spreads x 2 x grid)."""
+    spreads = tuple(np.asarray(spreads, dtype=np.float64).tolist())
+    tables = np.stack(_cover_tables(grid.lo, grid.hi, float(bandwidth), kernel, spreads), axis=1)
+    sums = np.einsum("...sg,sog->o...s", np.asarray(counts, dtype=np.float64), tables)
+    return sums[0], sums[1]
+
+
+@given(
+    st.sampled_from(KERNELS),
+    st.floats(0.1, 50.0),
+    st.sampled_from([OutcomeGrid(), OutcomeGrid(-10, 10)]),
+    st.sampled_from([np.int64, np.float64]),
+    st.sampled_from([(), (1,), (2,), (7,)]),
+    st.lists(st.integers(-20, 19), min_size=1, max_size=8),
+    st.integers(0, 2**32 - 1),
+)
+def test_cover_sums_equal_one_einsum_over_both_tables_bit_for_bit(
+    kernel, bandwidth, grid, dtype, lead, half_spreads, seed
+):
+    # Each sum is its own einsum over one table; both must sum each row as one einsum
+    # over the stacked tables did, for a count block of either dtype and any leading shape.
+    spreads = [s / 2 for s in half_spreads]
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(0, 4, size=(*lead, len(spreads), len(grid))) * (rng.random(len(grid)) < 0.5)
+    counts[..., rng.integers(len(grid))] += 1  # no all-zero row
+    counts = counts.astype(dtype)
+    num, den = cover_sums(counts, spreads, bandwidth, grid, kernel)
+    expected = one_einsum_cover_sums(counts, spreads, bandwidth, grid, kernel)
+    assert num.tobytes() == expected[0].tobytes()
+    assert den.tobytes() == expected[1].tobytes()
+    assert num.shape == den.shape == counts.shape[:-1]
+    assert np.all(num <= den)

@@ -33,6 +33,7 @@ from spreadbias import (
 )
 from spreadbias import harness
 from spreadbias.bias import BiasProfile
+from spreadbias.density import outcome_counts
 from spreadbias.models import (
     MODEL_K_LOWEST,
     MODEL_MAX_PROB,
@@ -519,26 +520,51 @@ class TestStreams:
 
     def test_no_earlier_training_block_is_alive_when_the_next_is_counted(self, monkeypatch):
         # Draw blocks of 7 simulations cut in fit blocks of 2 make 7 training blocks, and
-        # run_ti must hold only one: the earlier ones are freed before the next is counted.
+        # run_ti must hold only one: the earlier ones are freed before the next is built,
+        # which starts from its held games' grid cells.
         monkeypatch.setattr(harness, "_DRAW_ENTRIES", 7 * 60)
         monkeypatch.setattr(harness, "_FIT_KEYS", 14)
         dataset = synthetic_spread_dataset(HALF_SPREADS, 30, seed=8)
-        trains = []
-        split, count = harness._Split, harness.outcome_counts
+        trains, cells = [], []
+        split, grid_cells = harness._Split, harness.grid_cells
 
         def recorded_split(train, *rest):
             assert [ref() for ref in trains] == [None] * len(trains)
             trains.append(weakref.ref(train))
             return split(train, *rest)
 
-        def checked_count(*args):
+        def checked_cells(*args):
             assert [ref() for ref in trains] == [None] * len(trains)
-            return count(*args)
+            cells.append(len(trains))
+            return grid_cells(*args)
 
         monkeypatch.setattr(harness, "_Split", recorded_split)
-        monkeypatch.setattr(harness, "outcome_counts", checked_count)
+        monkeypatch.setattr(harness, "grid_cells", checked_cells)
         run_ti(dataset, TiConfig(n_simulations=13, seed=5))
         assert len(trains) == 7
+        assert cells == list(range(7))  # once before each block
+
+    @pytest.mark.parametrize("fit_keys", [14, 1024])
+    def test_training_block_is_the_full_counts_less_its_held_games(self, monkeypatch, fit_keys):
+        # Each block is float64, and exactly the full counts minus an outcome_counts block
+        # of its held games, on a grid narrow enough that some outcomes are clamped.
+        monkeypatch.setattr(harness, "_DRAW_ENTRIES", 7 * 60)
+        monkeypatch.setattr(harness, "_FIT_KEYS", fit_keys)
+        dataset = synthetic_spread_dataset(HALF_SPREADS, 30, seed=8, max_offset=14)
+        config = TiConfig(n_simulations=13, seed=5, grid_lo=-12, grid_hi=12)
+        spreads, index = config.valid_spreads(dataset)
+        grid, n = config.grid(), len(spreads)
+        outcomes, _, full = harness._grouped_counts(dataset, index, grid)
+        assert np.any((outcomes < grid.lo) | (outcomes > grid.hi))
+        blocks = list(harness._holdout_splits(dataset, index, config))
+        for block in blocks:
+            splits = len(block.outcomes)
+            rows = n * np.arange(splits)[:, None] + block.rows
+            held = outcome_counts(block.outcomes, grid, rows, splits * n).reshape(splits, n, -1)
+            assert block.train.dtype == np.float64
+            assert block.train.shape == held.shape
+            assert np.array_equal(block.train, full - held)
+        assert sum(len(block.train) for block in blocks) == 13
 
     def test_backtest_does_not_depend_on_how_splits_are_blocked(self, monkeypatch):
         # Draw blocks of 7 simulations cut in fit blocks of 5 leave partial blocks;
