@@ -8,7 +8,8 @@ precedence is CLI flag, then ``--config`` file entry, then built-in
 default. A command checks each option on its own, then the config built
 from them (cross-field rules such as ``grid_lo`` below ``grid_hi``), then
 the input, so a bad option or config exits 1 before the input is opened.
-The one no-valid-spread error is ``FitConfig.valid_spreads``'s.
+Each fit groups its games in one call, ``FitConfig.groups``, whose
+no-valid-spread error is the one for every command.
 
 ``main`` runs the chosen command with Python's cyclic garbage collector
 paused, from reading the options to writing the last output file, and on
@@ -52,9 +53,7 @@ from .data import (
     parse_games,
 )
 from .density import KERNELS, densities
-from .harness import (
-    EvaluationReport, FitConfig, TdConfig, TiConfig, _field_error, _grouped_counts, run_td, run_ti,
-)
+from .harness import EvaluationReport, FitConfig, TdConfig, TiConfig, _field_error, run_td, run_ti
 from .models import MODEL_K_LOWEST, MODEL_MAX_PROB, MODEL_MIN_ENTROPY, MODEL_RANDOM
 
 #: Each strategy's ``summary.csv`` label; ``{k}`` stands for its k.
@@ -285,9 +284,8 @@ def cmd_ingest(args: argparse.Namespace, options: dict) -> int:
 def cmd_profile(args: argparse.Namespace, options: dict) -> int:
     config = _config(FitConfig, options)
     _, dataset, digest = _load_dataset(args.input)
-    spreads, index = config.valid_spreads(dataset)
+    spreads, _, outcomes, sizes, counts = config.groups(dataset)
     grid = config.grid()
-    outcomes, sizes, counts = _grouped_counts(dataset, index, grid)
     p_home, entropy = profile_arrays(counts, spreads, config.bandwidth, grid, config.kernel)
     profile = [
         {"spread": s, "p_home": p, "entropy_bits": h, "n_train": n}

@@ -6,7 +6,6 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import gc
-import io
 import math
 from bisect import bisect_right
 from contextlib import contextmanager
@@ -166,27 +165,24 @@ def parse_games(data: bytes) -> Dataset:
     a team name may not begin or end with other whitespace. A leading
     byte-order mark, blank lines and ``#`` comment lines are skipped (any
     ``str.isspace()`` character may open them); a quoted field may not span
-    lines, nor a kept line hold a NUL. Row order is preserved.
+    lines or be left open on the last one, nor a kept line hold a NUL. Row
+    order is preserved.
 
-    Lines end at CRLF, CR or LF, as ``open(..., newline="")`` cuts them. A
-    file with a ``"`` is read so, line ends kept, by ``csv.reader``. Any
-    other is decoded in one call and, once its CRLF and CR are LF, split at
-    LF in one call; unless a kept line is longer than
-    ``csv.field_size_limit()``, each kept line is then split at its commas,
-    with the same records and errors as ``csv`` gives.
+    Lines end at CRLF, CR or LF, as ``open(..., newline="")`` cuts them: the
+    file is decoded in one call and, once its CRLF and CR are LF, split at LF
+    in one call. A file with a ``"``, or a kept line longer than
+    ``csv.field_size_limit()``, is read by ``csv.reader`` over the kept lines
+    without their ends, which the limit does not count; any other kept line
+    is split at its commas, with the same records and errors as ``csv`` gives.
 
     Raises SchemaError when the header is absent, incomplete, or repeats
     a required column, and ParseError (carrying the offending line
     number) for malformed rows and for a byte that is not UTF-8.
     """
-    quoted = b'"' in data
     with _gc_paused():
         try:
-            if quoted:
-                lines = list(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
-            else:
-                lines = (data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
-                         .removesuffix("\n").split("\n"))
+            lines = (data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+                     .removesuffix("\n").split("\n"))
         except UnicodeDecodeError:
             # The error's position counts bytes, not lines: decode by line.
             for n, line in enumerate(data.splitlines(), 1):
@@ -214,7 +210,7 @@ def parse_games(data: bytes) -> Dataset:
 
         # Without a quote, csv cuts a line without its end at each comma and nowhere
         # else, and a line that fits csv's field limit holds no field over it.
-        split = not quoted and max(map(len, lines)) <= csv.field_size_limit()
+        split = b'"' not in data and max(map(len, lines)) <= csv.field_size_limit()
         if b"\0" in data:  # a NUL in a skipped line went with it
             nul = next((r for r, line in enumerate(lines) if "\0" in line), None)
             if nul is not None:
@@ -223,8 +219,10 @@ def parse_games(data: bytes) -> Dataset:
         # A split row cannot span lines. A reader reads all the kept lines and counts them in
         # reader.line_num: the row after len(records) records (row len(records) + 1, as the
         # header is row 0) spans lines if the reader has consumed more than len(records) + 2.
-        reader = None if split else csv.reader(lines)
-        rows = map(str.split, lines, repeat(",")) if split else reader
+        # It then reads one empty line, which a quote left open on the last line reads on
+        # into; otherwise the line reads as [], which no kept line does, and ends the rows.
+        reader = None if split else csv.reader(chain(lines, [""]))
+        rows = map(str.split, lines, repeat(",")) if split else iter(reader.__next__, [])
         try:
             header = [name.strip(_ASCII_SPACE) for name in next(rows)]
             if reader and reader.line_num != 1:
@@ -358,22 +356,24 @@ def deduplicate(dataset: Dataset) -> Dataset:
         return Dataset(tuple(seen.values()))
 
 
-def spread_groups(dataset: Dataset, min_samples: int, counted=slice(None)) -> tuple[np.ndarray, ...]:
+def spread_groups(dataset: Dataset, min_samples: int, counted=None) -> tuple[np.ndarray, ...]:
     """The spreads, ascending, with at least ``min_samples`` of the games that
-    the boolean mask ``counted`` selects (by default, all), and each game's
-    index among them: -1 for a game at another spread."""
+    the boolean mask ``counted`` selects (None: all); each game's index among
+    them, -1 for a game at another spread; and the outcomes of the counted games
+    at those spreads, spread by spread and each spread's in input order, and
+    how many each spread has. Raises ValueError with no such spread, naming the
+    largest group of the counted games."""
     if min_samples < 1:
         raise ValueError(f"min_samples must be >= 1, got {min_samples}")
     spreads, inverse = np.unique(dataset.spread, return_inverse=True)
-    valid = np.bincount(inverse[counted], minlength=len(spreads)) >= min_samples
-    return spreads[valid], np.where(valid, np.cumsum(valid) - 1, -1)[inverse]
-
-
-def by_spread(dataset: Dataset, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The outcomes of the games that ``spread_groups``' ``index`` places, spread
-    by spread and each spread's in input order, and how many each spread has."""
-    # numpy's stable sort of 8- or 16-bit ints is a radix sort: narrow the index (signed, for -1).
-    narrow = index.astype(np.min_scalar_type(-1 - index.max(initial=1)))
-    games = np.argsort(narrow, kind="stable")[np.count_nonzero(index < 0):]
-    return dataset.outcome[games], np.bincount(index[games])
-
+    sizes = np.bincount(inverse if counted is None else inverse[counted], minlength=len(spreads))
+    valid = sizes >= min_samples
+    if not valid.any():
+        raise ValueError(f"no spread has at least min_samples={min_samples} games "
+                         f"(the largest group has {sizes.max(initial=0)})")
+    index = np.where(valid, np.cumsum(valid) - 1, -1)[inverse]
+    group = index if counted is None else np.where(counted, index, -1)
+    # numpy's stable sort of 8- or 16-bit ints is a radix sort: narrow the group (signed, for -1).
+    narrow = group.astype(np.min_scalar_type(-1 - group.max(initial=1)))
+    games = np.argsort(narrow, kind="stable")[np.count_nonzero(group < 0):]
+    return spreads[valid], index, dataset.outcome[games], sizes[valid]

@@ -14,8 +14,9 @@ outcomes per valid spread, drawn about 2**16 entries and fitted about 1,024
 is the one-split block: it splits once by date, fits on the past, wagers on
 the future, and also sweeps the k-lowest-entropy strategy over every k.
 Both group, split and count games in array passes over the dataset's
-columns. The count block of all games at the valid spreads
-(``_grouped_counts``), which TI's splits start from, is the one ``profile`` fits.
+columns. Every fit groups its games in one call, ``FitConfig.groups``: the
+count block of all games at the valid spreads, which TI's splits start from,
+is the one ``profile`` fits, and TD's is that of its training games.
 
 All randomness derives from ``default_rng(SeedSequence(key))`` streams keyed
 on the config seed, so a run is reproducible bit for bit and TI simulations
@@ -35,7 +36,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .bias import DEFAULT_ENTROPY_THRESHOLD, profile_arrays, rank_spreads
-from .data import Dataset, _shown, by_spread, spread_groups
+from .data import Dataset, _shown, spread_groups
 from .density import (
     DEFAULT_BANDWIDTH, DEFAULT_GRID_HI, DEFAULT_GRID_LO, KERNELS, OutcomeGrid, grid_cells,
     outcome_counts,
@@ -227,23 +228,21 @@ class FitConfig:
     def grid(self) -> OutcomeGrid:
         return OutcomeGrid(self.grid_lo, self.grid_hi)
 
-    def valid_spreads(self, dataset: Dataset, counted=slice(None)) -> tuple[np.ndarray, ...]:
-        """``spread_groups(dataset, min_samples, counted)``, refused with ValueError
-        where no fit can be made: with no valid spread (the one message for ``profile``,
-        TI and TD, naming ``min_samples`` and the largest group of the counted games), or
-        with a valid spread outside ``[grid_lo, grid_hi)`` (NaN too), whose cover probability,
-        and so entropy, would be pinned whatever its games did. These are the config's only
-        checks that need the games: a command meets them after its options and config."""
-        spreads, index = spread_groups(dataset, self.min_samples, counted)
-        if not spreads.size:
-            largest = np.unique(dataset.spread[counted], return_counts=True)[1].max(initial=0)
-            raise ValueError(f"no spread has at least min_samples={self.min_samples} games "
-                             f"(the largest group has {largest})")
+    def groups(self, dataset: Dataset, counted=None) -> tuple[np.ndarray, ...]:
+        """Every fit's one grouping call: ``spread_groups(dataset, min_samples, counted)``
+        and the (spreads x grid) block of its grouped outcomes' counts. Refused with
+        ValueError where no fit can be made: with no valid spread (``spread_groups``'
+        message), or with a valid spread outside ``[grid_lo, grid_hi)`` (NaN too), whose
+        cover probability, and so entropy, would be pinned whatever its games did. These
+        are the config's only checks that need the games: a command meets them after its
+        options and config."""
+        spreads, index, outcomes, sizes = spread_groups(dataset, self.min_samples, counted)
         off_grid = spreads[~((self.grid_lo <= spreads) & (spreads < self.grid_hi))]
         if off_grid.size:
             raise ValueError(f"spread {off_grid[0]:g} lies outside the outcome grid "
                              f"[{self.grid_lo}, {self.grid_hi})")
-        return spreads, index
+        rows = np.repeat(np.arange(len(sizes)), sizes)
+        return spreads, index, outcomes, sizes, outcome_counts(outcomes, self.grid(), rows, len(sizes))
 
 
 @dataclass(frozen=True)
@@ -427,25 +426,17 @@ def _report(
     )
 
 
-def _grouped_counts(
-    dataset: Dataset, index: np.ndarray, grid: OutcomeGrid
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``by_spread``'s outcomes and sizes at ``index``'s spreads, and their
-    (spreads x grid) block of outcome counts."""
-    outcomes, sizes = by_spread(dataset, index)
-    rows = np.repeat(np.arange(len(sizes)), sizes)
-    return outcomes, sizes, outcome_counts(outcomes, grid, rows, len(sizes))
-
-
-def _holdout_splits(dataset: Dataset, index: np.ndarray, config: TiConfig) -> Iterator[_Split]:
-    """TI's splits, in fit blocks cut from each draw block of simulations: the holdouts
-    drawn from each valid spread's games in input order are a simulation's test games,
-    and the full counts minus theirs its training block: float64, as the fit takes it, the
-    full counts repeated once per split less one at each held game's cell (``grid_cells``)."""
+def _holdout_splits(
+    outcomes: np.ndarray, sizes: np.ndarray, counts: np.ndarray, config: TiConfig
+) -> Iterator[_Split]:
+    """TI's splits of ``FitConfig.groups``' grouped outcomes, sizes and counts, in fit
+    blocks cut from each draw block of simulations: the holdouts drawn from each valid
+    spread's games in input order are a simulation's test games, and the full counts minus
+    theirs its training block: float64, as the fit takes it, the full counts repeated once
+    per split less one at each held game's cell (``grid_cells``)."""
     grid = config.grid()
     holdout = config.holdout_per_spread
-    outcomes, sizes, full_counts = _grouped_counts(dataset, index, grid)
-    full_counts = full_counts.astype(np.float64)
+    full_counts = counts.astype(np.float64)
     n = len(sizes)
     starts = np.cumsum(sizes) - sizes
     rows = np.repeat(np.arange(n), holdout)
@@ -482,8 +473,8 @@ def run_ti(dataset: Dataset, config: TiConfig) -> EvaluationReport:
     """
     # TiConfig keeps min_samples above holdout_per_spread, so every valid
     # spread keeps at least one training outcome.
-    spreads, index = config.valid_spreads(dataset)
-    results = _backtest(config, spreads, _holdout_splits(dataset, index, config))
+    spreads, _, outcomes, sizes, counts = config.groups(dataset)
+    results = _backtest(config, spreads, _holdout_splits(outcomes, sizes, counts, config))
     report = _report("ti", config, spreads, results)
     entropy = np.ascontiguousarray(results.entropy.T)
     sds = entropy.std(axis=-1, ddof=1).tolist() if config.n_simulations > 1 else [None] * len(spreads)
@@ -513,9 +504,7 @@ def run_td(dataset: Dataset, config: TdConfig) -> EvaluationReport:
     if not n_test:
         raise ValueError(f"no test games in year {config.cutoff_year} or later")
 
-    spreads, index = config.valid_spreads(dataset, ~test)
-    train = ~test & (index >= 0)
-    counts = outcome_counts(dataset.outcome[train], config.grid(), index[train], len(spreads))
+    spreads, index, _, _, counts = config.groups(dataset, ~test)
     # Test games in coin-flip order: by spread, then key (date, home, visitor), then input order.
     games = sorted(np.flatnonzero(test & (index >= 0)).tolist(), key=lambda i: dataset.records[i][:3])
     games = np.array(games, dtype=np.intp)[np.argsort(index[games], kind="stable")]

@@ -909,7 +909,7 @@ class TestSpreadsOffTheGrid:
 class TestFitCommandErrors:
     """``profile``, ``simulate-ti`` and ``backtest-td`` check their options, then
     the config built from them, then the input, and share one no-valid-spread
-    error, raised by ``FitConfig.valid_spreads``."""
+    error, raised by ``FitConfig.groups``."""
 
     @pytest.mark.parametrize("command, largest", [
         ("profile", 41), ("simulate-ti", 41),
@@ -1040,8 +1040,8 @@ class TestEncoding:
 
 class TestLineEndings:
     """One games file with LF, CRLF or CR endings, with a quoted field or with none,
-    gives the same outputs: the CLI splits a quote-free file at LF once its CRLF and
-    CR are LF, and reads a file with a quote as ``open(..., newline="")`` reads it."""
+    gives the same outputs: the CLI splits every file at LF once its CRLF and CR are
+    LF, and reads a file with a quote by ``csv.reader`` over those lines."""
 
     @staticmethod
     def outputs(out_dir: Path) -> dict[str, bytes]:

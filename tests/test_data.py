@@ -31,13 +31,15 @@ from spreadbias import (
     run_td,
 )
 from spreadbias import cli, data
-from spreadbias.data import by_spread, spread_groups
+from spreadbias.data import spread_groups
 from conftest import (
     GAME_RECORDS, dataset_csv_text, make_record, reference_parse, synthetic_spread_dataset,
 )
 
 HEADER = "date,home_team,visitor_team,home_score,visitor_score,spread\n"
 GOOD_ROW = "2017-09-10,NE,KC,27,42,-9.0\n"
+#: A header whose last column is a team name.
+LAST_HOME = "date,visitor_team,home_score,visitor_score,spread,home_team\n"
 
 
 def parse(text: str) -> Dataset:
@@ -45,9 +47,8 @@ def parse(text: str) -> Dataset:
 
 
 def parse_file(text: str) -> Dataset:
-    """``text`` parsed by ``csv.reader`` over lines that keep their ends, as
-    ``open(..., newline="")`` gives them: its header's ``date`` is quoted,
-    which moves no line."""
+    """``text`` parsed by ``csv.reader`` over its lines without their ends: its
+    header's ``date`` is quoted, which moves no line."""
     return parse(re.sub(r"\bdate\b", '"date"', text, count=1))
 
 
@@ -148,9 +149,9 @@ class TestParseGames:
             + f"2017-09-10,NE,KC,27,42,{first}\n"
             + f"2017-09-11,GB,SEA,20,17,{second}\n"
         )
-        spreads, index = spread_groups(ds, 1)
+        spreads, _, _, sizes = spread_groups(ds, 1)
         [spread] = spreads.tolist()
-        assert by_spread(ds, index)[1].tolist() == [2]
+        assert sizes.tolist() == [2]
         assert f"{spread:g}" == "0"
         assert f"{spread:.1f}" == "0.0"
 
@@ -278,8 +279,14 @@ class TestParseGames:
             (HEADER + GOOD_ROW + '2017-09-11,"N\nE",KC,27,42,-9.0\n', 3),
             (HEADER + GOOD_ROW + '2017-09-11,"NE,KC,27,42,-9.0\n' + GOOD_ROW, 3),
             ('# manifest {}\ndate,"home_team\n",visitor_team,home_score,visitor_score,spread\n', 2),
+            # A quote left open on the last line, in the last column or another one.
+            (LAST_HOME + '2017-09-15,KC,27,42,1.0,"NE', 2),
+            (LAST_HOME + '2017-09-15,KC,27,42,1.0,"NE\r\n\n# end\n', 2),
+            (LAST_HOME + "2017-09-10,KC,27,42,-9.0,NE\n" + '2017-09-15,KC,"27,42,1.0,NE\n', 3),
+            ('date,"home_team', 1),
         ],
-        ids=["closed-on-next-line", "never-closed", "header"],
+        ids=["closed-on-next-line", "never-closed", "header", "open-at-end", "open-at-end-then-skipped",
+             "open-at-end-not-last-column", "header-open-at-end"],
     )
     @BOTH_READS
     def test_quoted_field_spanning_lines_is_rejected(self, text, line_num, read):
@@ -469,8 +476,8 @@ PLAIN_ROWS = st.sampled_from([
     GOOD_ROW.strip(), " 2017-09-11,GB,SEA,20,17,3.5 ", "2017-09-12,N\x85E,K\vC,0,0,-0",
     "2017-09-16," + "N" * 70 + ",KC,27,42,1.0",
 ])
-#: Quoted rows that parse, and rows that fail on a field, a field count, a NUL or
-#: a line end in quotes, the last of which a lowered field limit counts.
+#: Quoted rows that parse, and rows that fail on a field, a field count, a NUL, a
+#: line end in quotes or a quote that no later line closes.
 OTHER_ROWS = st.sampled_from([
     '2017-09-13,"N, E",KC,27,42,1.0',
     '"2017-09-14",NE,"K""C",27,42,1.0',
@@ -480,6 +487,7 @@ OTHER_ROWS = st.sampled_from([
     "2017-09-15,N\0E,KC,27,42,1.0",
     '2017-09-15,"N\nE",KC,27,42,1.0',
     '2017-09-15,"' + "N" * 60 + '\n",KC,27,42,1.0',
+    '2017-09-15,KC,27,42,1.0,"NE',
 ])
 SKIPPED_LINES = st.sampled_from(["", " \t", "\u3000", "# manifest {}", '  # a "quoted" comment', "# \0"])
 
@@ -513,12 +521,52 @@ def parse_outcome(parse_source):
         return type(exc), getattr(exc, "line_num", None), str(exc)
 
 
+def file_reference(text: str):
+    """Reference for a games file's ``parse_outcome``, from its lines as ``open(...,
+    newline="")`` cuts them, each without its end. The lines that ``str.lstrip()`` leaves
+    empty or opening with ``#`` are skipped; ``csv.reader`` reads the rest and then one
+    empty line. A row read from more than one line spans lines (a quote left open on the
+    last line reads on into the empty one), and a kept line with a NUL fails once it is
+    reached. The rows read before either failure, or a csv error, are written back one to
+    their line, every other line left blank, and parsed, so that a field's own check
+    meets it on its line; the failure stands only if they parse."""
+    lines = [line.rstrip("\r\n") for line in io.StringIO(text.removeprefix("\ufeff"), newline="")]
+    kept = [n for n, line in enumerate(lines, 1) if (head := line.lstrip()) and head[0] != "#"]
+
+    def read():
+        for n in kept:
+            if "\0" in lines[n - 1]:
+                raise ParseError(n, "unreadable CSV: line contains NUL")
+            yield lines[n - 1]
+        yield ""
+
+    reader, rows, failure = csv.reader(read()), [], None
+    try:
+        for row in iter(reader.__next__, []):
+            if reader.line_num != len(rows) + 1:
+                raise ParseError(kept[len(rows)], "quoted field spans lines")
+            rows.append(row)
+    except csv.Error as exc:
+        failure = ParseError(kept[reader.line_num - 1], f"unreadable CSV: {exc}")
+    except ParseError as exc:
+        failure = exc
+    written = [""] * len(lines)
+    for n, row in zip(kept, rows):
+        line = io.StringIO()
+        csv.writer(line, lineterminator="").writerow(row)
+        written[n - 1] = line.getvalue()
+    outcome = parse_outcome(lambda: parse("\n".join(written)))
+    failed = outcome[:1] and not isinstance(outcome[0], GameRecord)
+    if failure and not (rows and failed):
+        return type(failure), failure.line_num, str(failure)
+    return outcome
+
+
 class TestLineSource:
-    """``parse_games`` reads a file with a quote as ``open(..., newline="")`` reads
-    it, and turns any other into its lines without their ends by one split at LF,
-    after CRLF and CR become LF, then splits those lines at commas. Neither may
-    change a record or an error from csv's over the file's own lines, which
-    ``parse_file`` reads with the header's ``date`` quoted."""
+    """``parse_games`` turns every file into its lines without their ends by one split
+    at LF, after CRLF and CR become LF, then reads them by ``csv.reader`` or, in a file
+    with no quote, by a split at commas. Neither may change a record or an error from
+    ``file_reference``'s, which cuts lines as ``open(..., newline="")`` does."""
 
     @staticmethod
     def load(text: str) -> Dataset:
@@ -530,7 +578,7 @@ class TestLineSource:
 
     @settings(deadline=None)
     @given(line_sources(), st.sampled_from([None, 60]))
-    # Stripping this file's line ends would take its quoted field back under the limit.
+    # The limit counts a quoted field's own text, not its line end: this field spans lines.
     @example(HEADER + '2017-09-15,"' + "N" * 60 + '\n",KC,27,42,1.0\n', 60)
     # Split at LF: an empty file, a lone mark, no final LF, two final LFs, and a NUL in a row.
     @example("", None)
@@ -544,8 +592,21 @@ class TestLineSource:
         default = csv.field_size_limit()
         csv.field_size_limit(limit or default)
         try:
-            expected = parse_outcome(lambda: parse_file(text))
+            expected = file_reference(text)
             assert parse_outcome(lambda: self.load(text)) == expected
+            assert parse_outcome(lambda: parse_file(text)) == expected
+        finally:
+            csv.field_size_limit(default)
+
+    @pytest.mark.parametrize("n, message", [
+        (60, "line 2: quoted field spans lines"),
+        (61, "line 2: unreadable CSV: field larger than field limit (60)"),
+    ])
+    def test_field_limit_counts_a_quoted_field_without_its_line_end(self, n, message):
+        text = HEADER + '2017-09-15,"' + "N" * n + '\n",KC,27,42,1.0\n'
+        default = csv.field_size_limit(60)
+        try:
+            assert parse_outcome(lambda: self.load(text)) == (ParseError, 2, message)
         finally:
             csv.field_size_limit(default)
 
@@ -776,56 +837,70 @@ class TestColumns:
 
 
 class TestSpreadGroups:
-    """``spread_groups``, and ``by_spread`` over its index."""
+    """``spread_groups``: the valid spreads, each game's index among them, and
+    the counted games' outcomes and sizes at those spreads."""
 
     def test_threshold_filters_spreads(self):
         ds = synthetic_spread_dataset([-2.5, 1.5, 6.5], 30, seed=3)
         small = synthetic_spread_dataset([9.5], 10, seed=4, start="2016-01-01")
         merged = Dataset(ds.records + small.records)
-        spreads, index = spread_groups(merged, 25)
+        spreads, index, _, sizes = spread_groups(merged, 25)
         assert spreads.tolist() == [-2.5, 1.5, 6.5]
         assert index.tolist() == [i // 30 for i in range(90)] + [-1] * 10
-        assert by_spread(merged, index)[1].tolist() == [30, 30, 30]
+        assert sizes.tolist() == [30, 30, 30]
 
     def test_sorted_ascending(self):
         ds = synthetic_spread_dataset([6.5, -2.5, 1.5], 5)
-        spreads, index = spread_groups(ds, 1)
+        spreads, index, _, _ = spread_groups(ds, 1)
         assert spreads.tolist() == [-2.5, 1.5, 6.5]
         assert index.tolist() == [2] * 5 + [0] * 5 + [1] * 5
 
-    @pytest.mark.parametrize("ds, min_samples", [
-        (synthetic_spread_dataset([-2.5], 3), 4),
-        (Dataset(()), 1),
+    @pytest.mark.parametrize("ds, min_samples, largest", [
+        (synthetic_spread_dataset([-2.5], 3), 4, 3),
+        (Dataset(()), 1, 0),
     ], ids=["below-threshold", "empty"])
-    def test_no_valid_spread(self, ds, min_samples):
-        spreads, index = spread_groups(ds, min_samples)
-        assert spreads.tolist() == []
-        assert index.tolist() == [-1] * len(ds)
-        outcomes, sizes = by_spread(ds, index)
-        assert (outcomes.tolist(), sizes.tolist()) == ([], [])
+    def test_no_valid_spread(self, ds, min_samples, largest):
+        message = (rf"^no spread has at least min_samples={min_samples} games "
+                   rf"\(the largest group has {largest}\)$")
+        with pytest.raises(ValueError, match=message):
+            spread_groups(ds, min_samples)
 
     def test_min_samples_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^min_samples must be >= 1, got 0$"):
             spread_groups(Dataset(()), 0)
 
     def test_partition_property(self):
         ds = synthetic_spread_dataset([-2.5, 1.5, 6.5], 20, seed=11)
-        for min_samples in (1, 10, 21):
-            _, sizes = by_spread(ds, spread_groups(ds, min_samples)[1])
+        for min_samples in (1, 10, 20):
+            _, _, outcomes, sizes = spread_groups(ds, min_samples)
             eligible = sum(
                 1
                 for r in ds
                 if sum(1 for q in ds if q.spread == r.spread) >= min_samples
             )
-            assert sizes.sum() == eligible
+            assert sizes.sum() == len(outcomes) == eligible
 
     def test_outcomes_in_input_order(self):
         ds = synthetic_spread_dataset([1.5, -2.5], 8, seed=2)
-        outcomes, sizes = by_spread(ds, spread_groups(ds, 1)[1])
+        _, _, outcomes, sizes = spread_groups(ds, 1)
         assert outcomes.tolist() == [r.outcome for r in ds.records[8:]] + [
             r.outcome for r in ds.records[:8]
         ]
         assert sizes.tolist() == [8, 8]
+
+    def test_only_counted_games_are_grouped_but_every_game_is_indexed(self):
+        # Games 0-9 are at -2.5 and 10-19 at 1.5. Games 0 and 2 and the even ones
+        # from 10 are counted, so with min_samples=3 only 1.5 is valid, with 5 games.
+        ds = synthetic_spread_dataset([-2.5, 1.5], 10, seed=5)
+        counted = (np.arange(20) % 2 == 0) & (np.arange(20) >= 10)
+        counted[[0, 2]] = True
+        spreads, index, outcomes, sizes = spread_groups(ds, 3, counted)
+        assert spreads.tolist() == [1.5]
+        assert index.tolist() == [-1] * 10 + [0] * 10
+        assert outcomes.tolist() == [r.outcome for r in ds.records[10::2]]
+        assert sizes.tolist() == [5]
+        with pytest.raises(ValueError, match=r"the largest group has 5\)$"):
+            spread_groups(ds, 6, counted)
 
 
 class TestTdSplit:

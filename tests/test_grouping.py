@@ -12,6 +12,7 @@ deduplicated, so keys repeat.
 from __future__ import annotations
 
 import datetime as dt
+import math
 from collections import Counter
 from unittest import mock
 
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 
 from spreadbias import Dataset, FitConfig, GameRecord, TdConfig, TiConfig, run_td, run_ti
 from spreadbias import harness
-from spreadbias.data import by_spread, spread_groups
+from spreadbias.density import outcome_counts
 from conftest import reference_buckets
 
 GRID_LO, GRID_HI = -20, 20
@@ -92,15 +93,20 @@ def test_column_passes_equal_the_per_record_code(records, min_samples):
     dataset = Dataset(tuple(records))
     grid = dict(grid_lo=GRID_LO, grid_hi=GRID_HI)
 
-    # The valid-spread index, and each valid spread's outcomes and size.
+    # The valid-spread index, and each valid spread's outcomes, size and counts.
     expected = reference_buckets(records, min_samples)
     valid = [spread for spread, _ in expected]
-    spreads, index = spread_groups(dataset, min_samples)
-    assert spreads.tolist() == valid
-    assert index.tolist() == [valid.index(r.spread) if r.spread in valid else -1 for r in records]
-    outcomes, sizes = by_spread(dataset, index)
-    assert outcomes.tolist() == [v for _, group in expected for v in group]
-    assert sizes.tolist() == [len(group) for _, group in expected]
+    fit = FitConfig(min_samples=min_samples, **grid)
+    if not expected:
+        with pytest.raises(ValueError, match=no_valid_spread(min_samples, records)):
+            fit.groups(dataset)
+    else:
+        spreads, index, outcomes, sizes, counts = fit.groups(dataset)
+        assert spreads.tolist() == valid
+        assert index.tolist() == [valid.index(r.spread) if r.spread in valid else -1 for r in records]
+        assert outcomes.tolist() == [v for _, group in expected for v in group]
+        assert sizes.tolist() == [len(group) for _, group in expected]
+        assert counts.tolist() == old_counts(expected)
 
     # TI: every split's training block plus its holdouts' counts is the full count block.
     ti = TiConfig(min_samples=min_samples + 1, holdout_per_spread=1, n_simulations=2, **grid)
@@ -140,7 +146,7 @@ def test_column_passes_equal_the_per_record_code(records, min_samples):
 
 
 @pytest.mark.parametrize("fit", [
-    lambda ds: FitConfig().valid_spreads(ds),
+    lambda ds: FitConfig().groups(ds),
     lambda ds: run_ti(ds, TiConfig()),
     lambda ds: run_td(ds, TdConfig()),
 ])
@@ -150,3 +156,42 @@ def test_nan_spread_with_enough_games_is_off_the_grid(fit):
              for i in range(80) for spread in (3.0, nan)]
     with pytest.raises(ValueError, match=r"^spread nan lies outside the outcome grid \[-40, 40\)$"):
         fit(Dataset(tuple(games)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(RECORDS, st.sampled_from(SPREADS), st.integers(1, 6))
+@example([GameRecord(dt.date(2016 + i % 2, 9, 1), "NE", "KC", 20, i, spread)
+          for i, spread in enumerate([0.0] * 9 + [-14.0] * 3)], 0.0, 6)
+def test_td_fits_the_count_block_of_its_grouped_training_games(records, nan_spread, min_samples):
+    # One grouping call gives TD its training block, and the no-valid-spread message the
+    # largest group that np.unique counts, NaN spreads in one group, for all games or TD's
+    # training games. The games at one spread get a NaN spread each, which is off the grid.
+    dataset = Dataset(tuple(r._replace(spread=math.nan) if r.spread == nan_spread else r
+                            for r in records))
+    td = TdConfig(min_samples=min_samples, grid_lo=GRID_LO, grid_hi=GRID_HI)
+    train = dataset.year < td.cutoff_year
+    for counted in (None, train):
+        games = dataset.spread if counted is None else dataset.spread[counted]
+        largest = np.unique(games, return_counts=True)[1].max(initial=0)
+        try:
+            spreads, index, outcomes, sizes, counts = td.groups(dataset, counted)
+        except ValueError as exc:
+            assert str(exc) == (
+                f"spread nan lies outside the outcome grid [{GRID_LO}, {GRID_HI})"
+                if largest >= min_samples else
+                f"no spread has at least min_samples={min_samples} games (the largest group has {largest})"
+            )
+            counts = None
+            continue
+        rows = np.repeat(np.arange(len(sizes)), sizes)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, outcome_counts(outcomes, td.grid(), rows, len(sizes)))
+    if counts is None or train.all():
+        return
+    _, (split,) = splits_of(run_td, dataset, td)
+    assert split.train.dtype == counts.dtype
+    assert np.array_equal(split.train, counts)
+    # The count pass TD made of its own: every training game at a valid spread, by mask.
+    trained = train & (index >= 0)
+    assert np.array_equal(split.train, outcome_counts(dataset.outcome[trained], td.grid(),
+                                                      index[trained], len(spreads)))

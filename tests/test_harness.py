@@ -115,17 +115,17 @@ class TestFitConfigs:
     def test_valid_spreads_reject_spreads_off_the_grid(self):
         ds = synthetic_spread_dataset([-10.0, 9.5, 10.0], 30, seed=4)
         config = FitConfig(grid_lo=-10, grid_hi=11)
-        assert config.valid_spreads(ds)[0].tolist() == [-10.0, 9.5, 10.0]
+        assert config.groups(ds)[0].tolist() == [-10.0, 9.5, 10.0]
         message = r"spread 10 lies outside the outcome grid \[-10, 10\)"
         with pytest.raises(ValueError, match=message):
-            FitConfig(grid_lo=-10, grid_hi=10).valid_spreads(ds)
+            FitConfig(grid_lo=-10, grid_hi=10).groups(ds)
         with pytest.raises(ValueError, match=r"spread -10 lies outside"):
-            FitConfig(grid_lo=-9, grid_hi=11).valid_spreads(ds)
+            FitConfig(grid_lo=-9, grid_hi=11).groups(ds)
         # Spreads under min_samples are not fitted, so the grid is not checked: with none
         # valid, the error is the no-valid-spread one.
         with pytest.raises(ValueError, match=r"^no spread has at least min_samples=31 games "
                                              r"\(the largest group has 30\)$"):
-            FitConfig(grid_lo=-9, grid_hi=10, min_samples=31).valid_spreads(ds)
+            FitConfig(grid_lo=-9, grid_hi=10, min_samples=31).groups(ds)
 
 
 class TestRunTi:
@@ -497,7 +497,7 @@ class TestStreams:
                                            seed=4)
         config = TiConfig(n_simulations=n_simulations, min_samples=holdout + 1,
                           holdout_per_spread=holdout)
-        spreads, index = config.valid_spreads(dataset)
+        spreads, _, *groups = config.groups(dataset)
         n = len(spreads)
         draw_limit = max(1, harness._DRAW_ENTRIES // (n * holdout))
         fit_limit = max(1, harness._FIT_KEYS // (n + 1))
@@ -511,7 +511,7 @@ class TestStreams:
 
         monkeypatch.setattr(harness, "_holdout_picks", checked_picks)
         sizes = []
-        for split in harness._holdout_splits(dataset, index, config):
+        for split in harness._holdout_splits(*groups, config):
             sizes.append(len(split.train))
             assert len(split.outcomes) == len(split.flips) == sizes[-1] <= min(fit_limit, draw_limit)
         assert sum(sizes) == n_simulations
@@ -552,11 +552,10 @@ class TestStreams:
         monkeypatch.setattr(harness, "_FIT_KEYS", fit_keys)
         dataset = synthetic_spread_dataset(HALF_SPREADS, 30, seed=8, max_offset=14)
         config = TiConfig(n_simulations=13, seed=5, grid_lo=-12, grid_hi=12)
-        spreads, index = config.valid_spreads(dataset)
+        spreads, _, outcomes, sizes, full = config.groups(dataset)
         grid, n = config.grid(), len(spreads)
-        outcomes, _, full = harness._grouped_counts(dataset, index, grid)
         assert np.any((outcomes < grid.lo) | (outcomes > grid.hi))
-        blocks = list(harness._holdout_splits(dataset, index, config))
+        blocks = list(harness._holdout_splits(outcomes, sizes, full, config))
         for block in blocks:
             splits = len(block.outcomes)
             rows = n * np.arange(splits)[:, None] + block.rows
@@ -575,8 +574,8 @@ class TestStreams:
             HALF_SPREADS, 30, cover_probs={-2.5: 0.9, 1.5: 0.15}, seed=8
         )
         config = TiConfig(n_simulations=13, seed=5)
-        spreads, index = config.valid_spreads(dataset)
-        blocks = list(harness._holdout_splits(dataset, index, config))
+        spreads, _, *groups = config.groups(dataset)
+        blocks = list(harness._holdout_splits(*groups, config))
         assert [len(block.train) for block in blocks] == [5, 2, 5, 1]
         singles = [
             harness._Split(block.train[i:i + 1], block.rows, block.outcomes[i:i + 1],

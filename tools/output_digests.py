@@ -15,8 +15,10 @@ so that the parser's split at LF meets skipped lines with and without a CR
 to replace. Four more copies reach the parser's byte checks: a byte that
 is not UTF-8 in the last row of the quote-free LF file and of the quoted
 CRLF one, a NUL in the last row of the quote-free LF file, and a NUL in
-its ``#`` comment line only, which every command reads past. Two more reach
-``ingest``'s writer: a header-only CSV, which ``ingest`` writes with no data
+its ``#`` comment line only, which every command reads past. Two copies of the
+quoted CRLF file reach the line cut: one with a lone CR inside a quoted team
+name, and one whose last row opens a quote in its last field that no line
+closes. Two more reach ``ingest``'s writer: a header-only CSV, which ``ingest`` writes with no data
 line and the other commands refuse (no valid spread), and a ti-wide seed-0
 copy with two teams renamed ``7`` and ``7.0``, names that read as a score
 and a spread. It runs
@@ -173,6 +175,7 @@ def main(argv: list[str]) -> int:
                 ("skips-plain-lf", "utf8", b",T", b",\xffT"), ("skips", "utf8", b",T", b",\xffT"),
                 ("skips-plain-lf", "nul", b",T", b",\0T"),
                 ("skips-plain-lf", "nul-comment", b"# a comment", b"# a \0 comment"),
+                ("skips", "cr", b'"Big, Red"', b'"Big,\r Red"'), ("skips", "open", b",", b',"'),
             ):
                 name = f"ti-wide-0-{source}-{suffix}.csv"
                 write_replaced(f"ti-wide-0-{source}.csv", name, old, new)
