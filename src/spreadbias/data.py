@@ -1,5 +1,5 @@
-"""Game-record ingestion, validation and deduplication, and the column passes
-that group games by spread."""
+"""Game-record ingestion, validation and deduplication: the games file's format,
+its records, and a dataset's columns."""
 
 from __future__ import annotations
 
@@ -177,7 +177,8 @@ def parse_games(data: bytes) -> Dataset:
 
     Raises SchemaError when the header is absent, incomplete, or repeats
     a required column, and ParseError (carrying the offending line
-    number) for malformed rows and for a byte that is not UTF-8.
+    number: for a row, the line it starts on) for malformed rows and for
+    a byte that is not UTF-8.
     """
     with _gc_paused():
         try:
@@ -223,6 +224,7 @@ def parse_games(data: bytes) -> Dataset:
         # into; otherwise the line reads as [], which no kept line does, and ends the rows.
         reader = None if split else csv.reader(chain(lines, [""]))
         rows = map(str.split, lines, repeat(",")) if split else iter(reader.__next__, [])
+        header = None
         try:
             header = [name.strip(_ASCII_SPACE) for name in next(rows)]
             if reader and reader.line_num != 1:
@@ -265,7 +267,12 @@ def parse_games(data: bytes) -> Dataset:
         except _FieldError as exc:
             raise ParseError(line_of(len(records) + 1), str(exc)) from None
         except csv.Error as exc:
-            raise ParseError(line_of(reader.line_num - 1), f"unreadable CSV: {exc}") from None
+            # Each row read took one line, so the row the reader failed on starts on kept
+            # line ``first``; a read past it spans lines, whatever csv then refused.
+            first = 0 if header is None else len(records) + 1
+            spans = reader.line_num > first + 1
+            raise ParseError(line_of(first), "quoted field spans lines" if spans
+                             else f"unreadable CSV: {exc}") from None
         return Dataset(tuple(records))
 
 
@@ -355,25 +362,3 @@ def deduplicate(dataset: Dataset) -> Dataset:
         # Dicts keep insertion order, so the values are the first occurrences.
         return Dataset(tuple(seen.values()))
 
-
-def spread_groups(dataset: Dataset, min_samples: int, counted=None) -> tuple[np.ndarray, ...]:
-    """The spreads, ascending, with at least ``min_samples`` of the games that
-    the boolean mask ``counted`` selects (None: all); each game's index among
-    them, -1 for a game at another spread; and the outcomes of the counted games
-    at those spreads, spread by spread and each spread's in input order, and
-    how many each spread has. Raises ValueError with no such spread, naming the
-    largest group of the counted games."""
-    if min_samples < 1:
-        raise ValueError(f"min_samples must be >= 1, got {min_samples}")
-    spreads, inverse = np.unique(dataset.spread, return_inverse=True)
-    sizes = np.bincount(inverse if counted is None else inverse[counted], minlength=len(spreads))
-    valid = sizes >= min_samples
-    if not valid.any():
-        raise ValueError(f"no spread has at least min_samples={min_samples} games "
-                         f"(the largest group has {sizes.max(initial=0)})")
-    index = np.where(valid, np.cumsum(valid) - 1, -1)[inverse]
-    group = index if counted is None else np.where(counted, index, -1)
-    # numpy's stable sort of 8- or 16-bit ints is a radix sort: narrow the group (signed, for -1).
-    narrow = group.astype(np.min_scalar_type(-1 - group.max(initial=1)))
-    games = np.argsort(narrow, kind="stable")[np.count_nonzero(group < 0):]
-    return spreads[valid], index, dataset.outcome[games], sizes[valid]

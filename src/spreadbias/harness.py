@@ -36,7 +36,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .bias import DEFAULT_ENTROPY_THRESHOLD, profile_arrays, rank_spreads
-from .data import Dataset, _shown, spread_groups
+from .data import Dataset, _shown
 from .density import (
     DEFAULT_BANDWIDTH, DEFAULT_GRID_HI, DEFAULT_GRID_LO, KERNELS, OutcomeGrid, grid_cells,
     outcome_counts,
@@ -229,14 +229,27 @@ class FitConfig:
         return OutcomeGrid(self.grid_lo, self.grid_hi)
 
     def groups(self, dataset: Dataset, counted=None) -> tuple[np.ndarray, ...]:
-        """Every fit's one grouping call: ``spread_groups(dataset, min_samples, counted)``
-        and the (spreads x grid) block of its grouped outcomes' counts. Refused with
-        ValueError where no fit can be made: with no valid spread (``spread_groups``'
-        message), or with a valid spread outside ``[grid_lo, grid_hi)`` (NaN too), whose
-        cover probability, and so entropy, would be pinned whatever its games did. These
-        are the config's only checks that need the games: a command meets them after its
-        options and config."""
-        spreads, index, outcomes, sizes = spread_groups(dataset, self.min_samples, counted)
+        """Every fit's one grouping pass, over the games the boolean mask ``counted`` selects
+        (None: all): the spreads, ascending, with at least ``min_samples`` such games; each
+        game's index among them (-1 at another spread); the counted games' outcomes there, by
+        spread and each spread's in input order; each spread's size; and the (spreads x grid)
+        block of their outcome counts. Refused with ValueError where no fit can be made: with
+        no valid spread (naming the counted games' largest group), or with one outside
+        ``[grid_lo, grid_hi)`` (NaN too), whose cover probability, and so entropy, would be
+        pinned whatever its games did. These are the config's only checks that need the
+        games: a command meets them after its options and config."""
+        spreads, inverse = np.unique(dataset.spread, return_inverse=True)
+        sizes = np.bincount(inverse if counted is None else inverse[counted], minlength=len(spreads))
+        valid = sizes >= self.min_samples
+        if not valid.any():
+            raise ValueError(f"no spread has at least min_samples={self.min_samples} games "
+                             f"(the largest group has {sizes.max(initial=0)})")
+        index = np.where(valid, np.cumsum(valid) - 1, -1)[inverse]
+        group = index if counted is None else np.where(counted, index, -1)
+        # numpy's stable sort of 8- or 16-bit ints is a radix sort: narrow the group (signed, for -1).
+        narrow = group.astype(np.min_scalar_type(-1 - group.max(initial=1)))
+        outcomes = dataset.outcome[np.argsort(narrow, kind="stable")[np.count_nonzero(group < 0):]]
+        spreads, sizes = spreads[valid], sizes[valid]
         off_grid = spreads[~((self.grid_lo <= spreads) & (spreads < self.grid_hi))]
         if off_grid.size:
             raise ValueError(f"spread {off_grid[0]:g} lies outside the outcome grid "
@@ -337,16 +350,14 @@ class _Split(NamedTuple):
 
 
 class _SplitResults(NamedTuple):
-    """``_backtest``'s per-split arrays, splits along the leading axis, with the
-    summed Max-Prob sweep and the last split's training sizes."""
+    """``_backtest``'s per-split arrays, splits along the leading axis."""
 
     p_home: np.ndarray    # (splits x spreads) fitted home-cover probabilities
     entropy: np.ndarray   # (splits x spreads) entropies, in bits
     k: np.ndarray         # each split's threshold k
     counts: np.ndarray    # (splits x 4 x 3) loss/push/win counts of each of MODEL_NAMES
     selected: np.ndarray  # (splits x spreads) k-Lowest selection mask
-    ranked: np.ndarray    # ((spreads + 1) x 3) Max-Prob counts over the k most biased, summed
-    n_train: np.ndarray   # training games at each spread in the last split
+    ranked: np.ndarray    # (splits x (spreads + 1) x 3) Max-Prob counts over the k most biased
 
     @property
     def modal_k(self) -> int:
@@ -359,16 +370,15 @@ def _backtest(config: FitConfig, spreads: np.ndarray, splits: Iterable[_Split]) 
 
     Each block takes one array pass per step along its splits axis and adds
     one tuple to one list: its splits' p_home, entropy, threshold k,
-    strategy counts and k-Lowest selection mask. Only the Max-Prob counts
-    over each k most biased spreads are summed as blocks come; the list is
-    joined along the splits axis once, at the end. Max-Prob backs one side
-    at each (split, spread), so ``settle_by_spread`` counts its wagers there;
-    it wagers at every spread, Min-Ent at the most biased one and k-Lowest
-    at the split's threshold k most biased. ``_report`` reduces the result.
+    strategy counts, k-Lowest selection mask and Max-Prob counts over each
+    k most biased spreads; the list is joined along the splits axis once,
+    at the end. Max-Prob backs one side at each (split, spread), so
+    ``settle_by_spread`` counts its wagers there; it wagers at every spread,
+    Min-Ent at the most biased one and k-Lowest at the split's threshold k
+    most biased. ``_report`` reduces the result.
     """
     grid = config.grid()
     blocks = []
-    ranked_total = 0
     for split in splits:
         p_home, entropy = profile_arrays(
             split.train, spreads, config.bandwidth, grid, config.kernel
@@ -382,15 +392,14 @@ def _backtest(config: FitConfig, spreads: np.ndarray, splits: Iterable[_Split]) 
         ranked = np.concatenate([np.zeros_like(ranked[:, :1]), ranked], axis=1)
         counts = np.stack([random_counts, ranked[:, -1], ranked[:, 1], ranked[np.arange(len(k)), k]], 1)
         # k-Lowest selects the spreads whose rank position is below the split's k.
-        blocks.append((p_home, entropy, k, counts, np.argsort(order) < k[:, None]))
-        ranked_total = ranked_total + ranked.sum(axis=0)
-        n_train = split.train[-1].sum(axis=-1).astype(np.int64)
+        blocks.append((p_home, entropy, k, counts, np.argsort(order) < k[:, None], ranked))
         del split  # so the next block is counted without this one
-    return _SplitResults(*map(np.concatenate, zip(*blocks)), ranked_total, n_train)
+    return _SplitResults(*map(np.concatenate, zip(*blocks)))
 
 
 def _report(
-    protocol: str, config: FitConfig, spreads: np.ndarray, results: _SplitResults
+    protocol: str, config: FitConfig, spreads: np.ndarray, results: _SplitResults,
+    n_train: np.ndarray,
 ) -> EvaluationReport:
     """The report parts both protocols share, reduced from ``_backtest``'s results.
 
@@ -398,7 +407,7 @@ def _report(
     percentages over the splits where it settled a wager; its counts are
     pooled over all splits, and k-Lowest reports the modal threshold k. A
     profile row averages a spread's fit over the splits; its ``n_train`` is
-    from the last split, as every TI split trains on as many games per spread.
+    the spread's entry of ``n_train``, the training games every split has there.
     """
     losses, pushes, wins = results.counts.T  # each (strategies x splits)
     settled = wins + losses
@@ -413,7 +422,7 @@ def _report(
     # Each spread's mean over the splits, as np.mean of its contiguous row alone sums it.
     means = [np.ascontiguousarray(a.T).mean(axis=-1).tolist() for a in (results.p_home, results.entropy)]
     profile = tuple({"spread": s, "p_home": p, "entropy_bits": h, "n_train": n}
-                    for s, p, h, n in zip(spreads.tolist(), *means, results.n_train.tolist()))
+                    for s, p, h, n in zip(spreads.tolist(), *means, n_train.tolist()))
     selections = np.count_nonzero(results.selected, axis=0).tolist()
     return EvaluationReport(
         protocol=protocol,
@@ -475,7 +484,7 @@ def run_ti(dataset: Dataset, config: TiConfig) -> EvaluationReport:
     # spread keeps at least one training outcome.
     spreads, _, outcomes, sizes, counts = config.groups(dataset)
     results = _backtest(config, spreads, _holdout_splits(outcomes, sizes, counts, config))
-    report = _report("ti", config, spreads, results)
+    report = _report("ti", config, spreads, results, sizes - config.holdout_per_spread)
     entropy = np.ascontiguousarray(results.entropy.T)
     sds = entropy.std(axis=-1, ddof=1).tolist() if config.n_simulations > 1 else [None] * len(spreads)
     return replace(report, profile=tuple({**row, "entropy_sd": sd}
@@ -504,7 +513,7 @@ def run_td(dataset: Dataset, config: TdConfig) -> EvaluationReport:
     if not n_test:
         raise ValueError(f"no test games in year {config.cutoff_year} or later")
 
-    spreads, index, _, _, counts = config.groups(dataset, ~test)
+    spreads, index, _, sizes, counts = config.groups(dataset, ~test)
     # Test games in coin-flip order: by spread, then key (date, home, visitor), then input order.
     games = sorted(np.flatnonzero(test & (index >= 0)).tolist(), key=lambda i: dataset.records[i][:3])
     games = np.array(games, dtype=np.intp)[np.argsort(index[games], kind="stable")]
@@ -512,7 +521,7 @@ def run_td(dataset: Dataset, config: TdConfig) -> EvaluationReport:
     split = _Split(counts[None], index[games], dataset.outcome[games][None], flips[None])
     results = _backtest(config, spreads, [split])
     return replace(
-        _report("td", config, spreads, results),
-        ksweep=tuple(_sweep_rows(results.ranked, results.modal_k)),
+        _report("td", config, spreads, results, sizes),
+        ksweep=tuple(_sweep_rows(results.ranked[0], results.modal_k)),
         n_train_records=len(dataset) - n_test, n_test_records=n_test,
     )

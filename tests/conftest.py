@@ -145,9 +145,9 @@ def write_dataset_csv(path: Path, dataset: Dataset) -> Path:
 
 
 def reference_buckets(records, min_samples: int) -> list[tuple[float, list[int]]]:
-    """Reference for ``spread_groups`` and ``FitConfig.groups``: each spread with at
-    least ``min_samples`` records, ascending, and its outcomes in input
-    order, grouped in a dict of lists."""
+    """Reference for ``FitConfig.groups``: each spread with at least
+    ``min_samples`` records, ascending, and its outcomes in input order,
+    grouped in a dict of lists."""
     groups: dict[float, list[int]] = {}
     for record in records:
         groups.setdefault(record.spread, []).append(record.visitor_score - record.home_score)

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from spreadbias import (
     Dataset,
     DuplicateConflictError,
+    FitConfig,
     GameRecord,
     ParseError,
     SchemaError,
@@ -31,7 +32,6 @@ from spreadbias import (
     run_td,
 )
 from spreadbias import cli, data
-from spreadbias.data import spread_groups
 from conftest import (
     GAME_RECORDS, dataset_csv_text, make_record, reference_parse, synthetic_spread_dataset,
 )
@@ -149,7 +149,7 @@ class TestParseGames:
             + f"2017-09-10,NE,KC,27,42,{first}\n"
             + f"2017-09-11,GB,SEA,20,17,{second}\n"
         )
-        spreads, _, _, sizes = spread_groups(ds, 1)
+        spreads, _, _, sizes, _ = FitConfig(min_samples=1).groups(ds)
         [spread] = spreads.tolist()
         assert sizes.tolist() == [2]
         assert f"{spread:g}" == "0"
@@ -284,9 +284,13 @@ class TestParseGames:
             (LAST_HOME + '2017-09-15,KC,27,42,1.0,"NE\r\n\n# end\n', 2),
             (LAST_HOME + "2017-09-10,KC,27,42,-9.0,NE\n" + '2017-09-15,KC,"27,42,1.0,NE\n', 3),
             ('date,"home_team', 1),
+            # Closed on the next line past csv's field limit: named at the row's first line.
+            (HEADER + GOOD_ROW + '2017-09-11,"N\n' + "N" * 200_000 + '",KC,27,42,-9.0\n', 3),
+            ('date,"home_team\n' + "h" * 200_000 + '",visitor_team,home_score,visitor_score,spread\n', 1),
         ],
         ids=["closed-on-next-line", "never-closed", "header", "open-at-end", "open-at-end-then-skipped",
-             "open-at-end-not-last-column", "header-open-at-end"],
+             "open-at-end-not-last-column", "header-open-at-end", "closed-past-the-field-limit",
+             "header-closed-past-the-field-limit"],
     )
     @BOTH_READS
     def test_quoted_field_spanning_lines_is_rejected(self, text, line_num, read):
@@ -527,7 +531,8 @@ def file_reference(text: str):
     empty or opening with ``#`` are skipped; ``csv.reader`` reads the rest and then one
     empty line. A row read from more than one line spans lines (a quote left open on the
     last line reads on into the empty one), and a kept line with a NUL fails once it is
-    reached. The rows read before either failure, or a csv error, are written back one to
+    reached. A csv error fails at the line its row starts on, as a row that spans lines if
+    the read went past that line. The rows read before any failure are written back one to
     their line, every other line left blank, and parsed, so that a field's own check
     meets it on its line; the failure stands only if they parse."""
     lines = [line.rstrip("\r\n") for line in io.StringIO(text.removeprefix("\ufeff"), newline="")]
@@ -547,7 +552,9 @@ def file_reference(text: str):
                 raise ParseError(kept[len(rows)], "quoted field spans lines")
             rows.append(row)
     except csv.Error as exc:
-        failure = ParseError(kept[reader.line_num - 1], f"unreadable CSV: {exc}")
+        spans = reader.line_num > len(rows) + 1
+        failure = ParseError(kept[len(rows)],
+                             "quoted field spans lines" if spans else f"unreadable CSV: {exc}")
     except ParseError as exc:
         failure = exc
     written = [""] * len(lines)
@@ -580,6 +587,9 @@ class TestLineSource:
     @given(line_sources(), st.sampled_from([None, 60]))
     # The limit counts a quoted field's own text, not its line end: this field spans lines.
     @example(HEADER + '2017-09-15,"' + "N" * 60 + '\n",KC,27,42,1.0\n', 60)
+    # A row, and a header, whose quoted field runs past the limit only on its second line.
+    @example(HEADER + '2017-09-15,"N\n' + "N" * 60 + '",KC,27,42,1.0\n', 60)
+    @example('date,"home_team\n' + "h" * 60 + '",visitor_team,home_score,visitor_score,spread\n', 60)
     # Split at LF: an empty file, a lone mark, no final LF, two final LFs, and a NUL in a row.
     @example("", None)
     @example("\ufeff", None)
@@ -818,7 +828,7 @@ class TestColumns:
 
         ds = Tagged(parse(self.TEXT).records)
         assert ds.spread.tolist() == [-9.0, -3.5, 0.0]
-        assert spread_groups(ds, 1)[0].tolist() == [-9.0, -3.5, 0.0]
+        assert FitConfig(min_samples=1).groups(ds)[0].tolist() == [-9.0, -3.5, 0.0]
         assert ds.year.tolist() == [2017, 2016, 2018]
 
     @pytest.mark.parametrize(
@@ -836,22 +846,28 @@ class TestColumns:
                 getattr(twin, name)[:] = 0
 
 
-class TestSpreadGroups:
-    """``spread_groups``: the valid spreads, each game's index among them, and
-    the counted games' outcomes and sizes at those spreads."""
+class TestGroups:
+    """``FitConfig.groups``' grouping pass: the valid spreads, each game's index among
+    them, and the counted games' outcomes and sizes at those spreads. ``FitConfig``'s
+    own rule refuses a ``min_samples`` below 1 (``test_cli`` checks its message)."""
+
+    @staticmethod
+    def groups(ds, min_samples, counted=None):
+        """The grouping pass's four arrays, without the count block."""
+        return FitConfig(min_samples=min_samples).groups(ds, counted)[:4]
 
     def test_threshold_filters_spreads(self):
         ds = synthetic_spread_dataset([-2.5, 1.5, 6.5], 30, seed=3)
         small = synthetic_spread_dataset([9.5], 10, seed=4, start="2016-01-01")
         merged = Dataset(ds.records + small.records)
-        spreads, index, _, sizes = spread_groups(merged, 25)
+        spreads, index, _, sizes = self.groups(merged, 25)
         assert spreads.tolist() == [-2.5, 1.5, 6.5]
         assert index.tolist() == [i // 30 for i in range(90)] + [-1] * 10
         assert sizes.tolist() == [30, 30, 30]
 
     def test_sorted_ascending(self):
         ds = synthetic_spread_dataset([6.5, -2.5, 1.5], 5)
-        spreads, index, _, _ = spread_groups(ds, 1)
+        spreads, index, _, _ = self.groups(ds, 1)
         assert spreads.tolist() == [-2.5, 1.5, 6.5]
         assert index.tolist() == [2] * 5 + [0] * 5 + [1] * 5
 
@@ -863,16 +879,12 @@ class TestSpreadGroups:
         message = (rf"^no spread has at least min_samples={min_samples} games "
                    rf"\(the largest group has {largest}\)$")
         with pytest.raises(ValueError, match=message):
-            spread_groups(ds, min_samples)
-
-    def test_min_samples_validation(self):
-        with pytest.raises(ValueError, match="^min_samples must be >= 1, got 0$"):
-            spread_groups(Dataset(()), 0)
+            self.groups(ds, min_samples)
 
     def test_partition_property(self):
         ds = synthetic_spread_dataset([-2.5, 1.5, 6.5], 20, seed=11)
         for min_samples in (1, 10, 20):
-            _, _, outcomes, sizes = spread_groups(ds, min_samples)
+            _, _, outcomes, sizes = self.groups(ds, min_samples)
             eligible = sum(
                 1
                 for r in ds
@@ -882,7 +894,7 @@ class TestSpreadGroups:
 
     def test_outcomes_in_input_order(self):
         ds = synthetic_spread_dataset([1.5, -2.5], 8, seed=2)
-        _, _, outcomes, sizes = spread_groups(ds, 1)
+        _, _, outcomes, sizes = self.groups(ds, 1)
         assert outcomes.tolist() == [r.outcome for r in ds.records[8:]] + [
             r.outcome for r in ds.records[:8]
         ]
@@ -894,13 +906,13 @@ class TestSpreadGroups:
         ds = synthetic_spread_dataset([-2.5, 1.5], 10, seed=5)
         counted = (np.arange(20) % 2 == 0) & (np.arange(20) >= 10)
         counted[[0, 2]] = True
-        spreads, index, outcomes, sizes = spread_groups(ds, 3, counted)
+        spreads, index, outcomes, sizes = self.groups(ds, 3, counted)
         assert spreads.tolist() == [1.5]
         assert index.tolist() == [-1] * 10 + [0] * 10
         assert outcomes.tolist() == [r.outcome for r in ds.records[10::2]]
         assert sizes.tolist() == [5]
         with pytest.raises(ValueError, match=r"the largest group has 5\)$"):
-            spread_groups(ds, 6, counted)
+            self.groups(ds, 6, counted)
 
 
 class TestTdSplit:

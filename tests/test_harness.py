@@ -381,8 +381,8 @@ def settlement_cases(draw):
 
 
 class TestBacktestSettlement:
-    """``_backtest`` settles every strategy per (split, spread); its counts and
-    summed k sweep must be a per-game ``score_ats`` tally of the same wagers."""
+    """``_backtest`` settles every strategy per (split, spread); each split's counts
+    and k sweep must be a per-game ``score_ats`` tally of the same wagers."""
 
     @settings(max_examples=150, deadline=None)
     @given(case=settlement_cases())
@@ -409,23 +409,25 @@ class TestBacktestSettlement:
             results = harness._backtest(config, np.array(spreads), [split])
 
         column = {AtsResult.LOSS: 0, AtsResult.PUSH: 1, AtsResult.WIN: 2}
-        counts, ranked = [], np.zeros((len(spreads) + 1, 3), np.int64)
+        counts, ranked = [], []
         for game_outcomes, game_flips, split_p, split_h in zip(outcomes, flips, p_home, entropy):
             entries = [SpreadBias(spread, p, 1.0 - p, h, 0)
                        for spread, p, h in zip(spreads, split_p, split_h)]
             order, k = reference_ranking(BiasProfile(tuple(entries), config.entropy_threshold))
             position = [order.index(entry) for entry in entries]
             split_counts = np.zeros((4, 3), np.int64)  # MODEL_NAMES' loss/push/win counts
+            split_ranked = np.zeros((len(spreads) + 1, 3), np.int64)
             for row, outcome, flip in zip(rows, game_outcomes, game_flips):
                 spread = spreads[row]
                 coin = predict_random(SimpleNamespace(random=lambda: flip))
                 split_counts[0, column[score_ats(coin, outcome, spread)]] += 1
                 result = column[score_ats(predict_max_prob(entries[row]), outcome, spread)]
                 split_counts[1:, result] += [1, position[row] < 1, position[row] < k]
-                ranked[position[row] + 1:, result] += 1
+                split_ranked[position[row] + 1:, result] += 1
             counts.append(split_counts.tolist())
+            ranked.append(split_ranked.tolist())
         assert results.counts.tolist() == counts
-        assert results.ranked.tolist() == ranked.tolist()
+        assert results.ranked.tolist() == ranked
 
 
 class TestStreams:
@@ -567,7 +569,7 @@ class TestStreams:
 
     def test_backtest_does_not_depend_on_how_splits_are_blocked(self, monkeypatch):
         # Draw blocks of 7 simulations cut in fit blocks of 5 leave partial blocks;
-        # the single-split blocks check the sweep TI reports drop, summed across blocks.
+        # the single-split blocks also check each split's sweep, which TI reports drop.
         monkeypatch.setattr(harness, "_DRAW_ENTRIES", 7 * 60)
         monkeypatch.setattr(harness, "_FIT_KEYS", 40)
         dataset = synthetic_spread_dataset(
@@ -575,6 +577,7 @@ class TestStreams:
         )
         config = TiConfig(n_simulations=13, seed=5)
         spreads, _, *groups = config.groups(dataset)
+        n_train = groups[1] - config.holdout_per_spread
         blocks = list(harness._holdout_splits(*groups, config))
         assert [len(block.train) for block in blocks] == [5, 2, 5, 1]
         singles = [
@@ -587,10 +590,10 @@ class TestStreams:
         for name, single, whole in zip(results._fields, single_results, results):
             assert np.array_equal(single, whole), name
         assert len(results.k) == 13
-        assert results.ranked[-1].sum() == 13 * len(blocks[0].rows)
+        assert results.ranked[:, -1].sum() == 13 * len(blocks[0].rows)
         assert single_results.modal_k == results.modal_k
-        assert harness._report("ti", config, spreads, single_results) == harness._report(
-            "ti", config, spreads, results
+        assert harness._report("ti", config, spreads, single_results, n_train) == harness._report(
+            "ti", config, spreads, results, n_train
         )
 
     def test_importing_the_cli_leaves_numpy_random_unloaded(self):

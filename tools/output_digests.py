@@ -18,7 +18,10 @@ CRLF one, a NUL in the last row of the quote-free LF file, and a NUL in
 its ``#`` comment line only, which every command reads past. Two copies of the
 quoted CRLF file reach the line cut: one with a lone CR inside a quoted team
 name, and one whose last row opens a quote in its last field that no line
-closes. Two more reach ``ingest``'s writer: a header-only CSV, which ``ingest`` writes with no data
+closes. One more has a header and one row whose quoted team name opens on
+line 2 and runs past csv's 131,072-character field limit on line 3, so
+that the parser names the line the row starts on. Two more reach
+``ingest``'s writer: a header-only CSV, which ``ingest`` writes with no data
 line and the other commands refuse (no valid spread), and a ti-wide seed-0
 copy with two teams renamed ``7`` and ``7.0``, names that read as a score
 and a spread. It runs
@@ -78,6 +81,11 @@ OPTION_SETS = (
     ("--bandwidth", "1e-200"),  # the gaussian's weights underflow to 0 off the diagonal
 )
 
+
+#: The header of the CSVs written here rather than copied from a workload.
+HEADER = "date,home_team,visitor_team,home_score,visitor_score,spread\n"
+#: A row whose quoted team name opens on its first line and passes csv's field limit on its second.
+LONG_QUOTE = '2017-09-10,"N\n' + "N" * 131_073 + '",KC,27,42,-9.0\n'
 
 #: Two ti-wide teams renamed to names that csv.writer quotes.
 RENAMED = {"T00": "Big, Red", "T01": 'Say "Hi"'}
@@ -180,9 +188,10 @@ def main(argv: list[str]) -> int:
                 name = f"ti-wide-0-{source}-{suffix}.csv"
                 write_replaced(f"ti-wide-0-{source}.csv", name, old, new)
                 seeds[name] = 0
-            Path("header-only.csv").write_text("date,home_team,visitor_team,home_score,visitor_score,spread\n")
+            Path("long-quote.csv").write_text(HEADER + LONG_QUOTE)
+            Path("header-only.csv").write_text(HEADER)
             write_renamed("ti-wide-0.csv", "ti-wide-0-numeric.csv", NUMERIC)
-            seeds.update({"header-only.csv": 0, "ti-wide-0-numeric.csv": 0})
+            seeds.update({"long-quote.csv": 0, "header-only.csv": 0, "ti-wide-0-numeric.csv": 0})
             for csv_name, options, command in itertools.product(seeds, OPTION_SETS, COMMANDS):
                 if seeds[csv_name] and "--seed" not in options:
                     options += ("--seed", str(seeds[csv_name]))
