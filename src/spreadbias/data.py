@@ -182,8 +182,10 @@ def parse_games(data: bytes) -> Dataset:
     """
     with _gc_paused():
         try:
-            lines = (data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
-                     .removesuffix("\n").split("\n"))
+            text = data.decode("utf-8")
+            if b"\r" in data:  # else each replace would still scan the whole text
+                text = text.replace("\r\n", "\n").replace("\r", "\n")
+            lines = text.removesuffix("\n").split("\n")
         except UnicodeDecodeError:
             # The error's position counts bytes, not lines: decode by line.
             for n, line in enumerate(data.splitlines(), 1):

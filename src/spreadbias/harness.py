@@ -9,10 +9,12 @@ per (split, spread) (``models.settle_by_spread``). The per-split results
 are then reduced, once, to each strategy's mean and SEM win percentage and
 pooled counts (``_report``). The temporally-independent (TI) harness
 ignores game dates and makes N splits, each holding out a fixed number of
-outcomes per valid spread, drawn about 2**16 entries and fitted about 1,024
-(simulation, spread) pairs at a time. The temporally-dependent (TD) harness
-is the one-split block: it splits once by date, fits on the past, wagers on
-the future, and also sweeps the k-lowest-entropy strategy over every k.
+outcomes per valid spread. They are drawn, ranked and settled in draw blocks
+of about 2**16 (simulation, spread, holdout) entries, and a draw block's
+training counts are built and fitted about 1,024 (simulation, spread) pairs at
+a time. The temporally-dependent (TD) harness is the one-split block: it
+splits once by date, fits on the past, wagers on the future, and also sweeps
+the k-lowest-entropy strategy over every k.
 Both group, split and count games in array passes over the dataset's
 columns. Every fit groups its games in one call, ``FitConfig.groups``: the
 count block of all games at the valid spreads, which TI's splits start from,
@@ -28,6 +30,7 @@ holdouts and coin flips, replaying ``choice``'s Floyd steps step-major (``_holdo
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import asdict, dataclass, fields, replace
@@ -35,11 +38,11 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .bias import DEFAULT_ENTROPY_THRESHOLD, profile_arrays, rank_spreads
+from .bias import DEFAULT_ENTROPY_THRESHOLD, _entropies, rank_spreads
 from .data import Dataset, _shown
 from .density import (
-    DEFAULT_BANDWIDTH, DEFAULT_GRID_HI, DEFAULT_GRID_LO, KERNELS, OutcomeGrid, grid_cells,
-    outcome_counts,
+    DEFAULT_BANDWIDTH, DEFAULT_GRID_HI, DEFAULT_GRID_LO, KERNELS, OutcomeGrid, cover_sums,
+    grid_cells, outcome_counts,
 )
 from .models import MODEL_K_LOWEST, MODEL_MIN_ENTROPY, MODEL_NAMES, settle_by_spread
 
@@ -109,11 +112,17 @@ def _seed_words(*key: int | np.ndarray) -> np.ndarray:
     return state.astype("<u4").view("<u8").astype(np.uint64).reshape(-1, 4)
 
 
+@functools.cache
+def _pcg64() -> type:
+    """``PCG64``, once ``_SeedWords`` is registered as a seed sequence: looked up and
+    registered on first use, so importing the package leaves numpy.random unloaded."""
+    np.random.bit_generator.ISeedSequence.register(_SeedWords)
+    return np.random.PCG64
+
+
 def _generator(words: np.ndarray) -> np.random.Generator:
     """``default_rng(SeedSequence(k))``, from key ``k``'s ``_seed_words`` row."""
-    # Looked up only here, so importing the package leaves numpy.random unloaded.
-    np.random.bit_generator.ISeedSequence.register(_SeedWords)
-    return np.random.Generator(np.random.PCG64(_SeedWords(words)))
+    return np.random.Generator(_pcg64()(_SeedWords(words)))
 
 
 # PCG64 (numpy's pcg64.h) on (high, low) uint64 arrays. Constants are uint64 arrays, so
@@ -340,10 +349,12 @@ def summarize(per_simulation_win_pcts: Sequence[float]) -> tuple[float, float | 
 
 
 class _Split(NamedTuple):
-    """A block of train/test splits of the valid spreads, fitted, ranked and
-    settled at once; splits along the leading axis."""
+    """A block of train/test splits of the valid spreads, ranked and settled at
+    once; splits along the leading axis."""
 
-    train: np.ndarray     # (splits x spreads x grid) training outcome counts; float64 under TI
+    # Training outcome counts: consecutive (splits x spreads x grid) blocks along the splits
+    # axis, each fitted alone and taken once; under TI, float64 and each built when taken.
+    train: Iterable[np.ndarray]
     rows: np.ndarray      # spread index of each test game, in coin-flip order; shared by all splits
     outcomes: np.ndarray  # (splits x test games) outcome of each test game, tallied by its spread
     flips: np.ndarray     # (splits x test games) uniform draws; below 0.5 backs the Visitor
@@ -368,21 +379,25 @@ class _SplitResults(NamedTuple):
 def _backtest(config: FitConfig, spreads: np.ndarray, splits: Iterable[_Split]) -> _SplitResults:
     """Fit, rank and settle every strategy on each block of splits.
 
-    Each block takes one array pass per step along its splits axis and adds
-    one tuple to one list: its splits' p_home, entropy, threshold k,
-    strategy counts, k-Lowest selection mask and Max-Prob counts over each
-    k most biased spreads; the list is joined along the splits axis once,
-    at the end. Max-Prob backs one side at each (split, spread), so
-    ``settle_by_spread`` counts its wagers there; it wagers at every spread,
-    Min-Ent at the most biased one and k-Lowest at the split's threshold k
-    most biased. ``_report`` reduces the result.
+    A block's training blocks are taken one at a time, each only for its
+    ``cover_sums``; the home-cover probabilities joined over the block then
+    take one array pass per step along its splits axis, and add one tuple to
+    one list: its splits' p_home, entropy, threshold k, strategy counts,
+    k-Lowest selection mask and Max-Prob counts over each k most biased
+    spreads; the list is joined along the splits axis once, at the end.
+    Max-Prob backs one side at each (split, spread), so ``settle_by_spread``
+    counts its wagers there; it wagers at every spread, Min-Ent at the most
+    biased one and k-Lowest at the split's threshold k most biased.
+    ``_report`` reduces the result.
     """
     grid = config.grid()
     blocks = []
     for split in splits:
-        p_home, entropy = profile_arrays(
-            split.train, spreads, config.bandwidth, grid, config.kernel
-        )
+        # Each training block is freed before the next is built: map holds none as it takes one.
+        sums = map(lambda train: cover_sums(train, spreads, config.bandwidth, grid, config.kernel),
+                   split.train)
+        p_home = np.concatenate([num / den for num, den in sums])
+        entropy = _entropies(p_home)
         order, k = rank_spreads(entropy, spreads, config.entropy_threshold)
         # Max-Prob backs the Visitor only on a strict edge; ties go Home.
         sided, random_counts = settle_by_spread(
@@ -393,7 +408,6 @@ def _backtest(config: FitConfig, spreads: np.ndarray, splits: Iterable[_Split]) 
         counts = np.stack([random_counts, ranked[:, -1], ranked[:, 1], ranked[np.arange(len(k)), k]], 1)
         # k-Lowest selects the spreads whose rank position is below the split's k.
         blocks.append((p_home, entropy, k, counts, np.argsort(order) < k[:, None], ranked))
-        del split  # so the next block is counted without this one
     return _SplitResults(*map(np.concatenate, zip(*blocks)))
 
 
@@ -438,11 +452,11 @@ def _report(
 def _holdout_splits(
     outcomes: np.ndarray, sizes: np.ndarray, counts: np.ndarray, config: TiConfig
 ) -> Iterator[_Split]:
-    """TI's splits of ``FitConfig.groups``' grouped outcomes, sizes and counts, in fit
-    blocks cut from each draw block of simulations: the holdouts drawn from each valid
-    spread's games in input order are a simulation's test games, and the full counts minus
-    theirs its training block: float64, as the fit takes it, the full counts repeated once
-    per split less one at each held game's cell (``grid_cells``)."""
+    """TI's splits of ``FitConfig.groups``' grouped outcomes, sizes and counts, one block per
+    draw block of simulations: the holdouts drawn from each valid spread's games in input
+    order are a simulation's test games, and the full counts minus theirs its training
+    counts, cut in fit blocks that are each built when taken: float64, as the fit takes it,
+    the full counts repeated once per split less one at each held game's cell (``grid_cells``)."""
     grid = config.grid()
     holdout = config.holdout_per_spread
     full_counts = counts.astype(np.float64)
@@ -451,6 +465,14 @@ def _holdout_splits(
     rows = np.repeat(np.arange(n), holdout)
     draw_block = max(1, _DRAW_ENTRIES // (n * holdout))
     fit_block = max(1, _FIT_KEYS // (n + 1))
+
+    def training_block(test):
+        held = grid_cells(test, grid, n * np.arange(len(test))[:, None] + rows)
+        # A block of many splits is large: one copy, then one subtraction per held game.
+        train = np.repeat(full_counts[None], len(test), axis=0)
+        np.subtract.at(train.reshape(-1), held, 1.0)
+        return train
+
     for first in range(0, config.n_simulations, draw_block):
         sims = np.arange(first, min(first + draw_block, config.n_simulations))
         words = _seed_words(config.seed, _HOLDOUT_STREAM, sims[:, None], np.arange(n))
@@ -460,14 +482,8 @@ def _holdout_splits(
         del words, picks  # so neither is held while _backtest fits the blocks
         flips = np.array([_generator(w).random(len(rows))
                           for w in _seed_words(config.seed, _GUESS_STREAM, sims)])
-        for cut in range(0, len(sims), fit_block):
-            test, flip = tests[cut:cut + fit_block], flips[cut:cut + fit_block]
-            held = grid_cells(test, grid, n * np.arange(len(test))[:, None] + rows)
-            # A block of many splits is large: one copy, then one subtraction per held game.
-            train = np.repeat(full_counts[None], len(test), axis=0)
-            np.subtract.at(train.reshape(-1), held, 1.0)
-            yield _Split(train, rows, test, flip)
-            del held, train, test, flip
+        trains = map(training_block, np.split(tests, range(fit_block, len(sims), fit_block)))
+        yield _Split(trains, rows, tests, flips)
 
 
 def run_ti(dataset: Dataset, config: TiConfig) -> EvaluationReport:
@@ -518,7 +534,7 @@ def run_td(dataset: Dataset, config: TdConfig) -> EvaluationReport:
     games = sorted(np.flatnonzero(test & (index >= 0)).tolist(), key=lambda i: dataset.records[i][:3])
     games = np.array(games, dtype=np.intp)[np.argsort(index[games], kind="stable")]
     flips = np.random.default_rng((config.seed, _GUESS_STREAM)).random(len(games))
-    split = _Split(counts[None], index[games], dataset.outcome[games][None], flips[None])
+    split = _Split([counts[None]], index[games], dataset.outcome[games][None], flips[None])
     results = _backtest(config, spreads, [split])
     return replace(
         _report("td", config, spreads, results, sizes),

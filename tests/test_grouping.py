@@ -69,11 +69,11 @@ def no_valid_spread(min_samples: int, counted) -> str:
 
 def splits_of(run, dataset: Dataset, config) -> tuple[np.ndarray, list]:
     """The valid spreads and the splits that ``run`` hands to the backtest core,
-    one per row of each block it hands over."""
+    one per row of each block it hands over, its training blocks joined."""
     seen = []
 
     def spy(config, spreads, splits):
-        seen.append((spreads, list(splits)))
+        seen.append((spreads, [split._replace(train=list(split.train)) for split in splits]))
         return backtest(config, spreads, seen[-1][1])
 
     backtest = harness._backtest
@@ -81,8 +81,8 @@ def splits_of(run, dataset: Dataset, config) -> tuple[np.ndarray, list]:
         run(dataset, config)
     ((spreads, blocks),) = seen
     return spreads, [
-        harness._Split(block.train[i], block.rows, block.outcomes[i], block.flips[i])
-        for block in blocks for i in range(len(block.train))
+        harness._Split(train, block.rows, block.outcomes[i], block.flips[i])
+        for block in blocks for i, train in enumerate(np.concatenate(block.train))
     ]
 
 

@@ -33,7 +33,7 @@ from spreadbias import (
 )
 from spreadbias import harness
 from spreadbias.bias import BiasProfile
-from spreadbias.density import outcome_counts
+from spreadbias.density import KERNELS, outcome_counts
 from spreadbias.models import (
     MODEL_K_LOWEST,
     MODEL_MAX_PROB,
@@ -402,10 +402,17 @@ class TestBacktestSettlement:
     def test_counts_equal_a_per_game_score_ats_tally(self, case):
         spreads, rows, outcomes, flips, p_home, entropy = case
         config = TdConfig()
-        split = harness._Split(np.zeros((len(outcomes), len(spreads), 1)), np.array(rows, np.intp),
+        split = harness._Split([np.zeros((len(outcomes), len(spreads), 1))], np.array(rows, np.intp),
                                np.array(outcomes, np.int64), np.array(flips, np.float64))
-        fit = np.array(p_home), np.array(entropy)
-        with mock.patch.object(harness, "profile_arrays", lambda *args: fit):
+        p_home, entropy = np.array(p_home), np.array(entropy)
+
+        def entropies(p):
+            assert p.tobytes() == p_home.tobytes()
+            return entropy
+
+        # The fit's cover sums give p_home as num / 1.0, and its entropies are the drawn ones.
+        with mock.patch.object(harness, "cover_sums", lambda *args, **kwargs: (p_home, 1.0)), \
+                mock.patch.object(harness, "_entropies", entropies):
             results = harness._backtest(config, np.array(spreads), [split])
 
         column = {AtsResult.LOSS: 0, AtsResult.PUSH: 1, AtsResult.WIN: 2}
@@ -428,6 +435,49 @@ class TestBacktestSettlement:
             ranked.append(split_ranked.tolist())
         assert results.counts.tolist() == counts
         assert results.ranked.tolist() == ranked
+
+
+@st.composite
+def draw_blocks(draw):
+    """A draw block to fit, rank and settle: a fit config on a 21-cell grid, spreads,
+    each test game's spread index, and per split each spread's training counts (every
+    row holding a game) and the games' outcomes and coin flips."""
+    config = FitConfig(grid_lo=-10, grid_hi=10, kernel=draw(st.sampled_from(KERNELS)),
+                       bandwidth=draw(st.sampled_from([0.5, 4.0])),
+                       entropy_threshold=draw(st.sampled_from([0.0, 0.9, 0.95, 1.0])))
+    spreads = sorted(draw(st.lists(SETTLED_SPREADS, min_size=1, max_size=4, unique=True)))
+    rows = draw(st.lists(st.integers(0, len(spreads) - 1), max_size=8))
+    n_splits = draw(st.integers(1, 8))
+
+    def per_split(elements, size, dtype):
+        values = draw(st.lists(elements, min_size=n_splits * size, max_size=n_splits * size))
+        return np.array(values, dtype).reshape(n_splits, -1)
+
+    counts = per_split(st.integers(0, 2), len(spreads) * 21, np.float64).reshape(n_splits, -1, 21)
+    counts[..., draw(st.integers(0, 20))] += 1.0
+    return (config, np.array(spreads), np.array(rows, np.intp), counts,
+            per_split(SETTLED_OUTCOMES, len(rows), np.int64),
+            per_split(st.just(0.5) | st.floats(0.0, 1.0, exclude_max=True), len(rows), np.float64))
+
+
+class TestBacktestBlocks:
+    """Only the training counts are cut in blocks: the rest of ``_backtest`` takes a
+    whole draw block at once, and works per split."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=draw_blocks())
+    def test_one_draw_block_equals_its_splits_one_at_a_time(self, case):
+        config, spreads, rows, counts, outcomes, flips = case
+        alone = harness._backtest(config, spreads, [
+            harness._Split([counts[i:i + 1]], rows, outcomes[i:i + 1], flips[i:i + 1])
+            for i in range(len(counts))
+        ])
+        for cut in (1, 2, 3, 1024):
+            trains = (counts[i:i + cut] for i in range(0, len(counts), cut))
+            whole = harness._backtest(config, spreads, [harness._Split(trains, rows, outcomes, flips)])
+            for name, got, want in zip(whole._fields, whole, alone):
+                assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+                assert got.tobytes() == want.tobytes(), name
 
 
 class TestStreams:
@@ -492,9 +542,10 @@ class TestStreams:
     ])
     def test_no_block_holds_more_splits_than_its_bound(self, monkeypatch, n_spreads,
                                                       n_simulations, holdout):
-        # A fit block stacks its splits' (spreads x grid) training counts and a draw
-        # block its picks and coin flips, so no run may build every simulation at once.
-        # 40 x 2000 crosses draw blocks; a simulation of 2 x 40,000 entries exceeds one.
+        # A training block stacks its splits' (spreads x grid) training counts and a draw
+        # block its picks, coin flips and settlement tallies, so no run may build every
+        # simulation at once. 40 x 2000 crosses draw blocks; a simulation of 2 x 40,000
+        # entries exceeds one.
         dataset = synthetic_spread_dataset([s + 0.5 for s in range(n_spreads)], holdout + 1,
                                            seed=4)
         config = TiConfig(n_simulations=n_simulations, min_samples=holdout + 1,
@@ -514,8 +565,12 @@ class TestStreams:
         monkeypatch.setattr(harness, "_holdout_picks", checked_picks)
         sizes = []
         for split in harness._holdout_splits(*groups, config):
-            sizes.append(len(split.train))
-            assert len(split.outcomes) == len(split.flips) == sizes[-1] <= min(fit_limit, draw_limit)
+            sizes.append(len(split.outcomes))
+            assert len(split.flips) == sizes[-1] <= draw_limit
+            assert split.outcomes.size <= max(harness._DRAW_ENTRIES, n * holdout)
+            trains = [len(train) for train in split.train]
+            assert trains == [fit_limit] * (len(trains) - 1) + trains[-1:]
+            assert sum(trains) == sizes[-1] and trains[-1] <= fit_limit
         assert sum(sizes) == n_simulations
         assert sum(drawn) == n_simulations * n * holdout
         assert len(drawn) == -(-n_simulations // draw_limit)
@@ -523,17 +578,21 @@ class TestStreams:
     def test_no_earlier_training_block_is_alive_when_the_next_is_counted(self, monkeypatch):
         # Draw blocks of 7 simulations cut in fit blocks of 2 make 7 training blocks, and
         # run_ti must hold only one: the earlier ones are freed before the next is built,
-        # which starts from its held games' grid cells.
+        # which starts from its held games' grid cells. A consumer that holds a block while
+        # it takes the next, as a for loop's target does, keeps two alive.
         monkeypatch.setattr(harness, "_DRAW_ENTRIES", 7 * 60)
         monkeypatch.setattr(harness, "_FIT_KEYS", 14)
         dataset = synthetic_spread_dataset(HALF_SPREADS, 30, seed=8)
         trains, cells = [], []
         split, grid_cells = harness._Split, harness.grid_cells
 
-        def recorded_split(train, *rest):
+        def recorded(train):
             assert [ref() for ref in trains] == [None] * len(trains)
             trains.append(weakref.ref(train))
-            return split(train, *rest)
+            return train
+
+        def recorded_split(train, *rest):
+            return split(map(recorded, train), *rest)  # map holds no block of its own
 
         def checked_cells(*args):
             assert [ref() for ref in trains] == [None] * len(trains)
@@ -557,15 +616,18 @@ class TestStreams:
         spreads, _, outcomes, sizes, full = config.groups(dataset)
         grid, n = config.grid(), len(spreads)
         assert np.any((outcomes < grid.lo) | (outcomes > grid.hi))
+        # Every draw block is drawn before any training block is built.
         blocks = list(harness._holdout_splits(outcomes, sizes, full, config))
         for block in blocks:
             splits = len(block.outcomes)
             rows = n * np.arange(splits)[:, None] + block.rows
             held = outcome_counts(block.outcomes, grid, rows, splits * n).reshape(splits, n, -1)
-            assert block.train.dtype == np.float64
-            assert block.train.shape == held.shape
-            assert np.array_equal(block.train, full - held)
-        assert sum(len(block.train) for block in blocks) == 13
+            trains = list(block.train)
+            assert [train.dtype for train in trains] == [np.float64] * len(trains)
+            train = np.concatenate(trains)
+            assert train.shape == held.shape
+            assert np.array_equal(train, full - held)
+        assert sum(len(block.outcomes) for block in blocks) == 13
 
     def test_backtest_does_not_depend_on_how_splits_are_blocked(self, monkeypatch):
         # Draw blocks of 7 simulations cut in fit blocks of 5 leave partial blocks;
@@ -578,12 +640,12 @@ class TestStreams:
         config = TiConfig(n_simulations=13, seed=5)
         spreads, _, *groups = config.groups(dataset)
         n_train = groups[1] - config.holdout_per_spread
-        blocks = list(harness._holdout_splits(*groups, config))
-        assert [len(block.train) for block in blocks] == [5, 2, 5, 1]
+        blocks = [block._replace(train=list(block.train))
+                  for block in harness._holdout_splits(*groups, config)]
+        assert [[len(train) for train in block.train] for block in blocks] == [[5, 2], [5, 1]]
         singles = [
-            harness._Split(block.train[i:i + 1], block.rows, block.outcomes[i:i + 1],
-                           block.flips[i:i + 1])
-            for block in blocks for i in range(len(block.train))
+            harness._Split([train[None]], block.rows, block.outcomes[i:i + 1], block.flips[i:i + 1])
+            for block in blocks for i, train in enumerate(np.concatenate(block.train))
         ]
         results = harness._backtest(config, spreads, blocks)
         single_results = harness._backtest(config, spreads, singles)
