@@ -1,5 +1,7 @@
 """Game-record ingestion, validation and deduplication: the games file's format,
-its records, and a dataset's columns."""
+its records, and a dataset's columns. ``parse_games`` tests lines one by one for a
+skip only where one search of the text finds a line that may be skipped, and
+measures them only in a file longer than csv's field limit."""
 
 from __future__ import annotations
 
@@ -7,6 +9,7 @@ import csv
 import datetime as dt
 import gc
 import math
+import re
 from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -25,6 +28,11 @@ COMMENT_PREFIX = "#"
 #: of the 29 characters that str.isspace() accepts.
 _SKIP_STARTS = frozenset(["", COMMENT_PREFIX, *map(chr, range(0x2000, 0x200B)),
                           *"\t\n\v\f\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2028\u2029\u202f\u205f\u3000"])
+
+#: Finds, in a file's text, an LF that a line which may be skipped follows: one that begins
+#: with a character of ``_SKIP_STARTS``. An empty line is LF then LF, also where the second is
+#: the text's final LF, which ends the empty last line.
+_SKIP_CANDIDATE = re.compile(f"\n[{''.join(map(re.escape, sorted(_SKIP_STARTS)))}]")
 
 
 class SchemaError(ValueError):
@@ -174,6 +182,8 @@ def parse_games(data: bytes) -> Dataset:
     ``csv.field_size_limit()``, is read by ``csv.reader`` over the kept lines
     without their ends, which the limit does not count; any other kept line
     is split at its commas, with the same records and errors as ``csv`` gives.
+    Lines are measured only in a file longer than the limit, and tested for a
+    skip only if one search of the text finds a line that may be skipped.
 
     Raises SchemaError when the header is absent, incomplete, or repeats
     a required column, and ParseError (carrying the offending line
@@ -195,9 +205,13 @@ def parse_games(data: bytes) -> Dataset:
                     raise ParseError(n, str(exc)) from None
             raise
         lines[0] = lines[0].removeprefix("\ufeff")
-        # A C-level pass finds the lines that may be skipped; only those get the exact test.
-        maybe = compress(count(), map(_SKIP_STARTS.__contains__, map(itemgetter(slice(1)), lines)))
-        skipped = [i for i in maybe if not (text := lines[i].lstrip()) or text.startswith(COMMENT_PREFIX)]
+        # One search tells whether any line after the first may be skipped; a C-level pass
+        # then finds the lines that may be, and only they get the exact test.
+        skipped = []
+        if lines[0][:1] in _SKIP_STARTS or _SKIP_CANDIDATE.search(text):
+            starts = map(_SKIP_STARTS.__contains__, map(itemgetter(slice(1)), lines))
+            skipped = [i for i in compress(count(), starts)
+                       if not (kept := lines[i].lstrip()) or kept.startswith(COMMENT_PREFIX)]
         for i in skipped:
             lines[i] = ""  # then all dropped in one pass
         lines = list(filter(None, lines)) if skipped else lines
@@ -212,8 +226,10 @@ def parse_games(data: bytes) -> Dataset:
             return r + 1 + bisect_right(before, r)
 
         # Without a quote, csv cuts a line without its end at each comma and nowhere
-        # else, and a line that fits csv's field limit holds no field over it.
-        split = b'"' not in data and max(map(len, lines)) <= csv.field_size_limit()
+        # else, and a line that fits csv's field limit holds no field over it: as no
+        # line is longer than the file, only a file past the limit needs their lengths.
+        limit = csv.field_size_limit()
+        split = b'"' not in data and (len(data) <= limit or max(map(len, lines)) <= limit)
         if b"\0" in data:  # a NUL in a skipped line went with it
             nul = next((r for r, line in enumerate(lines) if "\0" in line), None)
             if nul is not None:

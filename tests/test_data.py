@@ -440,6 +440,10 @@ def skip_reference(text: str):
 class TestSkippedLines:
     @settings(deadline=None)
     @given(files_with_skipped_lines())
+    # The only skipped line is the empty last one, and the first one after a BOM.
+    @example(HEADER + GOOD_ROW + "\n")
+    @example("\ufeff\n" + HEADER + GOOD_ROW)
+    @example("\ufeff\u3000# manifest\r\n" + HEADER + GOOD_ROW)
     def test_records_and_line_numbers_equal_the_line_by_line_skip(self, text):
         try:
             result = parse_file(text).records
@@ -450,6 +454,14 @@ class TestSkippedLines:
     @pytest.mark.parametrize("char", list(WHITESPACE + "\r\n"))
     def test_every_whitespace_character_starts_a_skipped_line(self, char):
         assert parse_file(f"{char}# manifest\n{char}\n" + HEADER + GOOD_ROW) == parse(HEADER + GOOD_ROW)
+
+    @pytest.mark.parametrize("line", ["", "#", *WHITESPACE])
+    def test_a_lone_skipped_line_after_the_header_is_found(self, line):
+        # The file's only line that may be skipped, which one search of the text must find.
+        # Split at commas, such a line left in would fail its field count.
+        expected = parse(HEADER + GOOD_ROW * 2)
+        assert parse(HEADER + GOOD_ROW + line + "\n" + GOOD_ROW) == expected
+        assert parse(HEADER + GOOD_ROW * 2 + line + "\n") == expected
 
     def test_line_number_after_many_skipped_lines(self):
         with pytest.raises(ParseError, match=r"^line 200002: negative home_score '-3'$"):
@@ -628,6 +640,24 @@ class TestLineSource:
         with mock.patch("spreadbias.data.csv.reader", side_effect=AssertionError("csv.reader")):
             assert self.load(text) == expected
             assert parse(text) == expected
+
+    @pytest.mark.parametrize("text, n_chars, by_csv", [
+        # No line of a file at the limit of 100 can pass it, so none is measured.
+        (HEADER + "2017-09-10," + "N" * 14 + ",KC,27,42,-9.0\n", 100, False),
+        (HEADER + "2017-09-10," + "N" * 15 + ",KC,27,42,-9.0\n", 101, False),
+        # One line past the limit: a header with an extra column.
+        (HEADER.strip() + ",x" + "x" * 40, 101, True),
+    ], ids=["file-at-the-limit", "file-past-the-limit", "line-past-the-limit"])
+    def test_only_a_line_past_the_field_limit_needs_csv(self, text, n_chars, by_csv):
+        default = csv.field_size_limit(100)
+        try:
+            assert len(text) == n_chars
+            expected = parse_file(text)
+            with mock.patch("spreadbias.data.csv.reader", wraps=csv.reader) as reader:
+                assert parse(text) == expected
+            assert reader.call_count == by_csv
+        finally:
+            csv.field_size_limit(default)
 
     #: Physical lines 1 to 8: skipped lines around the header and two rows that parse.
     OPENING = ["# manifest {}", "", HEADER.strip(), " \t", GOOD_ROW.strip(), "# a comment", "\u3000",

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
 import weakref
-from dataclasses import fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -31,7 +32,7 @@ from spreadbias import (
     score_ats,
     summarize,
 )
-from spreadbias import harness
+from spreadbias import _streams, harness
 from spreadbias.bias import BiasProfile
 from spreadbias.density import KERNELS, outcome_counts
 from spreadbias.models import (
@@ -354,6 +355,49 @@ def test_run_td_invariant_under_row_order_and_spread_spelling(order, spellings):
     assert run_td(shuffled, config).to_dict() == run_td(TD_DATASET, config).to_dict()
 
 
+class TestReportDict:
+    """``EvaluationReport.to_dict`` copies the report's containers itself; it must give what
+    ``dataclasses.asdict`` gives, and nothing the report holds."""
+
+    @staticmethod
+    def reports():
+        ti = run_ti(synthetic_spread_dataset(HALF_SPREADS, 30, {-2.5: 0.9}, seed=8),
+                    TiConfig(n_simulations=4, seed=5))
+        td = run_td(TD_DATASET, TdConfig(seed=3))
+        assert ti.selection_counts and td.ksweep
+        return [ti, td, replace(td, selection_counts=None)]
+
+    @staticmethod
+    def as_asdict(report):
+        """The ``asdict``-based ``to_dict``, with ``selection_counts`` keyed by ``:g`` text."""
+        out = asdict(report)
+        if report.selection_counts is not None:
+            counts = sorted(report.selection_counts.items())
+            out["selection_counts"] = {f"{spread:g}": n for spread, n in counts}
+        return out
+
+    @pytest.mark.parametrize("which", ["ti", "td", "td-without-selections"])
+    def test_json_text_equals_asdicts(self, which):
+        report = self.reports()[["ti", "td", "td-without-selections"].index(which)]
+        got, want = report.to_dict(), self.as_asdict(report)
+        assert got == want
+        assert json.dumps(got, indent=2, sort_keys=True) == json.dumps(want, indent=2, sort_keys=True)
+
+    def test_mutating_the_dict_leaves_the_report(self):
+        for report in self.reports():
+            before = self.as_asdict(report)
+            out = report.to_dict()
+            out["config"]["seed"] = -1
+            out["models"][0]["n_wins"] = -1
+            out["profile"][0]["p_home"] = -1.0
+            if out["ksweep"] is not None:
+                out["ksweep"][0]["n_test"] = -1
+            if out["selection_counts"] is not None:
+                out["selection_counts"].clear()
+            assert self.as_asdict(report) == before
+            assert report.to_dict() == before
+
+
 #: Whole-point spreads, where an outcome can push, and half points.
 SETTLED_SPREADS = st.one_of(st.integers(-8, 8).map(float), st.integers(-8, 7).map(lambda v: v + 0.5))
 #: Outcomes near the spreads, where a cover turns, and past 2**53 either way.
@@ -481,7 +525,7 @@ class TestBacktestBlocks:
 
 
 class TestStreams:
-    """``harness._seed_words`` hashes many stream keys at once; each key's
+    """``_streams._seed_words`` hashes many stream keys at once; each key's
     ``_generator`` must be the one ``default_rng(SeedSequence(key))`` gives."""
 
     @settings(max_examples=40, deadline=None)
@@ -505,7 +549,7 @@ class TestStreams:
             ((seed, 1), [(seed, 1)]),
         ]
         for parts, keys in key_shapes:
-            streams = list(map(harness._generator, harness._seed_words(*parts)))
+            streams = list(map(_streams._generator, _streams._seed_words(*parts)))
             assert len(streams) == len(keys)
             for rng, key in zip(streams, keys):
                 expected = np.random.SeedSequence(key)
@@ -515,7 +559,28 @@ class TestStreams:
 
     def test_array_part_past_one_word_rejected(self):
         with pytest.raises(ValueError, match="one 32-bit word"):
-            harness._seed_words(0, 0, np.array([0, 2**32]))
+            _streams._seed_words(0, 0, np.array([0, 2**32]))
+
+    @pytest.mark.parametrize("seed", [0, 2**32 + 5, 2**70 + 3])
+    def test_each_row_of_flips_is_its_simulations_stream(self, monkeypatch, seed):
+        # A draw block of 3 simulations cut from 7, so the last block is partial.
+        monkeypatch.setattr(harness, "_DRAW_ENTRIES", 3 * 60)
+        dataset = synthetic_spread_dataset(HALF_SPREADS, 30, seed=8)
+        config = TiConfig(n_simulations=7, seed=seed)
+        _, _, *groups = config.groups(dataset)
+        blocks = list(harness._holdout_splits(*groups, config))
+        flips = np.concatenate([block.flips for block in blocks])
+        assert [len(block.flips) for block in blocks] == [3, 3, 1]
+        assert flips.dtype == np.float64 and flips.shape == (7, 60)
+        for sim, row in enumerate(flips):
+            want = np.random.default_rng(np.random.SeedSequence((seed, 1, sim))).random(60)
+            assert row.tobytes() == want.tobytes()
+
+    def test_generator_seed_sequence_subclasses_the_interface(self):
+        seed_seq = _streams._generator(_streams._seed_words(3, 1)[0]).bit_generator.seed_seq
+        interface = np.random.bit_generator.ISeedSequence
+        assert isinstance(seed_seq, interface)
+        assert interface in type(seed_seq).__mro__  # a subclass, not a registered class
 
     @pytest.mark.parametrize("draw_entries,fit_keys", [
         (1, 1), (60, 10**9), (300, 14), (300, 10**9), (10**9, 20), (10**9, 10**9),
@@ -555,7 +620,7 @@ class TestStreams:
         draw_limit = max(1, harness._DRAW_ENTRIES // (n * holdout))
         fit_limit = max(1, harness._FIT_KEYS // (n + 1))
         drawn = []
-        picks = harness._holdout_picks
+        picks = _streams._holdout_picks
 
         def checked_picks(words, sizes, holdout_per_key):
             drawn.append(words[..., 0].size * holdout_per_key)  # keys x holdout entries
@@ -677,33 +742,33 @@ class TestStreams:
 
 
 class TestHoldoutPicks:
-    """``harness._holdout_picks`` replays ``Generator.choice(n, h, replace=False)``
+    """``_streams._holdout_picks`` replays ``Generator.choice(n, h, replace=False)``
     for many keys at once; each key's sorted picks must be the ones numpy's
     ``default_rng(SeedSequence(key))`` draws."""
 
     @staticmethod
     def picks(keys, sizes, holdout):
         """``_holdout_picks`` for ``keys``, and numpy's sorted picks one key at a time."""
-        words = np.concatenate([harness._seed_words(*key) for key in keys])
+        words = np.concatenate([_streams._seed_words(*key) for key in keys])
         expected = [
             np.sort(np.random.default_rng(np.random.SeedSequence(key))
                     .choice(n, holdout, replace=False)).tolist()
             for key, n in zip(keys, sizes)
         ]
-        return harness._holdout_picks(words, np.array(sizes), holdout), expected
+        return _streams._holdout_picks(words, np.array(sizes), holdout), expected
 
     @staticmethod
     def block_picks(seed, sims, sizes, holdout):
         """``_holdout_picks`` for TI's (simulations x spreads) block of keys ``(seed, 0, sim,
         j)``, one size per spread, and numpy's sorted picks one key at a time."""
-        words = harness._seed_words(seed, 0, np.array(sims)[:, None], np.arange(len(sizes)))
+        words = _streams._seed_words(seed, 0, np.array(sims)[:, None], np.arange(len(sizes)))
         expected = [
             [np.sort(np.random.default_rng(np.random.SeedSequence((seed, 0, sim, j)))
                      .choice(n, holdout, replace=False)).tolist() for j, n in enumerate(sizes)]
             for sim in sims
         ]
         words = words.reshape(len(sims), len(sizes), 4)
-        return harness._holdout_picks(words, np.array(sizes), holdout), expected
+        return _streams._holdout_picks(words, np.array(sizes), holdout), expected
 
     @staticmethod
     def scalar_floyd(key, n, holdout):
@@ -789,7 +854,7 @@ class TestHoldoutPicks:
 
     def test_batched_holdouts_stay_below_numpys_tail_shuffle(self):
         # choice tail-shuffles only where n > 10,000 and holdout > n // 50.
-        assert harness._BATCH_MAX_HOLDOUT <= 10_001 // 50
+        assert _streams._BATCH_MAX_HOLDOUT <= 10_001 // 50
 
     def test_population_of_2_32_plus_5_drawn_by_choice(self):
         # A key of 2**32 or more games never enters the replay: choice draws it.
@@ -797,6 +862,6 @@ class TestHoldoutPicks:
         assert picks.tolist() == expected
 
     def test_population_below_the_holdout_raises_as_choice(self):
-        words = harness._seed_words(0, 0, np.arange(2))
+        words = _streams._seed_words(0, 0, np.arange(2))
         with pytest.raises(ValueError, match="larger sample than population"):
-            harness._holdout_picks(words, np.array([30, 5]), 10)
+            _streams._holdout_picks(words, np.array([30, 5]), 10)
